@@ -99,6 +99,9 @@ class GradedComplex:
 
     ``dims`` maps a degree tuple to the component dimension; blocks map
     (src, dst) degree pairs to matrices.  Total degree is the tuple sum.
+    The blocks are fixed at construction: ``rank`` remembers each assembled
+    rank, and ``bicomplex_report`` holds the ``verify_bicomplex`` report of
+    a complex built by one of the constructors below (None otherwise).
     """
 
     def __init__(self, field, dims, d_blocks, dprime_blocks, max_total, meta=None):
@@ -108,6 +111,8 @@ class GradedComplex:
         self.dprime_blocks = dict(dprime_blocks)
         self.max_total = max_total
         self.meta = meta or {}
+        self.bicomplex_report = None
+        self._ranks = {}
 
     def degrees_at(self, k):
         return sorted(deg for deg in self.dims if sum(deg) == k)
@@ -149,6 +154,15 @@ class GradedComplex:
                     ent[(ro + r, co + c)] = v
         return SparseMatrix(self.field, n_rows, n_cols, ent)
 
+    def rank(self, which, k):
+        """rank of assemble(which, k), computed at most once; 0 outside 1..max_total."""
+        if not 1 <= k <= self.max_total:
+            return 0
+        key = (which, k)
+        if key not in self._ranks:
+            self._ranks[key] = matrix_rank(self.assemble(which, k))
+        return self._ranks[key]
+
 
 def verify_bicomplex(c):
     """d^2 = 0, d'^2 = 0, dd' + d'd = 0 at every composable truncation degree."""
@@ -165,7 +179,7 @@ def verify_bicomplex(c):
 
 
 def _verify_or_raise(c):
-    rep = verify_bicomplex(c)
+    rep = c.bicomplex_report = verify_bicomplex(c)
     if not rep.passed:
         raise AssertionError(f"bidifferential identities fail: {rep.first_failure().name}")
     return c
@@ -174,9 +188,10 @@ def _verify_or_raise(c):
 def homology_dims(c, which="d", cohomology=False, up_to=None):
     """Exact homology dimensions for total degrees 0..max_total-1.
 
-    dim H_k = dim ker(d_k) - rank(d_{k+1}); with cohomology=True all
-    matrices are transposed first (degrees are reported against the same
-    k).  The Euler identity for a truncation window reads
+    dim H_k = dim ker(d_k) - rank(d_{k+1}); with cohomology=True the
+    coboundaries are the transposes, of the same ranks (degrees are
+    reported against the same k).  The Euler identity for a truncation
+    window reads
 
         sum (-1)^k dim H_k = sum (-1)^k dim C_k - (-1)^(K) rank(d_{K+1})
 
@@ -192,24 +207,15 @@ def homology_dims(c, which="d", cohomology=False, up_to=None):
         raise InsufficientTruncationError(
             f"degree {up_to} requested but truncation supports only <= {top}"
         )
-    mats = {k: c.assemble(which, k) for k in range(0, c.max_total + 1) if k >= 1}
-    if cohomology:
-        mats = {k: m.transpose() for k, m in mats.items()}
     rows = []
     for k in range(0, up_to + 1):
         dim_ck = c.chain_dim(k)
-        if cohomology:
-            # coboundary out of degree k is the transpose of d_{k+1}
-            rank_out = matrix_rank(mats[k + 1]) if k + 1 in mats else 0
-            rank_in = matrix_rank(mats[k]) if k in mats and k >= 1 else 0
-            h = dim_ck - rank_out - rank_in
-            rank_d = rank_out
-        else:
-            rank_d = matrix_rank(mats[k]) if k >= 1 else 0
-            rank_next = matrix_rank(mats[k + 1])
-            h = (dim_ck - rank_d) - rank_next
+        rank_in, rank_out = c.rank(which, k), c.rank(which, k + 1)
+        h = dim_ck - rank_in - rank_out
+        # the coboundary out of degree k is the transpose of d_{k+1}
+        rank_d = rank_out if cohomology else rank_in
         rows.append({"degree": k, "chain_dim": dim_ck, "rank_d": rank_d, "homology_dim": h})
-    boundary_rank = matrix_rank(mats[up_to + 1]) if up_to + 1 in mats else 0
+    boundary_rank = c.rank(which, up_to + 1)
     euler_h = sum((-1) ** r["degree"] * r["homology_dim"] for r in rows)
     euler_c = sum((-1) ** r["degree"] * r["chain_dim"] for r in rows)
     euler_ok = euler_h == euler_c - ((-1) ** up_to) * boundary_rank

@@ -408,9 +408,10 @@ def load_maps(path, src, dst):
 
 def homology_report(cx, which="d", cohomology=False):
     from .homology import homology_dims, verify_bicomplex
-    from .linalg import rank as matrix_rank
 
-    idrep = verify_bicomplex(cx)
+    idrep = cx.bicomplex_report
+    if idrep is None:
+        idrep = verify_bicomplex(cx)
     res = homology_dims(cx, which, cohomology=cohomology)
     degrees = []
     for row in res["rows"]:
@@ -419,8 +420,8 @@ def homology_report(cx, which="d", cohomology=False):
             {
                 "degree": k,
                 "chain_dim": row["chain_dim"],
-                "rank_d": matrix_rank(cx.assemble("d", k)) if k >= 1 else 0,
-                "rank_d_prime": matrix_rank(cx.assemble("d_prime", k)) if k >= 1 else 0,
+                "rank_d": cx.rank("d", k),
+                "rank_d_prime": cx.rank("d_prime", k),
                 "homology_dim": row["homology_dim"],
             }
         )

@@ -16,6 +16,7 @@ where rb, cb are b's row and column counts.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 
 class FieldError(ValueError):
@@ -68,9 +69,6 @@ class Field:
 
     def inv(self, a):
         raise NotImplementedError
-
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
 
     def is_zero(self, a):
         return a == self.zero
@@ -196,8 +194,8 @@ class SparseMatrix:
     """Immutable-by-convention sparse matrix over an exact field.
 
     ``entries`` maps (row, col) to a nonzero scalar; zero entries are never
-    stored.  All mutating helpers are private and used only during
-    construction.
+    stored, and F_p scalars are stored reduced into [0, p).  All mutating
+    helpers are private and used only during construction.
     """
 
     __slots__ = ("field", "n_rows", "n_cols", "entries")
@@ -208,10 +206,13 @@ class SparseMatrix:
         self.n_cols = n_cols
         self.entries = {}
         if entries:
+            p = field.p if field.kind == "Fp" else None
             for (r, c), v in entries.items():
                 if not (0 <= r < n_rows and 0 <= c < n_cols):
                     raise IndexError(f"entry ({r},{c}) out of bounds for {n_rows}x{n_cols}")
-                if not field.is_zero(v):
+                if p is not None:
+                    v %= p
+                if v:
                     self.entries[(r, c)] = v
 
     # -- constructors -------------------------------------------------
@@ -237,12 +238,6 @@ class SparseMatrix:
                     ent[(i, j)] = v
         return SparseMatrix(field, n_rows, n_cols, ent)
 
-    def to_rows(self):
-        rows = [[self.field.zero] * self.n_cols for _ in range(self.n_rows)]
-        for (r, c), v in self.entries.items():
-            rows[r][c] = v
-        return rows
-
     # -- basic algebra ------------------------------------------------
 
     def get(self, r, c):
@@ -258,7 +253,7 @@ class SparseMatrix:
         )
 
     def __hash__(self):
-        return hash((self.n_rows, self.n_cols, tuple(sorted(self.entries.items()))))
+        return hash((self.field, self.n_rows, self.n_cols, tuple(sorted(self.entries.items()))))
 
     def is_zero(self):
         return not self.entries
@@ -290,6 +285,7 @@ class SparseMatrix:
     def __matmul__(self, other):
         if self.n_cols != other.n_rows:
             raise ValueError(f"matmul shape mismatch {self.n_rows}x{self.n_cols} @ {other.n_rows}x{other.n_cols}")
+        self._check_same_field(other)
         f = self.field
         by_row = {}
         for (j, k), v in other.entries.items():
@@ -309,6 +305,7 @@ class SparseMatrix:
         return SparseMatrix(self.field, self.n_cols, self.n_rows, {(c, r): v for (r, c), v in self.entries.items()})
 
     def kronecker(self, other):
+        self._check_same_field(other)
         f = self.field
         rb, cb = other.n_rows, other.n_cols
         ent = {}
@@ -317,12 +314,13 @@ class SparseMatrix:
                 ent[(i * rb + k, j * cb + l)] = f.mul(a, b)
         return SparseMatrix(f, self.n_rows * rb, self.n_cols * cb, ent)
 
-    def copy(self):
-        return SparseMatrix(self.field, self.n_rows, self.n_cols, dict(self.entries))
-
     def _check_same_shape(self, other):
         if self.n_rows != other.n_rows or self.n_cols != other.n_cols or self.field != other.field:
             raise ValueError("shape or field mismatch")
+
+    def _check_same_field(self, other):
+        if other.field is not self.field and other.field != self.field:
+            raise ValueError(f"field mismatch: {self.field!r} and {other.field!r}")
 
     def __repr__(self):
         return f"SparseMatrix({self.n_rows}x{self.n_cols}, nnz={len(self.entries)})"
@@ -336,42 +334,89 @@ class SparseMatrix:
         return rows
 
     def rref_data(self):
-        """Row reduce; returns (rows, pivot_cols) with rows as sparse dicts."""
-        f = self.field
-        rows = self._dict_rows()
-        pivots = []
-        piv_r = 0
-        for col in range(self.n_cols):
-            sel = None
-            for r in range(piv_r, self.n_rows):
-                if col in rows[r]:
-                    sel = r
-                    break
-            if sel is None:
+        """Row reduce; returns (rows, pivot_cols) with rows as sparse dicts.
+
+        rows[i] is the reduced row of pivot_cols[i]; the trailing
+        n_rows - rank rows are empty.
+        """
+        pivots = _eliminate(self, reduced=True)
+        cols = sorted(pivots)
+        if self.field.kind == "Fp":
+            rows = [pivots[c] for c in cols]
+        else:
+            rows = [{k: Fraction(v, pivots[c][c]) for k, v in pivots[c].items()} for c in cols]
+        return rows + [{} for _ in range(self.n_rows - len(cols))], cols
+
+
+def _clear(r, c, prow, p):
+    """r minus the multiple of prow (whose lowest column is c) that clears column c.
+
+    Over F_p (p an int) prow leads with 1 and the arithmetic is mod p.  Over
+    Q (p None) both rows hold ints: r is cross-multiplied by prow's leading
+    entry, so no fraction appears, and then divided by its content.
+    """
+    a, b = r[c], prow[c]
+    if b != 1:
+        g = gcd(a, b)
+        a, b = a // g, b // g
+        r = {k: b * v for k, v in r.items()}
+    for k, v in prow.items():
+        x = r.get(k, 0) - a * v
+        if p:
+            x %= p
+        if x:
+            r[k] = x
+        else:
+            del r[k]
+    return _primitive(r) if b != 1 and r else r
+
+
+def _primitive(r):
+    g = gcd(*r.values())
+    return r if g == 1 else {k: v // g for k, v in r.items()}
+
+
+def _eliminate(m, reduced=False):
+    """The one elimination pass: {pivot column: pivot row}, one entry per unit of rank.
+
+    Rows are inserted one at a time.  Each is reduced on its lowest column
+    against the pivot row already there, until it vanishes or its lowest
+    column opens a new pivot.  Over Q a row's denominators are cleared once
+    on loading and it stays a primitive int row with a positive leading
+    entry (fraction-free elimination); over F_p the entries are already in
+    [0, p) (the constructor reduces them) and pivot rows are scaled to a
+    leading 1.  With ``reduced`` the pivot rows are then back-substituted,
+    highest pivot first, so that each is zero at every other pivot column;
+    rref_data normalises them.
+    """
+    p = m.field.p if m.field.kind == "Fp" else None
+    pivots = {}
+    for r in m._dict_rows():
+        if p is None:
+            den = lcm(*(v.denominator for v in r.values()))
+            r = {k: v.numerator * (den // v.denominator) for k, v in r.items()}
+        while r:
+            c = min(r)
+            prow = pivots.get(c)
+            if prow is not None:
+                r = _clear(r, c, prow, p)
                 continue
-            rows[piv_r], rows[sel] = rows[sel], rows[piv_r]
-            prow = rows[piv_r]
-            inv = f.inv(prow[col])
-            if inv != f.one:
-                rows[piv_r] = prow = {c: f.mul(inv, v) for c, v in prow.items()}
-            for r in range(self.n_rows):
-                if r == piv_r:
-                    continue
-                factor = rows[r].get(col)
-                if factor is None:
-                    continue
-                tgt = rows[r]
-                for c, v in prow.items():
-                    s = f.sub(tgt.get(c, f.zero), f.mul(factor, v))
-                    if f.is_zero(s):
-                        tgt.pop(c, None)
-                    else:
-                        tgt[c] = s
-            pivots.append(col)
-            piv_r += 1
-            if piv_r == self.n_rows:
-                break
-        return rows, pivots
+            if p is None:
+                r = _primitive(r)
+                if r[c] < 0:
+                    r = {k: -v for k, v in r.items()}
+            elif r[c] != 1:
+                inv = pow(r[c], -1, p)
+                r = {k: v * inv % p for k, v in r.items()}
+            pivots[c] = r
+            break
+    if reduced:
+        for c in sorted(pivots, reverse=True):
+            r = pivots[c]
+            for k in [k for k in r if k != c and k in pivots]:
+                r = _clear(r, k, pivots[k], p)
+            pivots[c] = r
+    return pivots
 
 
 def rref(m):
@@ -385,7 +430,8 @@ def rref(m):
 
 
 def rank(m):
-    return rref(m)[1]
+    """Exact rank: the pivot count of the forward pass, no reduced form built."""
+    return len(_eliminate(m))
 
 
 def kernel_basis(m):

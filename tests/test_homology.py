@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from braidalg import homology, io as bio
 from braidalg.homology import (
     BraidedCharacter,
     GradedComplex,
@@ -239,6 +240,36 @@ def test_sign_flip_breaks_anticommutation():
     rep = verify_bicomplex(bad)
     assert not rep.passed
     assert any(c.name.startswith("anticommute") and not c.passed for c in rep.checks)
+
+
+def test_homology_report_ranks_each_matrix_once_and_reuses_the_bicomplex_check(monkeypatch):
+    b, m, triv = z2_setup(GF(5))
+    cx = coefficient_complex(b, m, triv, 4, 3)
+    assert cx.bicomplex_report is not None and cx.bicomplex_report.passed
+    ranked = []
+    real_rank = homology.matrix_rank
+    monkeypatch.setattr(homology, "matrix_rank", lambda a: ranked.append(a) or real_rank(a))
+    monkeypatch.setattr(homology, "verify_bicomplex", lambda c: pytest.fail("complex verified again"))
+    reports = [bio.homology_report(cx, w, coh) for w in ("d", "d_prime", "total") for coh in (False, True)]
+    # three families at total degrees 1..3, each assembled and ranked once
+    assert len(ranked) == 9
+    for rep in reports:
+        assert all(rep["identities"].values())
+        for row in rep["degrees"][1:]:
+            k = row["degree"]
+            assert row["rank_d"] == real_rank(cx.assemble("d", k))
+            assert row["rank_d_prime"] == real_rank(cx.assemble("d_prime", k))
+
+
+def test_homology_report_checks_a_complex_that_was_never_verified():
+    b, m, triv = z2_setup()
+    cx = coefficient_complex(b, m, triv, 3, 3)
+    flipped = dict(cx.dprime_blocks)
+    key = ((1, 1), (1, 0))
+    flipped[key] = -flipped[key]
+    bad = GradedComplex(cx.field, cx.dims, cx.d_blocks, flipped, cx.max_total)
+    assert bad.bicomplex_report is None
+    assert bio.homology_report(bad)["identities"]["anticommute"] is False
 
 
 def test_zero_differentials_pass_and_give_chain_dims():

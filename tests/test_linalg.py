@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from braidalg.linalg import (
     GF,
@@ -165,3 +166,133 @@ def test_inverse():
     assert mi @ m == SparseMatrix.identity(QQ, 2)
     assert m @ mi == SparseMatrix.identity(QQ, 2)
     assert inverse(mat(QQ, [[1, 2], [2, 4]])) is None
+
+
+# -- field discipline ----------------------------------------------------------
+
+
+def test_prime_field_entries_are_canonical_at_construction():
+    F = GF(5)
+    five = SparseMatrix(F, 1, 1, {(0, 0): 5})
+    assert five.is_zero()
+    assert rank(five) == 0
+    seven, two = SparseMatrix.from_rows(F, [[7]]), SparseMatrix(F, 1, 1, {(0, 0): 2})
+    assert seven == two
+    assert hash(seven) == hash(two)
+    assert SparseMatrix(F, 1, 2, {(0, 0): -1, (0, 1): 12}).entries == {(0, 0): 4, (0, 1): 2}
+
+
+def test_matmul_and_kronecker_refuse_mixed_fields():
+    q, f = SparseMatrix.identity(QQ, 1), SparseMatrix.identity(GF(5), 1)
+    with pytest.raises(ValueError, match="field mismatch"):
+        q @ f
+    with pytest.raises(ValueError, match="field mismatch"):
+        kronecker(f, q)
+    assert q @ SparseMatrix.identity(QQ, 1) == q
+    assert kronecker(f, SparseMatrix.identity(GF(5), 1)) == f
+
+
+# -- properties of the elimination kernel against a dense reference -------------
+
+PROPERTY_SETTINGS = settings(max_examples=60, derandomize=True, deadline=None)
+FIELDS = (QQ, GF(2), GF(5), GF(2**61 - 1))
+
+
+def reference_rref(field, n_cols, dense):
+    """Textbook dense Gauss-Jordan with exact Fraction / mod-p arithmetic: (rref rows, rank)."""
+    if field.kind == "Fp":
+        p = field.p
+        rows = [[v % p for v in row] for row in dense]
+        norm, sub = (lambda v, lead: v * pow(lead, -1, p) % p), (lambda a, b, c: (a - b * c) % p)
+    else:
+        rows = [[Fraction(v) for v in row] for row in dense]
+        norm, sub = (lambda v, lead: v / lead), (lambda a, b, c: a - b * c)
+    r = 0
+    for col in range(n_cols):
+        sel = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if sel is None:
+            continue
+        rows[r], rows[sel] = rows[sel], rows[r]
+        lead = rows[r][col]
+        rows[r] = [norm(v, lead) for v in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][col]:
+                factor = rows[i][col]
+                rows[i] = [sub(a, factor, b) for a, b in zip(rows[i], rows[r])]
+        r += 1
+    return rows, r
+
+
+def scalars(field):
+    if field.kind == "Q":
+        return st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+    # unreduced representatives, negative ones included
+    return st.integers(-3 * field.p, 3 * field.p)
+
+
+@st.composite
+def sparse_matrices(draw, field=None, square=False):
+    field = draw(st.sampled_from(FIELDS)) if field is None else field
+    n_rows = draw(st.integers(0, 6))
+    n_cols = n_rows if square else draw(st.integers(0, 7))
+    cells = [(r, c) for r in range(n_rows) for c in range(n_cols)]
+    nonzero = draw(st.lists(st.sampled_from(cells), unique=True)) if cells else []
+    raw = {rc: draw(scalars(field)) for rc in nonzero}
+    dense = [[raw.get((r, c), 0) for c in range(n_cols)] for r in range(n_rows)]
+    return SparseMatrix(field, n_rows, n_cols, raw), dense
+
+
+def mat_vec(m, x):
+    f = m.field
+    out = [f.zero] * m.n_rows
+    for (r, c), v in m.entries.items():
+        out[r] = f.add(out[r], f.mul(v, x[c]))
+    return out
+
+
+@PROPERTY_SETTINGS
+@given(sparse_matrices())
+def test_rank_and_rref_match_dense_reference(case):
+    m, dense = case
+    ref_rows, ref_rank = reference_rref(m.field, m.n_cols, dense)
+    assert rank(m) == ref_rank
+    r, rk = rref(m)
+    assert rk == ref_rank
+    ref_ent = {(i, j): v for i, row in enumerate(ref_rows) for j, v in enumerate(row)}
+    assert r == SparseMatrix(m.field, m.n_rows, m.n_cols, ref_ent)
+
+
+@PROPERTY_SETTINGS
+@given(sparse_matrices())
+def test_rank_transpose_kernel_and_idempotent_rref(case):
+    m, _ = case
+    basis = kernel_basis(m)
+    assert rank(m) == rank(m.transpose()) == m.n_cols - len(basis)
+    for v in basis:
+        assert all(m.field.is_zero(x) for x in mat_vec(m, v))
+    r1, _ = rref(m)
+    assert rref(r1)[0] == r1
+
+
+@PROPERTY_SETTINGS
+@given(sparse_matrices(square=True))
+def test_inverse_of_full_rank_matrices(case):
+    m, _ = case
+    inv = inverse(m)
+    if rank(m) < m.n_rows:
+        assert inv is None
+    else:
+        assert inv @ m == SparseMatrix.identity(m.field, m.n_rows)
+
+
+@PROPERTY_SETTINGS
+@given(sparse_matrices(), st.data())
+def test_solve_linear_solves_consistent_systems(case, data):
+    m, _ = case
+    x0 = [data.draw(scalars(m.field)) for _ in range(m.n_cols)]
+    if m.field.kind == "Fp":
+        x0 = [v % m.field.p for v in x0]
+    b = mat_vec(m, x0)
+    x = solve_linear(m, b)
+    assert x is not None
+    assert mat_vec(m, x) == b
