@@ -1,8 +1,7 @@
 """Command-line workflows tying the library together.
 
 Exit codes: 0 = all checks pass, 1 = a mathematical check failed (a
-witness is printed), 2 = input/schema error.  Set BRAIDALG_THREADS to
-parallelise independent verification instances.
+witness is printed), 2 = input/schema error.
 """
 
 from __future__ import annotations
@@ -304,7 +303,6 @@ def build_parser():
     p = argparse.ArgumentParser(
         prog="braidalg",
         description="Exact checks for bialgebras, YD modules, R-matrices, braided systems and homology.",
-        epilog="Set BRAIDALG_THREADS to parallelise independent verification instances.",
     )
     sub = p.add_subparsers(dest="command", required=True)
 

@@ -716,8 +716,6 @@ def pi_maps(h, m, n_mod, max_total_degree):
 def pi_commutation_suite(h, m, n_mod, max_total_degree):
     """All six unordered pairs of contraction maps commute degreewise."""
     fams = pi_maps(h, m, n_mod, max_total_degree)
-    ops = _SweedlerOps(h, m, n_mod)
-    f = h.field
 
     def apply_block(fam, src):
         for (s, t), mat in fams[fam].items():

@@ -79,6 +79,35 @@ def _cube_json(f, cube):
     return f.to_json(cube)
 
 
+# A map A (x) B -> C is stored as cube[a][b][c], the coefficient of c in the
+# image of a (x) b; a map A -> B (x) C as cube[a][b][c], the coefficient of
+# b (x) c in the image of a.
+
+
+def _product_from_json(f, raw, spaces, where):
+    A, B, C = spaces
+    cube = _parse_cube(f, raw, (A.dim, B.dim, C.dim), where)
+    ent = {(c, a * B.dim + b): cube[a][b][c] for a in range(A.dim) for b in range(B.dim) for c in range(C.dim)}
+    return LinMap((A, B), (C,), SparseMatrix(f, C.dim, A.dim * B.dim, ent))
+
+
+def _product_json(m, da, db, dc):
+    cube = [[[m.matrix.get(c, a * db + b) for c in range(dc)] for b in range(db)] for a in range(da)]
+    return _cube_json(m.field, cube)
+
+
+def _coproduct_from_json(f, raw, spaces, where):
+    A, B, C = spaces
+    cube = _parse_cube(f, raw, (A.dim, B.dim, C.dim), where)
+    ent = {(b * C.dim + c, a): cube[a][b][c] for a in range(A.dim) for b in range(B.dim) for c in range(C.dim)}
+    return LinMap((A,), (B, C), SparseMatrix(f, B.dim * C.dim, A.dim, ent))
+
+
+def _coproduct_json(m, da, db, dc):
+    cube = [[[m.matrix.get(b * dc + c, a) for c in range(dc)] for b in range(db)] for a in range(da)]
+    return _cube_json(m.field, cube)
+
+
 def _load_json(path):
     try:
         with open(path) as fh:
@@ -104,15 +133,13 @@ def canonical_json(obj):
 def bialgebra_to_json(b):
     f = b.field
     d = b.dim
-    mul = [[[b.mu.matrix.get(k, i * d + j) for k in range(d)] for j in range(d)] for i in range(d)]
-    comul = [[[b.delta.matrix.get(j * d + k, i) for k in range(d)] for j in range(d)] for i in range(d)]
     out = {
         "field": field_spec_json(f),
         "dim": d,
         "basis": [b.space.name(i) for i in range(d)],
-        "mul": _cube_json(f, mul),
+        "mul": _product_json(b.mu, d, d, d),
         "unit": _cube_json(f, [b.nu.matrix.get(k, 0) for k in range(d)]),
-        "comul": _cube_json(f, comul),
+        "comul": _coproduct_json(b.delta, d, d, d),
         "counit": _cube_json(f, [b.eps.matrix.get(0, i) for i in range(d)]),
     }
     if b.antipode is not None:
@@ -133,26 +160,12 @@ def bialgebra_from_json(data, label="H", where="bialgebra"):
     basis = data.get("basis")
     if basis is not None and (len(basis) != d or len(set(basis)) != d):
         raise SchemaError(f"{where}.basis: expected {d} distinct names")
-    mul = _parse_cube(f, data["mul"], (d, d, d), f"{where}.mul")
-    unit = _parse_cube(f, data["unit"], (d,), f"{where}.unit")
-    comul = _parse_cube(f, data["comul"], (d, d, d), f"{where}.comul")
-    counit = _parse_cube(f, data["counit"], (d,), f"{where}.counit")
     space = Space(d, label, tuple(basis) if basis else None)
-    mu = LinMap(
-        (space, space),
-        (space,),
-        SparseMatrix(
-            f, d, d * d, {(k, i * d + j): mul[i][j][k] for i in range(d) for j in range(d) for k in range(d)}
-        ),
-    )
+    mu = _product_from_json(f, data["mul"], (space, space, space), f"{where}.mul")
+    unit = _parse_cube(f, data["unit"], (d,), f"{where}.unit")
+    delta = _coproduct_from_json(f, data["comul"], (space, space, space), f"{where}.comul")
+    counit = _parse_cube(f, data["counit"], (d,), f"{where}.counit")
     nu = LinMap((), (space,), SparseMatrix(f, d, 1, {(k, 0): unit[k] for k in range(d)}))
-    delta = LinMap(
-        (space,),
-        (space, space),
-        SparseMatrix(
-            f, d * d, d, {(j * d + k, i): comul[i][j][k] for i in range(d) for j in range(d) for k in range(d)}
-        ),
-    )
     eps = LinMap((space,), (), SparseMatrix(f, 1, d, {(0, i): counit[i] for i in range(d)}))
     antipode = None
     if "antipode" in data:
@@ -177,23 +190,16 @@ def load_bialgebra(path):
 def yd_module_to_json(m, bialgebra_path, mu=None, nu=None):
     f = m.field
     dH, dM = m.base.dim, m.dim
-    action = [
-        [[m.lam.matrix.get(b, i * dM + a) for b in range(dM)] for a in range(dM)] for i in range(dH)
-    ]
     out = {
         "bialgebra": bialgebra_path,
         "dim": dM,
         "basis": [m.space.name(i) for i in range(dM)],
-        "action": _cube_json(f, action),
+        "action": _product_json(m.lam, dH, dM, dM),
     }
     if m.delta is not None:
-        coaction = [
-            [[m.delta.matrix.get(b * dH + i, a) for i in range(dH)] for b in range(dM)] for a in range(dM)
-        ]
-        out["coaction"] = _cube_json(f, coaction)
+        out["coaction"] = _coproduct_json(m.delta, dM, dM, dH)
     if mu is not None:
-        mul = [[[mu.matrix.get(c, a * dM + b) for c in range(dM)] for b in range(dM)] for a in range(dM)]
-        out["mul"] = _cube_json(f, mul)
+        out["mul"] = _product_json(mu, dM, dM, dM)
         out["unit"] = _cube_json(f, [nu.matrix.get(k, 0) for k in range(dM)])
     return out
 
@@ -203,7 +209,6 @@ def yd_module_from_json(data, base, label="M", where="yd-module"):
         if key not in data:
             raise SchemaError(f"{where}: missing key {key!r}")
     f = base.field
-    dH = base.dim
     dM = data["dim"]
     if not isinstance(dM, int) or dM < 1:
         raise SchemaError(f"{where}.dim: expected a positive integer")
@@ -211,43 +216,16 @@ def yd_module_from_json(data, base, label="M", where="yd-module"):
     if basis is not None and len(basis) != dM:
         raise SchemaError(f"{where}.basis: expected {dM} names")
     space = Space(dM, label, tuple(basis) if basis else None)
-    action = _parse_cube(f, data["action"], (dH, dM, dM), f"{where}.action")
-    lam = LinMap(
-        (base.space, space),
-        (space,),
-        SparseMatrix(
-            f,
-            dM,
-            dH * dM,
-            {(b, i * dM + a): action[i][a][b] for i in range(dH) for a in range(dM) for b in range(dM)},
-        ),
-    )
+    lam = _product_from_json(f, data["action"], (base.space, space, space), f"{where}.action")
     delta = None
     if "coaction" in data:
-        coaction = _parse_cube(f, data["coaction"], (dM, dM, dH), f"{where}.coaction")
-        delta = LinMap(
-            (space,),
-            (space, base.space),
-            SparseMatrix(
-                f,
-                dM * dH,
-                dM,
-                {(b * dH + i, a): coaction[a][b][i] for a in range(dM) for b in range(dM) for i in range(dH)},
-            ),
-        )
+        delta = _coproduct_from_json(f, data["coaction"], (space, space, base.space), f"{where}.coaction")
     yd = YDModule(base, space, lam, delta)
     if "mul" in data:
         if "unit" not in data:
             raise SchemaError(f"{where}: 'mul' without 'unit'")
-        mul = _parse_cube(f, data["mul"], (dM, dM, dM), f"{where}.mul")
+        mu = _product_from_json(f, data["mul"], (space, space, space), f"{where}.mul")
         unit = _parse_cube(f, data["unit"], (dM,), f"{where}.unit")
-        mu = LinMap(
-            (space, space),
-            (space,),
-            SparseMatrix(
-                f, dM, dM * dM, {(c, a * dM + b): mul[a][b][c] for a in range(dM) for b in range(dM) for c in range(dM)}
-            ),
-        )
         nu = LinMap((), (space,), SparseMatrix(f, dM, 1, {(k, 0): unit[k] for k in range(dM)}))
         return YDModuleAlgebra(yd, mu, nu)
     return yd
@@ -354,13 +332,8 @@ def system_from_json(data, where="braided-system"):
             raise SchemaError(f"{where}.sigma: index pair {key!r} out of range")
         di, dj = comps[i - 1].dim, comps[j - 1].dim
         cube = _parse_cube(f, rows, (di * dj, di * dj), f"{where}.sigma[{key}]")
-        ent = {}
-        for rr, row in enumerate(cube):
-            for cc, v in enumerate(row):
-                if not f.is_zero(v):
-                    ent[(rr, cc)] = v
         sigma[(i, j)] = LinMap(
-            (comps[i - 1], comps[j - 1]), (comps[j - 1], comps[i - 1]), SparseMatrix(f, di * dj, di * dj, ent)
+            (comps[i - 1], comps[j - 1]), (comps[j - 1], comps[i - 1]), SparseMatrix.from_rows(f, cube)
         )
     for i in range(1, r + 1):
         for j in range(i, r + 1):
@@ -390,12 +363,7 @@ def maps_from_json(data, src, dst, where="maps"):
     for t, rows in enumerate(data["maps"], start=1):
         dsrc, ddst = src.space(t).dim, dst.space(t).dim
         cube = _parse_cube(f, rows, (ddst, dsrc), f"{where}.maps[{t - 1}]")
-        ent = {}
-        for rr, row in enumerate(cube):
-            for cc, v in enumerate(row):
-                if not f.is_zero(v):
-                    ent[(rr, cc)] = v
-        out.append(LinMap((src.space(t),), (dst.space(t),), SparseMatrix(f, ddst, dsrc, ent)))
+        out.append(LinMap((src.space(t),), (dst.space(t),), SparseMatrix.from_rows(f, cube)))
     return out
 
 

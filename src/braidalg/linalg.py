@@ -149,6 +149,9 @@ class PrimeField(Field):
     def neg(self, a):
         return (-a) % self.p
 
+    def is_zero(self, a):
+        return not a % self.p
+
     def inv(self, a):
         if a % self.p == 0:
             raise ZeroDivisionError(f"inverse of 0 in F_{self.p}")

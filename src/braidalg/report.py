@@ -57,11 +57,11 @@ class AxiomReport:
 
     def compare(self, name, lhs, rhs):
         """Record whether two LinMaps agree entrywise, with a witness if not."""
-        diff = lhs.matrix - rhs.matrix
-        if diff.is_zero():
+        if lhs.matrix == rhs.matrix:
             self.checks.append(CheckResult(name, True))
             return True
-        row, col = min(diff.entries)
+        # entries are canonical, so they differ exactly where lhs - rhs is nonzero
+        row, col = min(k for k, _ in lhs.matrix.entries.items() ^ rhs.matrix.entries.items())
         dom_dims = [s.dim for s in lhs.domain]
         cod_dims = [s.dim for s in lhs.codomain]
         w = Witness(

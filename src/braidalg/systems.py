@@ -24,7 +24,6 @@ where H is a comodule over itself via Delta and H* is an H-module via
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 from .hopf import Bialgebra, UAA, check_bialgebra, dual_bialgebra
@@ -64,21 +63,6 @@ class BraidedSystem:
         return f"BraidedSystem({labels})"
 
 
-def _maybe_parallel(fn, items):
-    """Run fn over items, optionally with a thread pool (BRAIDALG_THREADS)."""
-    n = 1
-    try:
-        n = int(os.environ.get("BRAIDALG_THREADS", "1"))
-    except ValueError:
-        pass
-    if n <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
-
-
 def cybe_instance(s, i, j, k):
     """(lhs, rhs) of the colored YBE on V_i (x) V_j (x) V_k."""
     f = s.field
@@ -93,8 +77,8 @@ def cybe_instance(s, i, j, k):
 def verify_cybe(s):
     """One exact check per triple i <= j <= k; witness on first failure."""
     rep = AxiomReport(f"cYBE for {s!r}")
-    results = _maybe_parallel(lambda t: (t, cybe_instance(s, *t)), s.triples())
-    for (i, j, k), (lhs, rhs) in results:
+    for i, j, k in s.triples():
+        lhs, rhs = cybe_instance(s, i, j, k)
         rep.compare(f"cYBE({i},{j},{k})", lhs, rhs)
     return rep
 
@@ -378,6 +362,16 @@ PRECISION_ROWS = (
     ("mu_associativity", (2, 2, 2)),
 )
 
+# row -> (the check_yd check stating its axiom, the check_yd checks its side condition needs)
+_PRECISION_CHECKS = {
+    "yd_compatibility": ("yd_compatibility", ()),
+    "action_associativity": ("action_associativity", ("action_unit",)),
+    "coaction_coassociativity": ("coaction_coassociativity", ("coaction_counit",)),
+    "action_respects_mu": ("yd_alg_lam_mu", ("yd_alg_lam_nu",)),
+    "coaction_respects_mu": ("yd_alg_delta_mu", ("yd_alg_delta_nu",)),
+    "mu_associativity": ("uaa_associativity", ("uaa_unit_left", "uaa_unit_right")),
+}
+
 
 def precision_sigmas(h, v, lam, delta, mu, nu):
     """The r=1 braiding components for arbitrary (lam, delta, mu, nu) on V.
@@ -402,61 +396,21 @@ def precision_harness(h, v, lam, delta, mu, nu):
     """Row-by-row equivalence "cYBE instance <=> structure axiom".
 
     For each of the six rows the report carries three booleans: the side
-    condition, the cYBE instance, and the axiom.  Whenever the side
-    condition is met the last two are asserted equal.
+    condition, the cYBE instance, and the axiom.  Axioms and side
+    conditions are read from one ``check_yd(..., "yd_algebra")`` report.
+    Whenever the side condition is met the last two are asserted equal.
     """
-    f = h.field
-    H = h.space
-    id_H, id_V = identity([H], f), identity([v], f)
     sys = precision_sigmas(h, v, lam, delta, mu, nu)
-    c_HV = flip(H, v, f)
-
-    sides = {
-        "yd_compatibility": True,
-        "action_associativity": lam.compose(h.nu.tensor(id_V)).matrix == id_V.matrix,
-        "coaction_coassociativity": id_V.tensor(h.eps).compose(delta).matrix == id_V.matrix,
-        "action_respects_mu": lam.compose(id_H.tensor(nu)).matrix == h.eps.tensor(nu).matrix,
-        "coaction_respects_mu": delta.compose(nu).matrix == nu.tensor(h.nu).matrix,
-        "mu_associativity": (
-            mu.compose(nu.tensor(id_V)).matrix == id_V.matrix
-            and mu.compose(id_V.tensor(nu)).matrix == id_V.matrix
-        ),
-    }
-
-    from .hopf import opposites
-
-    _, delta_op = opposites(h)
-    axioms = {}
-    lhs = compose_chain([id_V.tensor(h.mu), delta.tensor(id_H), c_HV, id_H.tensor(lam), h.delta.tensor(id_V)])
-    rhs = compose_chain([lam.tensor(h.mu), id_H.tensor(c_HV).tensor(id_H), h.delta.tensor(delta)])
-    axioms["yd_compatibility"] = lhs.matrix == rhs.matrix
-    axioms["action_associativity"] = (
-        lam.compose(h.mu.tensor(id_V)).matrix == lam.compose(id_H.tensor(lam)).matrix
-    )
-    axioms["coaction_coassociativity"] = (
-        delta.tensor(id_H).compose(delta).matrix == id_V.tensor(h.delta).compose(delta).matrix
-    )
-    axioms["action_respects_mu"] = (
-        lam.compose(id_H.tensor(mu)).matrix
-        == compose_chain(
-            [mu, lam.tensor(lam), id_H.tensor(c_HV).tensor(id_V), delta_op.tensor(id_V).tensor(id_V)]
-        ).matrix
-    )
-    axioms["coaction_respects_mu"] = (
-        delta.compose(mu).matrix
-        == compose_chain([mu.tensor(h.mu), id_V.tensor(c_HV).tensor(id_H), delta.tensor(delta)]).matrix
-    )
-    axioms["mu_associativity"] = (
-        mu.compose(mu.tensor(id_V)).matrix == mu.compose(id_V.tensor(mu)).matrix
-    )
-
+    axioms = check_yd(YDModuleAlgebra(YDModule(h, v, lam, delta), mu, nu), "yd_algebra")
+    passed = {c.name: c.passed for c in axioms.checks}
     rep = AxiomReport("precision harness (cYBE <=> axiom)")
     rows = []
     for name, triple in PRECISION_ROWS:
+        axiom, side = _PRECISION_CHECKS[name]
         lhs, rhs = cybe_instance(sys, *triple)
         cybe_ok = lhs.matrix == rhs.matrix
-        side_ok = sides[name]
-        ax_ok = axioms[name]
+        side_ok = all(passed[c] for c in side)
+        ax_ok = passed[axiom]
         rows.append({"row": name, "triple": triple, "side": side_ok, "cybe": cybe_ok, "axiom": ax_ok})
         rep.add(f"{name}_side", side_ok)
         rep.add(f"{name}_equivalence", (not side_ok) or (cybe_ok == ax_ok))

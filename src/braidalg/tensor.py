@@ -131,17 +131,6 @@ class LinMap:
             self.matrix.kronecker(other.matrix),
         )
 
-    def transpose_plain(self):
-        """Plain matrix transpose with factor lists dualised in place.
-
-        Internal helper; the public duality is :func:`rainbow_dual`.
-        """
-        return LinMap(
-            tuple(s.dual() for s in self.codomain),
-            tuple(s.dual() for s in self.domain),
-            self.matrix.transpose(),
-        )
-
 
 def identity(spaces, field):
     spaces = tuple(spaces)

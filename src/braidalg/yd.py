@@ -104,7 +104,6 @@ def check_yd(m, level="yd"):
         rep.compare("uaa_associativity", mu.compose(mu.tensor(id_M)), mu.compose(id_M.tensor(mu)))
         rep.compare("uaa_unit_left", mu.compose(nu.tensor(id_M)), id_M)
         rep.compare("uaa_unit_right", mu.compose(id_M.tensor(nu)), id_M)
-        c_HM = flip(H, M, f)
         # delta o mu = (mu (x) mu_H) o (Id (x) c (x) Id) o (delta (x) delta)
         rep.compare(
             "yd_alg_delta_mu",
@@ -149,7 +148,7 @@ def regular_yd_group_algebra(table_or_bialgebra, names=None, field=None):
     Accepts either a group multiplication table (a group algebra base is
     built) or a group-algebra bialgebra.
     """
-    from .hopf import group_algebra, group_table_from_bialgebra
+    from .hopf import _validate_table, group_algebra, group_table_from_bialgebra
     from .linalg import QQ
 
     if isinstance(table_or_bialgebra, Bialgebra):
@@ -160,14 +159,7 @@ def regular_yd_group_algebra(table_or_bialgebra, names=None, field=None):
         b = group_algebra(table, names=names, field=field or QQ)
     f = b.field
     n = b.dim
-    e, inv = None, [None] * n
-    for cand in range(n):
-        if all(table[cand][a] == a and table[a][cand] == a for a in range(n)):
-            e = cand
-    for a in range(n):
-        for c in range(n):
-            if table[a][c] == e:
-                inv[a] = c
+    _, inv = _validate_table(table, need_inverses=True)
     M = Space(n, b.space.label + "_yd", b.space.basis_names)
     # lam(g (x) h) = g h g^-1
     lam_ent = {}
@@ -208,8 +200,8 @@ def yd_braiding(m, n, variant="standard"):
         raise ValueError("yd_braiding needs modules over the same bialgebra")
     b = m.base
     f = m.field
-    H, M, N = b.space, m.space, n.space
-    id_M, id_N, id_H = identity([M], f), identity([N], f), identity([H], f)
+    M, N = m.space, n.space
+    id_M, id_N = identity([M], f), identity([N], f)
     if variant == "standard":
         c = compose_chain([id_N.tensor(m.lam), n.delta.tensor(id_M), flip(M, N, f)])
     else:
@@ -339,7 +331,6 @@ def dual_yd(n):
 def change_of_basis(m, p):
     """Transport the YD structure along an invertible matrix p on M."""
     f = m.field
-    d = m.dim
     p_inv = matrix_inverse(p)
     if p_inv is None:
         raise ValueError("change of basis matrix is singular")

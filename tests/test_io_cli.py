@@ -7,10 +7,10 @@ import pytest
 
 from braidalg import io as bio
 from braidalg.cli import main
-from braidalg.hopf import check_bialgebra, cyclic_group_table, group_algebra, s3_table
+from braidalg.hopf import check_bialgebra, cyclic_group_table, dual_bialgebra, group_algebra, s3_table
 from braidalg.linalg import GF
 from braidalg.systems import build_yd_system
-from braidalg.yd import YDModuleAlgebra, formal_unit_extend, regular_yd_group_algebra
+from braidalg.yd import YDModuleAlgebra, dual_yd, formal_unit_extend, regular_yd_group_algebra
 
 S3_TABLE, S3_NAMES = s3_table()
 Z2_TABLE, Z2_NAMES = cyclic_group_table(2)
@@ -94,6 +94,49 @@ def test_system_round_trip(tmp_path):
     p2 = tmp_path / "sys2.json"
     bio.save_system(p2, loaded)
     assert p.read_bytes() == p2.read_bytes()
+
+
+def test_structure_constant_layouts_follow_the_schema(tmp_path):
+    """Each cube field, read from the file, against the schema in the io docstring.
+
+    Round trips cannot see a saver and its loader that swap the same two cube
+    indices.  S3 is not abelian, so such a swap changes the S3 fields below.
+    """
+    n = len(S3_TABLE)
+    e = next(x for x in range(n) if all(S3_TABLE[x][a] == a for a in range(n)))
+    inv = [next(y for y in range(n) if S3_TABLE[x][y] == e) for x in range(n)]
+
+    def conj(g, h):
+        return S3_TABLE[S3_TABLE[g][h]][inv[g]]
+
+    def cube(shape, pred):
+        da, db, dc = shape
+        return [[["1" if pred(a, b, c) else "0" for c in range(dc)] for b in range(db)] for a in range(da)]
+
+    def saved(name, obj, base=None):
+        path = tmp_path / name
+        if base is None:
+            bio.save_bialgebra(path, obj)
+        else:
+            bio.save_yd_module(path, obj, base)
+        return json.loads(path.read_text())
+
+    b = group_algebra(S3_TABLE, S3_NAMES)
+    m = regular_yd_group_algebra(b)
+    s6 = (n, n, n)
+    # mul[i][j][k]: coefficient of k in i j
+    assert saved("s3.json", b)["mul"] == cube(s6, lambda i, j, k: k == S3_TABLE[i][j])
+    # action[g][h][k]: coefficient of k in g.h = g h g^-1
+    assert saved("reg.json", m, "s3.json")["action"] == cube(s6, lambda g, h, k: k == conj(g, h))
+    # comul[k][x][y] of H*: coefficient of x* (x) y* in Delta(k*), [y x == k] under the order-reversing pairing
+    assert saved("dual.json", dual_bialgebra(b))["comul"] == cube(s6, lambda k, x, y: S3_TABLE[y][x] == k)
+    # coaction[k][x][g] of N*: coefficient of x* (x) g* in delta(k*), i.e. [g x g^-1 == k]
+    dual_reg = saved("dual_reg.json", dual_yd(m), "dual.json")
+    assert dual_reg["coaction"] == cube(s6, lambda k, x, g: conj(g, x) == k)
+    # mul[a][b][c] of k (+) M: the formal unit 0 is two-sided, M.M = 0
+    s7 = (n + 1, n + 1, n + 1)
+    ext = saved("ext.json", formal_unit_extend(m), "s3.json")
+    assert ext["mul"] == cube(s7, lambda a, c, d: (a == 0 and c == d) or (c == 0 and a == d))
 
 
 # -- CLI ------------------------------------------------------------------------
@@ -305,17 +348,3 @@ def test_cli_homology_needs_full_modules(tmp_path):
     code = run("homology", "--hopf", h, "--mod", m, "--coeff", t, "--line", "1", "--max-degree", "2", "-o", str(tmp_path / "r.json"))
     assert code == 2
 
-
-def test_threads_env_var_keeps_results_identical(tmp_path, monkeypatch):
-    from braidalg.hopf import group_algebra, s3_table
-    from braidalg.systems import build_yd_system, verify_cybe
-    from braidalg.yd import regular_yd_group_algebra
-
-    b = group_algebra(*s3_table())
-    m = regular_yd_group_algebra(*s3_table())
-    s = build_yd_system(b, [m], "yd", check=False)
-    seq = verify_cybe(s)
-    monkeypatch.setenv("BRAIDALG_THREADS", "4")
-    par = verify_cybe(s)
-    assert seq.names() == par.names()
-    assert [c.passed for c in seq.checks] == [c.passed for c in par.checks]

@@ -182,6 +182,12 @@ def test_prime_field_entries_are_canonical_at_construction():
     assert SparseMatrix(F, 1, 2, {(0, 0): -1, (0, 1): 12}).entries == {(0, 0): 4, (0, 1): 2}
 
 
+def test_prime_field_is_zero_reduces_raw_ints():
+    F = GF(5)
+    assert F.is_zero(5) and F.is_zero(-10) and F.is_zero(0)
+    assert not F.is_zero(7)
+
+
 def test_matmul_and_kronecker_refuse_mixed_fields():
     q, f = SparseMatrix.identity(QQ, 1), SparseMatrix.identity(GF(5), 1)
     with pytest.raises(ValueError, match="field mismatch"):

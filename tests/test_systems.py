@@ -338,6 +338,31 @@ def test_precision_harness_valid_inputs_all_rows_true():
     assert all(r["side"] and r["cybe"] and r["axiom"] for r in rows)
 
 
+# On k (+) M for the regular kZ/2 module over F_5: H basis e, g (indices 0, 1);
+# V basis v0 (the formal unit), v1, v2.  Each case adds 1 to one entry.
+@pytest.mark.parametrize(
+    "target, entry, failing",
+    [
+        ("lam", (2, 0 * 3 + 1), {"action_associativity"}),  # lam(e (x) v1) += v2
+        ("lam", (1, 1 * 3 + 0), {"action_respects_mu"}),  # lam(g (x) v0) += v1
+        ("delta", (2 * 2 + 0, 1), {"coaction_coassociativity"}),  # delta(v1) += v2 (x) e
+        ("delta", (1 * 2 + 0, 0), {"coaction_coassociativity", "coaction_respects_mu"}),  # delta(v0) += v1 (x) e
+        ("mu", (2, 1 * 3 + 0), {"mu_associativity"}),  # mu(v1 (x) v0) += v2
+    ],
+)
+def test_precision_harness_side_conditions_read_their_axioms(target, entry, failing):
+    F = GF(5)
+    b = group_algebra(Z2_TABLE, Z2_NAMES, field=F)
+    ext = formal_unit_extend(regular_yd_group_algebra(Z2_TABLE, Z2_NAMES, field=F))
+    maps = {"lam": ext.yd.lam, "delta": ext.yd.delta, "mu": ext.mu}
+    m = maps[target]
+    bump = SparseMatrix(F, m.matrix.n_rows, m.matrix.n_cols, {entry: F.one})
+    maps[target] = LinMap(m.domain, m.codomain, m.matrix + bump)
+    rep, rows = precision_harness(b, ext.yd.space, maps["lam"], maps["delta"], maps["mu"], ext.nu)
+    assert {r["row"] for r in rows if not r["side"]} == failing
+    assert all(rep[f"{name}_equivalence"].passed for name, _ in PRECISION_ROWS)
+
+
 def test_precision_harness_random_equivalence():
     F = GF(5)
     b = group_algebra(Z2_TABLE, Z2_NAMES, field=F)
