@@ -265,6 +265,8 @@ def cmd_harness(args):
 
 
 def cmd_homology(args):
+    if args.max_degree < 1:
+        raise InputError(f"--max-degree must be at least 1, got {args.max_degree}")
     b = bio.load_bialgebra(args.hopf)
     m = bio.load_yd_module(args.mod)
     n = bio.load_yd_module(args.coeff)

@@ -8,7 +8,7 @@ Two independent routes to the same differentials are implemented:
   negative braiding, then apply the character", the right differential the
   mirror image with an extra global sign (-1)^(n-1);
 
-* hand-coded Sweedler expansions on T(H) (x) M (x) T(H*) [(x) N*]: the
+* hand-coded Sweedler expansions on T(H) (x) M (x) T(H*) (x) N*: the
   bar and cobar parts merge neighbours, and four contraction maps pair a
   dual factor against comultiplication legs.  These feed the four
   bidifferential lines
@@ -27,13 +27,14 @@ never raise the degree, so every reported number is exact.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .linalg import SparseMatrix, rank as matrix_rank
 from .report import AxiomReport
-from .systems import BraidedSystem, YDSystem
-from .tensor import LinMap, embed_at, identity
-from .yd import check_yd
+from .systems import BraidedSystem, YDSystem, braid_factor
+from .tensor import LinMap, identity
+from .yd import check_yd, unit_yd
 
 
 class InsufficientTruncationError(ValueError):
@@ -266,16 +267,8 @@ def generic_differentials(s, zeta, xi, max_total_degree):
             raise ValueError(f"invalid braided character: {rep.first_failure()}")
     f = s.field
     r = s.rank
-    dims = {}
-    spaces_of = {}
-    for deg in _multidegrees(r, max_total_degree):
-        types = _component_types(deg)
-        spaces = [s.space(t) for t in types]
-        d = 1
-        for sp in spaces:
-            d *= sp.dim
-        dims[deg] = d
-        spaces_of[deg] = (types, spaces)
+    types_of = {deg: _component_types(deg) for deg in _multidegrees(r, max_total_degree)}
+    dims = {deg: math.prod(s.space(t).dim for t in types) for deg, types in types_of.items()}
 
     d_blocks, dp_blocks = {}, {}
 
@@ -286,41 +279,20 @@ def generic_differentials(s, zeta, xi, max_total_degree):
         else:
             blocks[key] = mat
 
-    minus_one = f.neg(f.one)
-    for deg, (types, spaces) in spaces_of.items():
-        n = len(types)
-        if n == 0:
-            continue
-        for i in range(1, n + 1):
-            ki = types[i - 1]
+    for deg, types in types_of.items():
+        for i, ki in enumerate(types, start=1):
             tgt = tuple(m - (1 if t == ki - 1 else 0) for t, m in enumerate(deg))
+            # (-1)^(i-1) on both sides: i-1 crossings to the front; (-1)^(n-1) times n-i to the back
+            sign = _sign_pow(f, i - 1)
             # left differential: braid factor i to the front, apply zeta
             if not zeta.component(ki).is_zero():
-                ctx = list(spaces)
-                comp = identity(ctx, f)
-                sign = f.one
-                for t in range(i - 1, 0, -1):
-                    sig = s.sigma[(types[t - 1], ki)]
-                    comp = embed_at(sig, t, ctx, f).compose(comp)
-                    ctx[t - 1], ctx[t] = ctx[t], ctx[t - 1]
-                    sign = f.mul(sign, minus_one)
-                front = zeta.component(ki)
-                if len(ctx) > 1:
-                    front = front.tensor(identity(ctx[1:], f))
+                comp, ctx = braid_factor(s, types, i, front=True)
+                front = zeta.component(ki).tensor(identity(ctx[1:], f))
                 add_block(d_blocks, deg, tgt, front.compose(comp).scale(sign).matrix)
             # right differential: braid factor i to the back, apply xi
             if not xi.component(ki).is_zero():
-                ctx = list(spaces)
-                comp = identity(ctx, f)
-                sign = minus_one if (n - 1) % 2 else f.one
-                for t in range(i, n):
-                    sig = s.sigma[(ki, types[t])]
-                    comp = embed_at(sig, t, ctx, f).compose(comp)
-                    ctx[t - 1], ctx[t] = ctx[t], ctx[t - 1]
-                    sign = f.mul(sign, minus_one)
-                back = xi.component(ki)
-                if len(ctx) > 1:
-                    back = identity(ctx[:-1], f).tensor(back)
+                comp, ctx = braid_factor(s, types, i, front=False)
+                back = identity(ctx[:-1], f).tensor(xi.component(ki))
                 add_block(dp_blocks, deg, tgt, back.compose(comp).scale(sign).matrix)
 
     cx = GradedComplex(f, dims, d_blocks, dp_blocks, max_total_degree, meta={"kind": "generic"})
@@ -330,31 +302,38 @@ def generic_differentials(s, zeta, xi, max_total_degree):
 # -- hand-coded Sweedler differentials ---------------------------------------
 
 
-class _SweedlerOps:
-    """Structure-constant expansions on T(H) (x) M (x) T(H*) [(x) N*].
+def _by_input_pair(mat, d):
+    """{(x, y): [(out, coeff), ...]} for a map A (x) B -> C with dim B = d."""
+    table = {}
+    for (k, col), v in mat.entries.items():
+        table.setdefault(divmod(col, d), []).append((k, v))
+    return table
 
-    Component bases are tuples (i_1..i_n, a, j_1..j_m[, beta]) linearised
+
+def _by_input(mat, n_in, d):
+    """[[(x, y, coeff), ...] per input basis vector] for a map A -> B (x) C with dim C = d."""
+    table = [[] for _ in range(n_in)]
+    for (row, i), v in mat.entries.items():
+        table[i].append((*divmod(row, d), v))
+    return table
+
+
+class _SweedlerOps:
+    """Structure-constant expansions on T(H) (x) M (x) T(H*) (x) N*.
+
+    Component bases are tuples (i_1..i_n, a, j_1..j_m, beta) linearised
     with the left factor major.  All maps are assembled by explicit loops
     over structure constants; no braiding machinery is involved, which
     keeps this path independent of the generic engine.
     """
 
-    def __init__(self, h, m, n_mod=None):
-        self.h = h
-        self.m = m
-        self.n_mod = n_mod
+    def __init__(self, h, m, n_mod):
         f = self.f = h.field
         d = self.dH = h.dim
         self.dM = m.dim
-        self.dN = n_mod.dim if n_mod is not None else None
-        # Delta(e_i) legs
-        self.comul = [[] for _ in range(d)]
-        for (row, i), v in h.delta.matrix.entries.items():
-            self.comul[i].append((row // d, row % d, v))
-        # products of basis vectors
-        self.mul = {}
-        for (k, col), v in h.mu.matrix.entries.items():
-            self.mul.setdefault((col // d, col % d), []).append((k, v))
+        dN = self.dN = n_mod.dim
+        self.comul = _by_input(h.delta.matrix, d, d)  # Delta(e_i) legs
+        self.mul = _by_input_pair(h.mu.matrix, d)
         # dual products: mu_{H*}(e*_{j1} e*_{j2}) = sum_i comul[i][j2][j1] e*_i
         self.dmul = {}
         for i in range(d):
@@ -366,114 +345,85 @@ class _SweedlerOps:
             for (j, c) in terms:
                 self.ddelta[j].append((uu, vv, c))
         self.unit_vec = {k: v for (k, _z), v in h.nu.matrix.entries.items()}
-        self.counit = [h.eps.matrix.get(0, i) for i in range(d)]
-        self.dual_unit_vec = {i: self.counit[i] for i in range(d) if not f.is_zero(self.counit[i])}
-        # action/coaction of M
-        self.actM = {}
-        for (b, col), v in m.lam.matrix.entries.items():
-            self.actM.setdefault((col // self.dM, col % self.dM), []).append((b, v))
-        self.coactM = [[] for _ in range(self.dM)]
-        for (row, a), v in m.delta.matrix.entries.items():
-            self.coactM[a].append((row // d, row % d, v))
-        if n_mod is not None:
-            dN = self.dN
-            actN = {}
-            for (b, col), v in n_mod.lam.matrix.entries.items():
-                actN.setdefault((col // dN, col % dN), []).append((b, v))
-            coactN = [[] for _ in range(dN)]
-            for (row, a), v in n_mod.delta.matrix.entries.items():
-                coactN[a].append((row // d, row % d, v))
-            # delta_{N*}(e*_beta) = sum actN[i][alpha][beta] e*_alpha (x) e*_i
-            self.delta_Nstar = [[] for _ in range(dN)]
-            for (i, alpha), terms in actN.items():
-                for (beta, v) in terms:
-                    self.delta_Nstar[beta].append((alpha, i, v))
-            # lam_{N*}(e*_j (x) e*_beta) = sum coactN[alpha][beta][j] e*_alpha
-            self.lam_Nstar = {}
-            for alpha in range(dN):
-                for (beta, j, v) in coactN[alpha]:
-                    self.lam_Nstar.setdefault((j, beta), []).append((alpha, v))
+        counit = [h.eps.matrix.get(0, i) for i in range(d)]
+        self.dual_unit_vec = {i: c for i, c in enumerate(counit) if not f.is_zero(c)}
+        self.actM = _by_input_pair(m.lam.matrix, self.dM)
+        self.coactM = _by_input(m.delta.matrix, self.dM, d)
+        actN = _by_input_pair(n_mod.lam.matrix, dN)
+        coactN = _by_input(n_mod.delta.matrix, dN, d)
+        # delta_{N*}(e*_beta) = sum actN[i][alpha][beta] e*_alpha (x) e*_i
+        self.delta_Nstar = [[] for _ in range(dN)]
+        for (i, alpha), terms in actN.items():
+            for (beta, v) in terms:
+                self.delta_Nstar[beta].append((alpha, i, v))
+        # lam_{N*}(e*_j (x) e*_beta) = sum coactN[alpha][beta][j] e*_alpha
+        self.lam_Nstar = {}
+        for alpha in range(dN):
+            for (beta, j, v) in coactN[alpha]:
+                self.lam_Nstar.setdefault((j, beta), []).append((alpha, v))
+        self._memo = {}
 
-    # product of H basis vectors, as {basis: coeff}; empty product = unit
-    def h_product(self, idxs):
-        f = self.f
-        acc = dict(self.unit_vec) if not idxs else {idxs[0]: f.one}
-        for i in idxs[1:]:
-            new = {}
-            for x, cx in acc.items():
-                for (k, ck) in self.mul.get((x, i), ()):
-                    s = f.add(new.get(k, f.zero), f.mul(cx, ck))
-                    if f.is_zero(s):
-                        new.pop(k, None)
-                    else:
-                        new[k] = s
-            acc = new
-        return acc
+    def product(self, idxs, dual=False):
+        """e_i1 ... e_ik in H (in H* if dual) as {basis: coeff}; the empty product is the unit."""
+        key = ("product", dual, idxs)
+        if key not in self._memo:
+            f = self.f
+            if len(idxs) < 2:
+                acc = {idxs[0]: f.one} if idxs else (self.dual_unit_vec if dual else self.unit_vec)
+            else:
+                acc = {}
+                mul = self.dmul if dual else self.mul
+                for x, cx in self.product(idxs[:-1], dual).items():
+                    for (k, ck) in mul.get((x, idxs[-1]), ()):
+                        s = f.add(acc.get(k, f.zero), f.mul(cx, ck))
+                        if f.is_zero(s):
+                            acc.pop(k, None)
+                        else:
+                            acc[k] = s
+            self._memo[key] = acc
+        return self._memo[key]
 
-    def dual_product(self, idxs):
-        f = self.f
-        acc = dict(self.dual_unit_vec) if not idxs else {idxs[0]: f.one}
-        for j in idxs[1:]:
-            new = {}
-            for x, cx in acc.items():
-                for (k, ck) in self.dmul.get((x, j), ()):
-                    s = f.add(new.get(k, f.zero), f.mul(cx, ck))
-                    if f.is_zero(s):
-                        new.pop(k, None)
-                    else:
-                        new[k] = s
-            acc = new
-        return acc
-
-    # -- component enumeration ------------------------------------------
+    def legs(self, idxs, dual=False):
+        """[(first legs, second legs, coeff)] of Delta(e_i1) (x) ... (x) Delta(e_ik) in H (in H* if dual)."""
+        key = ("legs", dual, idxs)
+        if key not in self._memo:
+            f = self.f
+            table = self.ddelta if dual else self.comul
+            out = []
+            for legs in itertools.product(*[table[i] for i in idxs]):
+                c = f.one
+                for (_x, _y, cv) in legs:
+                    c = f.mul(c, cv)
+                out.append((tuple(x for (x, _y, _c) in legs), tuple(y for (_x, y, _c) in legs), c))
+            self._memo[key] = out
+        return self._memo[key]
 
     def comp_dims(self, n, mm):
-        dims = [self.dH] * n + [self.dM] + [self.dH] * mm
-        if self.dN is not None:
-            dims.append(self.dN)
-        return dims
+        return [self.dH] * n + [self.dM] + [self.dH] * mm + [self.dN]
 
     def comp_dim(self, n, mm):
-        d = 1
-        for x in self.comp_dims(n, mm):
-            d *= x
-        return d
+        return math.prod(self.comp_dims(n, mm))
 
-    def tuples(self, n, mm):
-        return itertools.product(*[range(x) for x in self.comp_dims(n, mm)])
-
-    @staticmethod
-    def lin(tup, dims):
-        idx = 0
-        for i, d in zip(tup, dims):
-            idx = idx * d + i
-        return idx
-
-    def split(self, tup, n, mm):
-        hs = tup[:n]
-        a = tup[n]
-        ls = tup[n + 1 : n + 1 + mm]
-        beta = tup[n + 1 + mm] if self.dN is not None else None
-        return hs, a, ls, beta
-
-    def _assemble(self, n, mm, tgt_n, tgt_m, gen):
-        """Build a block matrix from a generator of (in_tuple, out_tuple, coeff)."""
+    def _assemble(self, n, mm, tgt_n, tgt_m, term):
+        """The block (n, mm) -> (tgt_n, tgt_m) whose column at basis tuple
+        (hs, a, ls, beta) sums the (out_tuple, coeff) pairs of term(hs, a, ls, beta)."""
         f = self.f
         src_dims = self.comp_dims(n, mm)
         dst_dims = self.comp_dims(tgt_n, tgt_m)
-        n_rows = self.comp_dim(tgt_n, tgt_m)
-        n_cols = self.comp_dim(n, mm)
         ent = {}
-        for tin, tout, coeff in gen:
-            if f.is_zero(coeff):
-                continue
-            key = (self.lin(tout, dst_dims), self.lin(tin, src_dims))
-            s = f.add(ent.get(key, f.zero), coeff)
-            if f.is_zero(s):
-                ent.pop(key, None)
-            else:
-                ent[key] = s
-        return SparseMatrix(f, n_rows, n_cols, ent)
+        for col, tup in enumerate(itertools.product(*[range(x) for x in src_dims])):
+            for out, coeff in term(tup[:n], tup[n], tup[n + 1 : n + 1 + mm], tup[-1]):
+                if f.is_zero(coeff):
+                    continue
+                row = 0
+                for i, d in zip(out, dst_dims):
+                    row = row * d + i
+                s = f.add(ent.get((row, col), f.zero), coeff)
+                if f.is_zero(s):
+                    ent.pop((row, col), None)
+                else:
+                    ent[(row, col)] = s
+        return SparseMatrix(f, math.prod(dst_dims), math.prod(src_dims), ent)
 
     # -- the six primitive maps ------------------------------------------
 
@@ -481,137 +431,83 @@ class _SweedlerOps:
         """sum_t (-1)^t (merge h_t h_{t+1}); zero for n < 2."""
         f = self.f
 
-        def gen():
-            for tup in self.tuples(n, mm):
-                hs, a, ls, beta = self.split(tup, n, mm)
-                for t in range(n - 1):
-                    sign = f.neg(f.one) if (t + 1) % 2 else f.one
-                    for (k, c) in self.mul.get((hs[t], hs[t + 1]), ()):
-                        out = hs[:t] + (k,) + hs[t + 2 :] + (a,) + ls
-                        if beta is not None:
-                            out = out + (beta,)
-                        yield tup, out, f.mul(sign, c)
+        def term(hs, a, ls, beta):
+            for t in range(n - 1):
+                sign = _sign_pow(f, t + 1)
+                for (k, c) in self.mul.get((hs[t], hs[t + 1]), ()):
+                    yield hs[:t] + (k,) + hs[t + 2 :] + (a,) + ls + (beta,), f.mul(sign, c)
 
-        return self._assemble(n, mm, n - 1, mm, gen())
+        return self._assemble(n, mm, n - 1, mm, term)
 
     def cob(self, n, mm):
         """sum_t (-1)^t (merge l_t l_{t+1}); zero for m < 2."""
         f = self.f
 
-        def gen():
-            for tup in self.tuples(n, mm):
-                hs, a, ls, beta = self.split(tup, n, mm)
-                for t in range(mm - 1):
-                    sign = f.neg(f.one) if (t + 1) % 2 else f.one
-                    for (k, c) in self.dmul.get((ls[t], ls[t + 1]), ()):
-                        out = hs + (a,) + ls[:t] + (k,) + ls[t + 2 :]
-                        if beta is not None:
-                            out = out + (beta,)
-                        yield tup, out, f.mul(sign, c)
+        def term(hs, a, ls, beta):
+            for t in range(mm - 1):
+                sign = _sign_pow(f, t + 1)
+                for (k, c) in self.dmul.get((ls[t], ls[t + 1]), ()):
+                    yield hs + (a,) + ls[:t] + (k,) + ls[t + 2 :] + (beta,), f.mul(sign, c)
 
-        return self._assemble(n, mm, n, mm - 1, gen())
+        return self._assemble(n, mm, n, mm - 1, term)
 
     def hspi(self, n, mm):
         """Contract l_1 against <l_1, h_1(2)...h_n(2).a_(1)>; keeps first legs."""
         f = self.f
 
-        def gen():
-            if mm < 1:
-                return
-            for tup in self.tuples(n, mm):
-                hs, a, ls, beta = self.split(tup, n, mm)
-                for legs in itertools.product(*[self.comul[i] for i in hs]):
-                    c_h = f.one
-                    for (_p, _q, cv) in legs:
-                        c_h = f.mul(c_h, cv)
-                    for (a0, w, cm) in self.coactM[a]:
-                        prod = self.h_product([q for (_p, q, _c) in legs] + [w])
-                        c_pair = prod.get(ls[0])
-                        if c_pair is None:
-                            continue
-                        out = tuple(p for (p, _q, _c) in legs) + (a0,) + ls[1:]
-                        if beta is not None:
-                            out = out + (beta,)
-                        yield tup, out, f.mul(f.mul(c_h, cm), c_pair)
+        def term(hs, a, ls, beta):
+            for (ps, qs, c_h) in self.legs(hs):
+                for (a0, w, cm) in self.coactM[a]:
+                    c_pair = self.product(qs + (w,)).get(ls[0])
+                    if c_pair is not None:
+                        yield ps + (a0,) + ls[1:] + (beta,), f.mul(f.mul(c_h, cm), c_pair)
 
-        return self._assemble(n, mm, n, mm - 1, gen())
+        return self._assemble(n, mm, n, mm - 1, term)
 
     def pih(self, n, mm):
         """Contract h_n against <l_1(1)...l_m(1), h_n(1)>, act by h_n(2) on M."""
         f = self.f
 
-        def gen():
-            if n < 1:
-                return
-            for tup in self.tuples(n, mm):
-                hs, a, ls, beta = self.split(tup, n, mm)
-                for legs in itertools.product(*[self.ddelta[j] for j in ls]):
-                    c_l = f.one
-                    for (_u, _v, cv) in legs:
-                        c_l = f.mul(c_l, cv)
-                    prod = self.dual_product([u for (u, _v, _c) in legs])
-                    for (x, y, cn) in self.comul[hs[n - 1]]:
-                        c_pair = prod.get(x)
-                        if c_pair is None:
-                            continue
-                        for (b_out, ca) in self.actM.get((y, a), ()):
-                            out = hs[: n - 1] + (b_out,) + tuple(v for (_u, v, _c) in legs)
-                            if beta is not None:
-                                out = out + (beta,)
-                            yield tup, out, f.mul(f.mul(c_l, cn), f.mul(c_pair, ca))
+        def term(hs, a, ls, beta):
+            for (us, vs, c_l) in self.legs(ls, dual=True):
+                prod = self.product(us, dual=True)
+                for (x, y, cn) in self.comul[hs[-1]]:
+                    c_pair = prod.get(x)
+                    if c_pair is None:
+                        continue
+                    for (b_out, ca) in self.actM.get((y, a), ()):
+                        yield hs[:-1] + (b_out,) + vs + (beta,), f.mul(f.mul(c_l, cn), f.mul(c_pair, ca))
 
-        return self._assemble(n, mm, n - 1, mm, gen())
+        return self._assemble(n, mm, n - 1, mm, term)
 
     def hpi(self, n, mm):
-        """Contract h_1 against <l_1(2)...l_m(2).b_(1), h_1>; needs the N* leg."""
+        """Contract h_1 against <l_1(2)...l_m(2).b_(1), h_1>."""
         f = self.f
-        if self.dN is None:
-            raise ValueError("this contraction needs the dual coefficient module")
 
-        def gen():
-            if n < 1:
-                return
-            for tup in self.tuples(n, mm):
-                hs, a, ls, beta = self.split(tup, n, mm)
-                for legs in itertools.product(*[self.ddelta[j] for j in ls]):
-                    c_l = f.one
-                    for (_u, _v, cv) in legs:
-                        c_l = f.mul(c_l, cv)
-                    for (alpha, iN, cb) in self.delta_Nstar[beta]:
-                        prod = self.dual_product([v for (_u, v, _c) in legs] + [iN])
-                        c_pair = prod.get(hs[0])
-                        if c_pair is None:
-                            continue
-                        out = hs[1:] + (a,) + tuple(u for (u, _v, _c) in legs) + (alpha,)
-                        yield tup, out, f.mul(f.mul(c_l, cb), c_pair)
+        def term(hs, a, ls, beta):
+            for (us, vs, c_l) in self.legs(ls, dual=True):
+                for (alpha, iN, cb) in self.delta_Nstar[beta]:
+                    c_pair = self.product(vs + (iN,), dual=True).get(hs[0])
+                    if c_pair is not None:
+                        yield hs[1:] + (a,) + us + (alpha,), f.mul(f.mul(c_l, cb), c_pair)
 
-        return self._assemble(n, mm, n - 1, mm, gen())
+        return self._assemble(n, mm, n - 1, mm, term)
 
     def pihs(self, n, mm):
         """Contract l_m against <l_m(1), h_1(1)...h_n(1)>, act by l_m(2) on N*."""
         f = self.f
-        if self.dN is None:
-            raise ValueError("this contraction needs the dual coefficient module")
 
-        def gen():
-            if mm < 1:
-                return
-            for tup in self.tuples(n, mm):
-                hs, a, ls, beta = self.split(tup, n, mm)
-                for legs in itertools.product(*[self.comul[i] for i in hs]):
-                    c_h = f.one
-                    for (_p, _q, cv) in legs:
-                        c_h = f.mul(c_h, cv)
-                    prod = self.h_product([p for (p, _q, _c) in legs])
-                    for (u, v, cm) in self.ddelta[ls[mm - 1]]:
-                        c_pair = prod.get(u)
-                        if c_pair is None:
-                            continue
-                        for (alpha, cl) in self.lam_Nstar.get((v, beta), ()):
-                            out = tuple(q for (_p, q, _c) in legs) + (a,) + ls[: mm - 1] + (alpha,)
-                            yield tup, out, f.mul(f.mul(c_h, cm), f.mul(c_pair, cl))
+        def term(hs, a, ls, beta):
+            for (ps, qs, c_h) in self.legs(hs):
+                prod = self.product(ps)
+                for (u, v, cm) in self.ddelta[ls[-1]]:
+                    c_pair = prod.get(u)
+                    if c_pair is None:
+                        continue
+                    for (alpha, cl) in self.lam_Nstar.get((v, beta), ()):
+                        yield qs + (a,) + ls[:-1] + (alpha,), f.mul(f.mul(c_h, cm), f.mul(c_pair, cl))
 
-        return self._assemble(n, mm, n, mm - 1, gen())
+        return self._assemble(n, mm, n, mm - 1, term)
 
 
 def _sign_pow(f, exponent):
@@ -625,7 +521,8 @@ def _bidegrees(max_total):
 def yd_bidifferential(h, m, max_total_degree, check_inputs=True):
     """The explicit Sweedler bidifferential on T(H) (x) M (x) T(H*).
 
-    d lowers the dual degree m, d' lowers the algebra degree n; on the
+    It is line 2 with N = k, its differentials swapped and negated: d
+    lowers the dual degree m, d' lowers the algebra degree n, and on the
     (n, m) component
 
         d  = (-1)^(n+1) (d_cob + contraction of l_1)
@@ -635,21 +532,12 @@ def yd_bidifferential(h, m, max_total_degree, check_inputs=True):
         rep = check_yd(m, "yd")
         if not rep.passed:
             raise ValueError(f"module fails YD axioms: {rep.first_failure()}")
-    ops = _SweedlerOps(h, m, None)
-    f = h.field
-    dims = {}
-    d_blocks, dp_blocks = {}, {}
-    for (n, mm) in _bidegrees(max_total_degree):
-        dims[(n, mm)] = ops.comp_dim(n, mm)
-    for (n, mm) in _bidegrees(max_total_degree):
-        sgn = _sign_pow(f, n + 1)
-        if mm >= 1:
-            mat = ops.cob(n, mm) + ops.hspi(n, mm)
-            d_blocks[((n, mm), (n, mm - 1))] = mat.scale(sgn)
-        if n >= 1:
-            mat = ops.pih(n, mm).scale(sgn) - ops.bar(n, mm)
-            dp_blocks[((n, mm), (n - 1, mm))] = mat
-    cx = GradedComplex(f, dims, d_blocks, dp_blocks, max_total_degree, meta={"kind": "yd_bidifferential"})
+    line2 = coefficient_complex(h, m, unit_yd(h), 2, max_total_degree, check_inputs=False)
+    d_blocks = {key: -mat for key, mat in line2.dprime_blocks.items()}
+    dp_blocks = {key: -mat for key, mat in line2.d_blocks.items()}
+    cx = GradedComplex(
+        h.field, line2.dims, d_blocks, dp_blocks, max_total_degree, meta={"kind": "yd_bidifferential"}
+    )
     return _verify_or_raise(cx)
 
 
@@ -715,33 +603,23 @@ def pi_maps(h, m, n_mod, max_total_degree):
 
 def pi_commutation_suite(h, m, n_mod, max_total_degree):
     """All six unordered pairs of contraction maps commute degreewise."""
-    fams = pi_maps(h, m, n_mod, max_total_degree)
-
-    def apply_block(fam, src):
-        for (s, t), mat in fams[fam].items():
-            if s == src:
-                return t, mat
-        return None, None
-
+    # family -> {source degree: (target degree, matrix)}
+    by_src = {
+        fam: {src: (dst, mat) for (src, dst), mat in blocks.items()}
+        for fam, blocks in pi_maps(h, m, n_mod, max_total_degree).items()
+    }
     rep = AxiomReport("pairwise commutation of the contraction maps")
-    names = sorted(fams)
-    for a_i in range(len(names)):
-        for b_i in range(a_i + 1, len(names)):
-            a, b = names[a_i], names[b_i]
-            ok = True
-            witness_deg = None
-            for (n, mm) in _bidegrees(max_total_degree):
-                mid_b, mat_b = apply_block(b, (n, mm))
-                mid_a, mat_a = apply_block(a, (n, mm))
-                if mid_b is None or mid_a is None:
-                    continue
-                _, mat_a2 = apply_block(a, mid_b)
-                _, mat_b2 = apply_block(b, mid_a)
-                if mat_a2 is None or mat_b2 is None:
-                    continue
-                if (mat_a2 @ mat_b) != (mat_b2 @ mat_a):
-                    ok = False
-                    witness_deg = (n, mm)
-                    break
-            rep.add(f"commute({a},{b})" + ("" if ok else f"@{witness_deg}"), ok)
+    for a, b in itertools.combinations(sorted(by_src), 2):
+        witness_deg = None
+        for deg in _bidegrees(max_total_degree):
+            if deg not in by_src[a] or deg not in by_src[b]:
+                continue
+            (mid_a, mat_a), (mid_b, mat_b) = by_src[a][deg], by_src[b][deg]
+            if mid_b not in by_src[a] or mid_a not in by_src[b]:
+                continue
+            if by_src[a][mid_b][1] @ mat_b != by_src[b][mid_a][1] @ mat_a:
+                witness_deg = deg
+                break
+        ok = witness_deg is None
+        rep.add(f"commute({a},{b})" + ("" if ok else f"@{witness_deg}"), ok)
     return rep

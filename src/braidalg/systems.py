@@ -288,6 +288,23 @@ def validate_uaa_system(uaas, xi):
 # -- gluing -----------------------------------------------------------------
 
 
+def braid_factor(s, types, i, front):
+    """Braid factor i (1-based) of V_types[0] (x) V_types[1] (x) ... to the
+    front (or to the back), one sigma per crossing.
+
+    Returns the composite map and the factor spaces of its codomain.
+    """
+    f = s.field
+    types = list(types)
+    ctx = [s.space(t) for t in types]
+    comp = identity(ctx, f)
+    for t in range(i - 1, 0, -1) if front else range(i, len(types)):
+        comp = embed_at(s.sigma[(types[t - 1], types[t])], t, ctx, f).compose(comp)
+        ctx[t - 1], ctx[t] = ctx[t], ctx[t - 1]
+        types[t - 1], types[t] = types[t], types[t - 1]
+    return comp, ctx
+
+
 def glue(s, lo, hi, check=True):
     """Replace consecutive components lo..hi by their tensor product.
 
@@ -298,7 +315,8 @@ def glue(s, lo, hi, check=True):
     if not (1 <= lo <= hi <= r):
         raise ValueError(f"invalid glue range {lo}..{hi} for rank {r}")
     f = s.field
-    block_spaces = [s.space(t) for t in range(lo, hi + 1)]
+    span = list(range(lo, hi + 1))
+    block_spaces = [s.space(t) for t in span]
     block = block_spaces[0]
     for sp in block_spaces[1:]:
         block = tensor_space(block, sp)
@@ -321,26 +339,12 @@ def glue(s, lo, hi, check=True):
     sigma[(block_idx, block_idx)] = identity([block, block], f)
     for a in range(1, lo):
         # V_a threads left-to-right through the block
-        ctx = [s.space(a)] + block_spaces
-        comp = identity(ctx, f)
-        pos = 1
-        for t in range(lo, hi + 1):
-            step = embed_at(s.sigma[(a, t)], pos, ctx, f)
-            ctx[pos - 1], ctx[pos] = ctx[pos], ctx[pos - 1]
-            comp = step.compose(comp)
-            pos += 1
+        comp, _ = braid_factor(s, [a] + span, 1, front=False)
         sigma[(old_new[a], block_idx)] = LinMap((s.space(a), block), (block, s.space(a)), comp.matrix)
-    for bpos in range(hi + 1, r + 1):
+    for b in range(hi + 1, r + 1):
         # V_b threads right-to-left through the block
-        ctx = block_spaces + [s.space(bpos)]
-        comp = identity(ctx, f)
-        pos = hi - lo + 1
-        for t in range(hi, lo - 1, -1):
-            step = embed_at(s.sigma[(t, bpos)], pos, ctx, f)
-            ctx[pos - 1], ctx[pos] = ctx[pos], ctx[pos - 1]
-            comp = step.compose(comp)
-            pos -= 1
-        sigma[(block_idx, old_new[bpos])] = LinMap((block, s.space(bpos)), (s.space(bpos), block), comp.matrix)
+        comp, _ = braid_factor(s, span + [b], len(span) + 1, front=True)
+        sigma[(block_idx, old_new[b])] = LinMap((block, s.space(b)), (s.space(b), block), comp.matrix)
 
     out = BraidedSystem(tuple(new_components), sigma, f)
     if check:

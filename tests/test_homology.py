@@ -25,7 +25,7 @@ from braidalg.hopf import cyclic_group_table, group_algebra, s3_table
 from braidalg.linalg import GF, QQ, SparseMatrix
 from braidalg.systems import BraidedSystem, build_yd_system, sigma_ass
 from braidalg.tensor import LinMap, identity
-from braidalg.yd import change_of_basis, regular_yd_group_algebra, unit_yd
+from braidalg.yd import change_of_basis, dual_yd, regular_yd_group_algebra, unit_yd
 
 Z2_TABLE, Z2_NAMES = cyclic_group_table(2)
 
@@ -438,6 +438,21 @@ def test_pi_commutation_over_the_ground_field():
     triv = unit_yd(b)
     rep = pi_commutation_suite(b, triv, triv, 3)
     assert rep.passed
+
+
+def test_contractions_on_noncommutative_and_noncocommutative_bases():
+    # over kZ/2 and k every Delta(g) is g (x) g and H* is commutative, so a
+    # contraction that pairs the wrong legs or multiplies in the wrong order
+    # goes unseen; kS3 is non-commutative and its dual k^S3 non-cocommutative
+    F = GF(5)
+    t3, n3 = s3_table()
+    reg = regular_yd_group_algebra(t3, n3, field=F)
+    for m in (reg, dual_yd(reg)):
+        for n_mod in (m, unit_yd(m.base)):
+            for line in (2, 3, 4):
+                assert coefficient_complex(m.base, m, n_mod, line, 2).bicomplex_report.passed
+            rep = pi_commutation_suite(m.base, m, n_mod, 2)
+            assert rep.passed, rep.first_failure()
 
 
 def test_generic_engine_identical_across_diagonal_variants():

@@ -303,6 +303,21 @@ def test_cli_homology_report_deterministic(tmp_path):
     )
 
 
+def test_cli_homology_refuses_max_degree_below_one(tmp_path, capsys):
+    h = str(tmp_path / "z2.json")
+    t = str(tmp_path / "t.json")
+    run("gen", "group-algebra", "--group", "Z2", "-o", h)
+    run("gen", "trivial-yd", "--hopf", h, "-o", t)
+    capsys.readouterr()
+    for degree in ("-1", "0"):
+        rep = tmp_path / f"rep{degree}.json"
+        code = run("homology", "--hopf", h, "--mod", t, "--coeff", t, "--line", "1", "--max-degree", degree, "-o", str(rep))
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert "--max-degree must be at least 1" in err and "PASS" not in out
+        assert not rep.exists()
+
+
 def test_cli_build_rejects_mismatched_base(tmp_path, capsys):
     h2 = str(tmp_path / "z2.json")
     h3 = str(tmp_path / "z3.json")
