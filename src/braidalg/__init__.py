@@ -64,6 +64,7 @@ from .systems import (
     YDSystem,
     build_yd_system,
     check_braided_morphism,
+    dual_action,
     glue,
     invertibility_report,
     precision_harness,

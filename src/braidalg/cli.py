@@ -18,6 +18,7 @@ from .rmatrix import AntipodeMissingError, antipode_inverse_r, check_r, yd_from_
 from .systems import (
     build_yd_system,
     check_braided_morphism,
+    dual_action,
     glue,
     precision_harness,
     random_precision_data,
@@ -237,13 +238,15 @@ def cmd_harness(args):
     if not rep_pre.passed:
         print(rep_pre)
         return 1
+    dual = dual_bialgebra(b)
+    lam_dual = dual_action(b, dual)
     rng = random.Random(args.seed)
     failures = 0
     counts = {}
     try:
         for trial in range(args.trials):
             v, lam, delta, mu, nu = random_precision_data(b, args.dim, rng)
-            rep, rows = precision_harness(b, v, lam, delta, mu, nu)
+            rep, rows = precision_harness(b, dual, lam_dual, v, lam, delta, mu, nu)
             for row in rows:
                 held = (not row["side"]) or row["cybe"] == row["axiom"]
                 stats = counts.setdefault(row["row"], [0, 0, 0])

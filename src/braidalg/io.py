@@ -12,8 +12,9 @@ Schemas:
   (optional for plain modules), optional mul/unit for module algebras;
 * r-matrix: bialgebra (path), vector (dim^2 coefficients, left-major),
   optional inverse;
-* braided-system: field, components (dim+label list), sigma "i,j" -> dense
-  row-major matrix.
+* braided-system: field, components (dim+label list), sigma "i,j" ->
+  {"entries": [[row, col, scalar], ...]}, the nonzero entries sorted by
+  (row, col); a list value is read as legacy dense row-major rows.
 """
 
 from __future__ import annotations
@@ -303,12 +304,24 @@ def system_to_json(s):
         "sigma": {},
     }
     for (i, j), sig in sorted(s.sigma.items()):
-        rows = [
-            [f.to_json(sig.matrix.get(r, c)) for c in range(sig.matrix.n_cols)]
-            for r in range(sig.matrix.n_rows)
-        ]
-        out["sigma"][f"{i},{j}"] = rows
+        entries = [[r, c, f.to_json(v)] for (r, c), v in sorted(sig.matrix.entries.items())]
+        out["sigma"][f"{i},{j}"] = {"entries": entries}
     return out
+
+
+def _parse_entries(f, raw, n, where):
+    """The {(row, col): scalar} of a sparse n x n sigma, every entry schema-checked."""
+    if not isinstance(raw, dict) or not isinstance(raw.get("entries"), list):
+        raise SchemaError(f"{where}: expected dense rows or an object with a list 'entries'")
+    ent = {}
+    for t, e in enumerate(raw["entries"]):
+        loc = f"{where}.entries[{t}]"
+        if not (isinstance(e, list) and len(e) == 3 and all(type(x) is int and 0 <= x < n for x in e[:2])):
+            raise SchemaError(f"{loc}: expected [row, col, scalar] with int row and col in [0, {n})")
+        if (e[0], e[1]) in ent:
+            raise SchemaError(f"{loc}: duplicate entry ({e[0]}, {e[1]})")
+        ent[e[0], e[1]] = _parse_scalar(f, e[2], loc)
+    return ent
 
 
 def system_from_json(data, where="braided-system"):
@@ -323,18 +336,20 @@ def system_from_json(data, where="braided-system"):
         comps.append(Space(c["dim"], c.get("label", f"V{t}")))
     r = len(comps)
     sigma = {}
-    for key, rows in data["sigma"].items():
+    for key, raw in data["sigma"].items():
         try:
             i, j = (int(x) for x in key.split(","))
         except ValueError:
             raise SchemaError(f"{where}.sigma: bad key {key!r}") from None
         if not (1 <= i <= j <= r):
             raise SchemaError(f"{where}.sigma: index pair {key!r} out of range")
-        di, dj = comps[i - 1].dim, comps[j - 1].dim
-        cube = _parse_cube(f, rows, (di * dj, di * dj), f"{where}.sigma[{key}]")
-        sigma[(i, j)] = LinMap(
-            (comps[i - 1], comps[j - 1]), (comps[j - 1], comps[i - 1]), SparseMatrix.from_rows(f, cube)
-        )
+        n = comps[i - 1].dim * comps[j - 1].dim
+        loc = f"{where}.sigma[{key}]"
+        if isinstance(raw, list):
+            matrix = SparseMatrix.from_rows(f, _parse_cube(f, raw, (n, n), loc))
+        else:
+            matrix = SparseMatrix(f, n, n, _parse_entries(f, raw, n, loc))
+        sigma[(i, j)] = LinMap((comps[i - 1], comps[j - 1]), (comps[j - 1], comps[i - 1]), matrix)
     for i in range(1, r + 1):
         for j in range(i, r + 1):
             if (i, j) not in sigma:

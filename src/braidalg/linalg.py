@@ -3,6 +3,8 @@
 Two field backends: the rationals (arbitrary precision, backed by
 ``fractions.Fraction``) and prime fields F_p with p < 2**61.  Every
 computation in the package is exact; there is no floating-point mode.
+Scalars are canonical: over F_p an ``int`` in [0, p), over Q an ``int``
+when integral and a ``Fraction`` otherwise.
 
 Matrices are sparse maps (row, col) -> nonzero scalar.  The tensor index
 convention is fixed globally: the LEFT factor is the major index, so the
@@ -50,9 +52,9 @@ def is_prime(n):
 class Field:
     """Common interface of the two scalar backends.
 
-    Scalars are plain Python values (``Fraction`` for Q, ``int`` in [0, p)
-    for F_p); the field object supplies the operations, parsing and
-    canonical string form.
+    Scalars are plain Python values (``int`` or non-integral ``Fraction``
+    for Q, ``int`` in [0, p) for F_p); the field object supplies the
+    operations, parsing and canonical string form.
     """
 
     def add(self, a, b):
@@ -74,42 +76,49 @@ class Field:
         return a == self.zero
 
 
+def _canonical(x):
+    """A rational as an int when integral, else the Fraction itself."""
+    return x.numerator if x.denominator == 1 else x
+
+
 class RationalField(Field):
     kind = "Q"
 
     def __init__(self):
-        self.zero = Fraction(0)
-        self.one = Fraction(1)
+        self.zero = 0
+        self.one = 1
 
     def add(self, a, b):
-        return a + b
+        return _canonical(a + b)
 
     def sub(self, a, b):
-        return a - b
+        return _canonical(a - b)
 
     def mul(self, a, b):
-        return a * b
+        return _canonical(a * b)
 
     def neg(self, a):
-        return -a
+        return _canonical(-a)
 
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of 0 in Q")
-        return 1 / a
+        return _canonical(Fraction(1, a))
 
     def from_int(self, n):
-        return Fraction(n)
+        return n
 
     def parse(self, text, where=""):
         try:
             if isinstance(text, bool):
                 raise ValueError
             if isinstance(text, int):
-                return Fraction(text)
+                return text
             if isinstance(text, str):
-                val = Fraction(text)
-                return val
+                try:
+                    return int(text)
+                except ValueError:
+                    return _canonical(Fraction(text))
         except (ValueError, ZeroDivisionError):
             pass
         raise FieldError(f"malformed rational {text!r}{' at ' + where if where else ''}")
@@ -197,8 +206,9 @@ class SparseMatrix:
     """Immutable-by-convention sparse matrix over an exact field.
 
     ``entries`` maps (row, col) to a nonzero scalar; zero entries are never
-    stored, and F_p scalars are stored reduced into [0, p).  All mutating
-    helpers are private and used only during construction.
+    stored, and scalars are stored canonical (reduced into [0, p) over F_p,
+    an int when integral over Q), so producers may hand in any exact value.
+    All mutating helpers are private and used only during construction.
     """
 
     __slots__ = ("field", "n_rows", "n_cols", "entries")
@@ -215,6 +225,8 @@ class SparseMatrix:
                     raise IndexError(f"entry ({r},{c}) out of bounds for {n_rows}x{n_cols}")
                 if p is not None:
                     v %= p
+                elif type(v) is Fraction and v.denominator == 1:
+                    v = v.numerator
                 if v:
                     self.entries[(r, c)] = v
 
@@ -263,15 +275,10 @@ class SparseMatrix:
 
     def __add__(self, other):
         self._check_same_shape(other)
-        f = self.field
         ent = dict(self.entries)
         for k, v in other.entries.items():
-            s = f.add(ent.get(k, f.zero), v)
-            if f.is_zero(s):
-                ent.pop(k, None)
-            else:
-                ent[k] = s
-        return SparseMatrix(f, self.n_rows, self.n_cols, ent)
+            ent[k] = ent.get(k, 0) + v
+        return SparseMatrix(self.field, self.n_rows, self.n_cols, ent)
 
     def __sub__(self, other):
         return self + other.scale(self.field.neg(self.field.one))
@@ -280,42 +287,33 @@ class SparseMatrix:
         return self.scale(self.field.neg(self.field.one))
 
     def scale(self, a):
-        f = self.field
-        if f.is_zero(a):
-            return SparseMatrix.zeros(f, self.n_rows, self.n_cols)
-        return SparseMatrix(f, self.n_rows, self.n_cols, {k: f.mul(a, v) for k, v in self.entries.items()})
+        return SparseMatrix(self.field, self.n_rows, self.n_cols, {k: a * v for k, v in self.entries.items()})
 
     def __matmul__(self, other):
         if self.n_cols != other.n_rows:
             raise ValueError(f"matmul shape mismatch {self.n_rows}x{self.n_cols} @ {other.n_rows}x{other.n_cols}")
         self._check_same_field(other)
-        f = self.field
         by_row = {}
         for (j, k), v in other.entries.items():
             by_row.setdefault(j, []).append((k, v))
+        # Plain * and +: the constructor reduces mod p or canonicalises, and drops zeros.
         acc = {}
         for (i, j), a in self.entries.items():
             for k, b in by_row.get(j, ()):
-                key = (i, k)
-                s = f.add(acc.get(key, f.zero), f.mul(a, b))
-                if f.is_zero(s):
-                    acc.pop(key, None)
-                else:
-                    acc[key] = s
-        return SparseMatrix(f, self.n_rows, other.n_cols, acc)
+                acc[i, k] = acc.get((i, k), 0) + a * b
+        return SparseMatrix(self.field, self.n_rows, other.n_cols, acc)
 
     def transpose(self):
         return SparseMatrix(self.field, self.n_cols, self.n_rows, {(c, r): v for (r, c), v in self.entries.items()})
 
     def kronecker(self, other):
         self._check_same_field(other)
-        f = self.field
         rb, cb = other.n_rows, other.n_cols
         ent = {}
         for (i, j), a in self.entries.items():
             for (k, l), b in other.entries.items():
-                ent[(i * rb + k, j * cb + l)] = f.mul(a, b)
-        return SparseMatrix(f, self.n_rows * rb, self.n_cols * cb, ent)
+                ent[i * rb + k, j * cb + l] = a * b
+        return SparseMatrix(self.field, self.n_rows * rb, self.n_cols * cb, ent)
 
     def _check_same_shape(self, other):
         if self.n_rows != other.n_rows or self.n_cols != other.n_cols or self.field != other.field:
@@ -347,7 +345,7 @@ class SparseMatrix:
         if self.field.kind == "Fp":
             rows = [pivots[c] for c in cols]
         else:
-            rows = [{k: Fraction(v, pivots[c][c]) for k, v in pivots[c].items()} for c in cols]
+            rows = [{k: _canonical(Fraction(v, pivots[c][c])) for k, v in pivots[c].items()} for c in cols]
         return rows + [{} for _ in range(self.n_rows - len(cols))], cols
 
 

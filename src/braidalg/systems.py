@@ -377,14 +377,14 @@ _PRECISION_CHECKS = {
 }
 
 
-def precision_sigmas(h, v, lam, delta, mu, nu):
+def precision_sigmas(h, dual, lam_dual, v, lam, delta, mu, nu):
     """The r=1 braiding components for arbitrary (lam, delta, mu, nu) on V.
 
-    No axioms are assumed; this feeds the equivalence harness.
+    ``dual`` is ``dual_bialgebra(h)`` and ``lam_dual`` is ``dual_action(h,
+    dual)``; both depend on h alone, so a caller running many trials builds
+    them once.  No axioms are assumed; this feeds the equivalence harness.
     """
     f = h.field
-    dual = dual_bialgebra(h)
-    lam_dual = dual_action(h, dual)
     sigma = {
         (1, 1): sigma_ass(h.as_uaa(), "right"),
         (2, 2): nu.tensor(mu),
@@ -396,15 +396,16 @@ def precision_sigmas(h, v, lam, delta, mu, nu):
     return BraidedSystem((h.space, v, dual.space), sigma, f)
 
 
-def precision_harness(h, v, lam, delta, mu, nu):
+def precision_harness(h, dual, lam_dual, v, lam, delta, mu, nu):
     """Row-by-row equivalence "cYBE instance <=> structure axiom".
 
     For each of the six rows the report carries three booleans: the side
     condition, the cYBE instance, and the axiom.  Axioms and side
     conditions are read from one ``check_yd(..., "yd_algebra")`` report.
     Whenever the side condition is met the last two are asserted equal.
+    ``dual`` and ``lam_dual`` are as in ``precision_sigmas``.
     """
-    sys = precision_sigmas(h, v, lam, delta, mu, nu)
+    sys = precision_sigmas(h, dual, lam_dual, v, lam, delta, mu, nu)
     axioms = check_yd(YDModuleAlgebra(YDModule(h, v, lam, delta), mu, nu), "yd_algebra")
     passed = {c.name: c.passed for c in axioms.checks}
     rep = AxiomReport("precision harness (cYBE <=> axiom)")

@@ -129,11 +129,13 @@ def test_acceptance_2_flip_perturbation_fails_the_mixed_instance():
 def test_acceptance_3_precision_equivalences():
     start = time.monotonic()
     b = group_algebra(Z2_TABLE, Z2_NAMES, field=GF(5))
+    dual = dual_bialgebra(b)
+    lam_dual = dual_action(b, dual)
     rng = random.Random(20240)
     ok = True
     for _trial in range(100):
         v, lam, delta, mu, nu = random_precision_data(b, 2, rng)
-        _rep, rows = precision_harness(b, v, lam, delta, mu, nu)
+        _rep, rows = precision_harness(b, dual, lam_dual, v, lam, delta, mu, nu)
         for row in rows:
             ok &= row["side"] and (row["cybe"] == row["axiom"])
     elapsed = time.monotonic() - start

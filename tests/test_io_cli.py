@@ -96,6 +96,69 @@ def test_system_round_trip(tmp_path):
     assert p.read_bytes() == p2.read_bytes()
 
 
+LEGACY_SYSTEM = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "legacy_system_z2_f5.json")
+LEGACY_CYBE_STDOUT = "cYBE for BraidedSystem(H,M,H*)\n" + "".join(
+    f"PASS cYBE({i},{j},{k})\n" for i in range(1, 4) for j in range(i, 4) for k in range(j, 4)
+)
+
+
+def test_legacy_dense_system_file_loads_like_the_sparse_one(tmp_path, capsys):
+    """A dense-rows file (kZ/2 over F_5, rank 3) loads to the sigmas of the sparse file of the same system."""
+    h, m, sysf = (str(tmp_path / name) for name in ("z2.json", "m.json", "sys.json"))
+    assert run("gen", "group-algebra", "--group", "Z2", "--field", "Fp:5", "-o", h) == 0
+    assert run("gen", "regular-yd", "--hopf", h, "-o", m) == 0
+    assert run("build", "yd-system", "--hopf", h, "--mod", m, "--variant", "yd", "-o", sysf) == 0
+    sparse = json.loads((tmp_path / "sys.json").read_text())
+    assert all(set(block) == {"entries"} for block in sparse["sigma"].values())
+    legacy, new = bio.load_system(LEGACY_SYSTEM), bio.load_system(sysf)
+    assert [(c.dim, c.label) for c in legacy.components] == [(c.dim, c.label) for c in new.components]
+    assert legacy.sigma.keys() == new.sigma.keys()
+    for key, sig in new.sigma.items():
+        assert legacy.sigma[key].matrix == sig.matrix
+    capsys.readouterr()
+    assert run("verify", "cybe", LEGACY_SYSTEM) == 0
+    assert capsys.readouterr().out == LEGACY_CYBE_STDOUT
+    resaved = tmp_path / "resaved.json"
+    bio.save_system(resaved, legacy)
+    assert resaved.read_text() == (tmp_path / "sys.json").read_text()
+
+
+@pytest.mark.parametrize(
+    "bad_entry, message",
+    [
+        ([4, 0, 1], "int row and col"),  # sigma[1,2] is 4 x 4
+        ([0, -1, 1], "int row and col"),
+        ([0, "0", 1], "int row and col"),
+        ([0.0, 0, 1], "int row and col"),
+        ([0, 0], "int row and col"),
+        ("dup", "duplicate entry"),
+        ([0, 1, "x"], "malformed F_5 scalar"),
+    ],
+)
+def test_sparse_sigma_entries_are_schema_checked(tmp_path, capsys, bad_entry, message):
+    b = group_algebra(Z2_TABLE, Z2_NAMES, field=GF(5))
+    data = bio.system_to_json(build_yd_system(b, [regular_yd_group_algebra(Z2_TABLE, Z2_NAMES, field=GF(5))], "yd"))
+    entries = data["sigma"]["1,2"]["entries"]
+    entries.append(list(entries[0]) if bad_entry == "dup" else bad_entry)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(bio.SchemaError, match=message) as err:
+        bio.load_system(path)
+    assert f"sigma[1,2].entries[{len(entries) - 1}]" in str(err.value)
+    assert run("verify", "cybe", str(path)) == 2
+    assert "sigma[1,2]" in capsys.readouterr().err
+
+
+def test_sigma_must_be_rows_or_entries(tmp_path):
+    b = group_algebra(Z2_TABLE, Z2_NAMES)
+    data = bio.system_to_json(build_yd_system(b, [], "yd"))
+    data["sigma"]["1,2"] = {"rows": []}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(bio.SchemaError, match=r"sigma\[1,2\]: expected dense rows or an object"):
+        bio.load_system(path)
+
+
 def test_structure_constant_layouts_follow_the_schema(tmp_path):
     """Each cube field, read from the file, against the schema in the io docstring.
 

@@ -302,3 +302,90 @@ def test_solve_linear_solves_consistent_systems(case, data):
     x = solve_linear(m, b)
     assert x is not None
     assert mat_vec(m, x) == b
+
+
+# -- canonical scalars -------------------------------------------------------------
+
+
+def q_scalars():
+    """Rationals as ints, as integral Fractions such as Fraction(4, 2) and as proper Fractions."""
+    return st.one_of(
+        st.integers(-6, 6),
+        st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4)),
+        st.sampled_from([Fraction(4, 2), Fraction(-3, 1), Fraction(0, 3)]),
+    )
+
+
+def assert_canonical(field, values):
+    """Over Q an int or a non-integral Fraction (never a float or bool); over F_p an int in [0, p)."""
+    for v in values:
+        if field.kind == "Q":
+            assert type(v) is int or (type(v) is Fraction and v.denominator != 1), repr(v)
+        else:
+            assert type(v) is int and 0 <= v < field.p, repr(v)
+
+
+@st.composite
+def canonical_cases(draw):
+    """A field and matrices a, b (n x k), c (k x m), sq (k x k), x (k x 1) and a scalar s."""
+    field = draw(st.sampled_from(FIELDS))
+    values = q_scalars() if field.kind == "Q" else scalars(field)
+    n, k, m = (draw(st.integers(0, 4)) for _ in range(3))
+
+    def matrix(rows, cols):
+        if not rows or not cols:
+            return SparseMatrix(field, rows, cols)
+        cells = st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1))
+        return SparseMatrix(field, rows, cols, draw(st.dictionaries(cells, values, max_size=10)))
+
+    a, b, c, sq, x = matrix(n, k), matrix(n, k), matrix(k, m), matrix(k, k), matrix(k, 1)
+    return field, a, b, c, sq, x, draw(values)
+
+
+@PROPERTY_SETTINGS
+@given(canonical_cases())
+def test_every_stored_scalar_is_canonical_after_each_operation(case):
+    f, a, b, c, sq, x, s = case
+    products = [a, b, c, a @ c, a + b, a - b, -a, a.scale(s), kronecker(a, c), a.transpose(), rref(a)[0]]
+    inv = inverse(sq)
+    if inv is not None:
+        products.append(inv)
+    for m in products:
+        assert_canonical(f, m.entries.values())
+    ax = a @ x
+    sol = solve_linear(a, [ax.get(r, 0) for r in range(a.n_rows)])
+    assert sol is not None
+    assert_canonical(f, [v for vec in kernel_basis(a) + [sol] for v in vec])
+    assert_canonical(f, [v for row in a.rref_data()[0] for v in row.values()])
+
+
+@PROPERTY_SETTINGS
+@given(q_scalars(), q_scalars())
+def test_rational_field_operations_return_canonical_scalars(a, b):
+    got = [QQ.add(a, b), QQ.sub(a, b), QQ.mul(a, b), QQ.neg(a)]
+    assert got == [a + b, a - b, a * b, -a]
+    assert_canonical(QQ, got + [QQ.zero, QQ.one, QQ.from_int(-7)])
+    if a:
+        assert QQ.inv(a) == 1 / Fraction(a)
+        assert_canonical(QQ, [QQ.inv(a)])
+
+
+def test_rational_inverse_of_an_int_stays_exact():
+    assert QQ.inv(2) == Fraction(1, 2) and type(QQ.inv(2)) is Fraction
+    assert QQ.inv(-1) == -1 and type(QQ.inv(-1)) is int
+    assert QQ.inv(Fraction(1, 3)) == 3 and type(QQ.inv(Fraction(1, 3))) is int
+
+
+@pytest.mark.parametrize(
+    "text", ["1_000", " 3", "+3", "-0", "1e3", "1.5", "0x10", "--3", "", "4/2", "3/6", "1/0", "x"]
+)
+def test_rational_parse_accepts_exactly_what_fraction_accepts(text):
+    try:
+        expected = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(FieldError):
+            QQ.parse(text)
+    else:
+        got = QQ.parse(text)
+        assert got == expected
+        assert_canonical(QQ, [got])

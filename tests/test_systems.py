@@ -333,7 +333,8 @@ def test_precision_harness_valid_inputs_all_rows_true():
     F = GF(5)
     b = group_algebra(Z2_TABLE, Z2_NAMES, field=F)
     ext = formal_unit_extend(regular_yd_group_algebra(Z2_TABLE, Z2_NAMES, field=F))
-    rep, rows = precision_harness(b, ext.yd.space, ext.yd.lam, ext.yd.delta, ext.mu, ext.nu)
+    dual = dual_bialgebra(b)
+    rep, rows = precision_harness(b, dual, dual_action(b, dual), ext.yd.space, ext.yd.lam, ext.yd.delta, ext.mu, ext.nu)
     assert rep.passed
     assert all(r["side"] and r["cybe"] and r["axiom"] for r in rows)
 
@@ -358,7 +359,10 @@ def test_precision_harness_side_conditions_read_their_axioms(target, entry, fail
     m = maps[target]
     bump = SparseMatrix(F, m.matrix.n_rows, m.matrix.n_cols, {entry: F.one})
     maps[target] = LinMap(m.domain, m.codomain, m.matrix + bump)
-    rep, rows = precision_harness(b, ext.yd.space, maps["lam"], maps["delta"], maps["mu"], ext.nu)
+    dual = dual_bialgebra(b)
+    rep, rows = precision_harness(
+        b, dual, dual_action(b, dual), ext.yd.space, maps["lam"], maps["delta"], maps["mu"], ext.nu
+    )
     assert {r["row"] for r in rows if not r["side"]} == failing
     assert all(rep[f"{name}_equivalence"].passed for name, _ in PRECISION_ROWS)
 
@@ -366,12 +370,14 @@ def test_precision_harness_side_conditions_read_their_axioms(target, entry, fail
 def test_precision_harness_random_equivalence():
     F = GF(5)
     b = group_algebra(Z2_TABLE, Z2_NAMES, field=F)
+    dual = dual_bialgebra(b)
+    lam_dual = dual_action(b, dual)
     rng = random.Random(42)
     seen_false = {name: False for name, _ in PRECISION_ROWS}
     seen_true = {name: False for name, _ in PRECISION_ROWS}
     for _ in range(30):
         v, lam, delta, mu, nu = random_precision_data(b, 2, rng)
-        _rep, rows = precision_harness(b, v, lam, delta, mu, nu)
+        _rep, rows = precision_harness(b, dual, lam_dual, v, lam, delta, mu, nu)
         for r in rows:
             assert r["side"]
             assert r["cybe"] == r["axiom"]
@@ -380,7 +386,7 @@ def test_precision_harness_random_equivalence():
     # with dim 3 the associativity row also exercises its false branch
     for _ in range(10):
         v, lam, delta, mu, nu = random_precision_data(b, 3, rng)
-        _rep, rows = precision_harness(b, v, lam, delta, mu, nu)
+        _rep, rows = precision_harness(b, dual, lam_dual, v, lam, delta, mu, nu)
         for r in rows:
             assert r["cybe"] == r["axiom"]
             seen_false[r["row"]] |= not r["axiom"]

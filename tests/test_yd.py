@@ -238,10 +238,12 @@ def test_random_valid_module_comodule_yd_iff_braiding_instance():
     """For valid module+comodule data, the YD axiom holds exactly when the
     mixed braiding instance on H (x) M (x) H* does (cross-validated with
     the precision harness)."""
-    from braidalg.systems import cybe_instance, precision_sigmas
+    from braidalg.systems import cybe_instance, dual_action, precision_sigmas
 
     F = GF(5)
     b = group_algebra(Z2_TABLE, Z2_NAMES, field=F)
+    dual = dual_bialgebra(b)
+    lam_dual = dual_action(b, dual)
     rng = random.Random(77)
     dim = 2
     hits = {True: 0, False: 0}
@@ -273,7 +275,7 @@ def test_random_valid_module_comodule_yd_iff_braiding_instance():
         assert rep["action_associativity"].passed and rep["coaction_coassociativity"].passed
         mu = LinMap((M, M), (M,), SparseMatrix(F, dim, dim * dim))
         nu = LinMap((), (M,), SparseMatrix(F, dim, 1, {(0, 0): F.one}))
-        sys = precision_sigmas(b, M, lam, delta, mu, nu)
+        sys = precision_sigmas(b, dual, lam_dual, M, lam, delta, mu, nu)
         lhs, rhs = cybe_instance(sys, 1, 2, 3)
         assert rep.passed == (lhs.matrix == rhs.matrix)
         hits[rep.passed] += 1
