@@ -179,8 +179,8 @@ def verify_bicomplex(c):
     return rep
 
 
-def _verify_or_raise(c):
-    rep = c.bicomplex_report = verify_bicomplex(c)
+def _verify_or_raise(c, rep=None):
+    rep = c.bicomplex_report = verify_bicomplex(c) if rep is None else rep
     if not rep.passed:
         raise AssertionError(f"bidifferential identities fail: {rep.first_failure().name}")
     return c
@@ -321,14 +321,20 @@ def _by_input(mat, n_in, d):
 class _SweedlerOps:
     """Structure-constant expansions on T(H) (x) M (x) T(H*) (x) N*.
 
-    Component bases are tuples (i_1..i_n, a, j_1..j_m, beta) linearised
-    with the left factor major.  All maps are assembled by explicit loops
-    over structure constants; no braiding machinery is involved, which
-    keeps this path independent of the generic engine.
+    Component bases are tuples (h_1..h_n, a, l_1..l_m, beta) linearised
+    with the left factor major.  Each map is a sum of pieces
+    (reads, writes, core): the core takes the values of the source factors
+    at positions ``reads`` and returns (outputs, coeff) pairs, the outputs
+    landing on the target positions ``writes``; every other factor passes
+    through unchanged and in order.  ``_assemble`` evaluates a core once
+    per value of the factors it reads and tiles the result over the
+    pass-through factors.  Everything is index arithmetic over structure
+    constants; no braiding machinery is involved, which keeps this path
+    independent of the generic engine.
     """
 
     def __init__(self, h, m, n_mod):
-        f = self.f = h.field
+        self.f = h.field
         d = self.dH = h.dim
         self.dM = m.dim
         dN = self.dN = n_mod.dim
@@ -345,8 +351,7 @@ class _SweedlerOps:
             for (j, c) in terms:
                 self.ddelta[j].append((uu, vv, c))
         self.unit_vec = {k: v for (k, _z), v in h.nu.matrix.entries.items()}
-        counit = [h.eps.matrix.get(0, i) for i in range(d)]
-        self.dual_unit_vec = {i: c for i, c in enumerate(counit) if not f.is_zero(c)}
+        self.dual_unit_vec = {i: c for (_z, i), c in h.eps.matrix.entries.items()}
         self.actM = _by_input_pair(m.lam.matrix, self.dM)
         self.coactM = _by_input(m.delta.matrix, self.dM, d)
         actN = _by_input_pair(n_mod.lam.matrix, dN)
@@ -361,153 +366,143 @@ class _SweedlerOps:
         for alpha in range(dN):
             for (beta, j, v) in coactN[alpha]:
                 self.lam_Nstar.setdefault((j, beta), []).append((alpha, v))
-        self._memo = {}
+        self._memo = {("legs", dual, ()): [((), (), self.f.one)] for dual in (False, True)}
+
+    def _once(self, key, build, *args):
+        """build(*args), computed once per key."""
+        if key not in self._memo:
+            self._memo[key] = build(*args)
+        return self._memo[key]
 
     def product(self, idxs, dual=False):
         """e_i1 ... e_ik in H (in H* if dual) as {basis: coeff}; the empty product is the unit."""
-        key = ("product", dual, idxs)
-        if key not in self._memo:
-            f = self.f
-            if len(idxs) < 2:
-                acc = {idxs[0]: f.one} if idxs else (self.dual_unit_vec if dual else self.unit_vec)
-            else:
-                acc = {}
-                mul = self.dmul if dual else self.mul
-                for x, cx in self.product(idxs[:-1], dual).items():
-                    for (k, ck) in mul.get((x, idxs[-1]), ()):
-                        s = f.add(acc.get(k, f.zero), f.mul(cx, ck))
-                        if f.is_zero(s):
-                            acc.pop(k, None)
-                        else:
-                            acc[k] = s
-            self._memo[key] = acc
-        return self._memo[key]
+        return self._once(("product", dual, idxs), self._product, idxs, dual)
+
+    def _product(self, idxs, dual):
+        f = self.f
+        if len(idxs) < 2:
+            return {idxs[0]: f.one} if idxs else (self.dual_unit_vec if dual else self.unit_vec)
+        acc = {}
+        for x, cx in self.product(idxs[:-1], dual).items():
+            for (k, ck) in (self.dmul if dual else self.mul).get((x, idxs[-1]), ()):
+                acc[k] = f.add(acc.get(k, f.zero), f.mul(cx, ck))
+        return {k: v for k, v in acc.items() if not f.is_zero(v)}
 
     def legs(self, idxs, dual=False):
         """[(first legs, second legs, coeff)] of Delta(e_i1) (x) ... (x) Delta(e_ik) in H (in H* if dual)."""
-        key = ("legs", dual, idxs)
-        if key not in self._memo:
-            f = self.f
-            table = self.ddelta if dual else self.comul
-            out = []
-            for legs in itertools.product(*[table[i] for i in idxs]):
-                c = f.one
-                for (_x, _y, cv) in legs:
-                    c = f.mul(c, cv)
-                out.append((tuple(x for (x, _y, _c) in legs), tuple(y for (_x, y, _c) in legs), c))
-            self._memo[key] = out
-        return self._memo[key]
+        return self._once(("legs", dual, idxs), self._legs, idxs, dual)
+
+    def _legs(self, idxs, dual):
+        return [
+            (ps + (x,), qs + (y,), self.f.mul(c, cv))
+            for (ps, qs, c) in self.legs(idxs[:-1], dual)
+            for (x, y, cv) in (self.ddelta if dual else self.comul)[idxs[-1]]
+        ]
+
+    def _pairing_core(self, coact, dual):
+        """Core (i_1..i_k, o, x) -> [(first legs + (o',), coeff)]: <e_x, second legs . w>, (o', w) in coact[o]."""
+
+        def build(idxs, o):
+            table = {}
+            for (ps, qs, c_h) in self.legs(idxs, dual):
+                for (o_out, w, c) in coact[o]:
+                    for x, c_pair in self.product(qs + (w,), dual).items():
+                        table.setdefault(x, []).append((ps + (o_out,), c_h * c * c_pair))
+            return table
+
+        return lambda vals: self._once(("pairing", dual, vals[:-1]), build, vals[:-2], vals[-2]).get(vals[-1], ())
+
+    def _acting_core(self, coprod, act, dual):
+        """Core (i_1..i_k, j, b) -> [(second legs + (b',), coeff)]: <first legs, j(1)>, j(2) acting on b."""
+
+        def build(idxs):
+            table = {}
+            for (ps, qs, c_h) in self.legs(idxs, dual):
+                for x, c_pair in self.product(ps, dual).items():
+                    table.setdefault(x, []).append((qs, c_h * c_pair))
+            return table
+
+        def core(vals):
+            paired = self._once(("acting", dual, vals[:-2]), build, vals[:-2])
+            return [
+                (qs + (b_out,), c * cj * ca)
+                for (x, y, cj) in coprod[vals[-2]]
+                for (qs, c) in paired.get(x, ())
+                for (b_out, ca) in act.get((y, vals[-1]), ())
+            ]
+
+        return core
 
     def comp_dims(self, n, mm):
         return [self.dH] * n + [self.dM] + [self.dH] * mm + [self.dN]
 
-    def comp_dim(self, n, mm):
-        return math.prod(self.comp_dims(n, mm))
-
-    def _assemble(self, n, mm, tgt_n, tgt_m, term):
-        """The block (n, mm) -> (tgt_n, tgt_m) whose column at basis tuple
-        (hs, a, ls, beta) sums the (out_tuple, coeff) pairs of term(hs, a, ls, beta)."""
-        f = self.f
-        src_dims = self.comp_dims(n, mm)
-        dst_dims = self.comp_dims(tgt_n, tgt_m)
-        ent = {}
-        for col, tup in enumerate(itertools.product(*[range(x) for x in src_dims])):
-            for out, coeff in term(tup[:n], tup[n], tup[n + 1 : n + 1 + mm], tup[-1]):
-                if f.is_zero(coeff):
-                    continue
-                row = 0
-                for i, d in zip(out, dst_dims):
-                    row = row * d + i
-                s = f.add(ent.get((row, col), f.zero), coeff)
-                if f.is_zero(s):
-                    ent.pop((row, col), None)
-                else:
-                    ent[(row, col)] = s
-        return SparseMatrix(f, math.prod(dst_dims), math.prod(src_dims), ent)
+    def _block(self, src, dst, pieces):
+        return _assemble(self.f, self.comp_dims(*src), self.comp_dims(*dst), pieces)
 
     # -- the six primitive maps ------------------------------------------
 
     def bar(self, n, mm):
         """sum_t (-1)^t (merge h_t h_{t+1}); zero for n < 2."""
-        f = self.f
-
-        def term(hs, a, ls, beta):
-            for t in range(n - 1):
-                sign = _sign_pow(f, t + 1)
-                for (k, c) in self.mul.get((hs[t], hs[t + 1]), ()):
-                    yield hs[:t] + (k,) + hs[t + 2 :] + (a,) + ls + (beta,), f.mul(sign, c)
-
-        return self._assemble(n, mm, n - 1, mm, term)
+        return self._block((n, mm), (n - 1, mm), [_merge(self.mul, t, t) for t in range(n - 1)])
 
     def cob(self, n, mm):
         """sum_t (-1)^t (merge l_t l_{t+1}); zero for m < 2."""
-        f = self.f
-
-        def term(hs, a, ls, beta):
-            for t in range(mm - 1):
-                sign = _sign_pow(f, t + 1)
-                for (k, c) in self.dmul.get((ls[t], ls[t + 1]), ()):
-                    yield hs + (a,) + ls[:t] + (k,) + ls[t + 2 :] + (beta,), f.mul(sign, c)
-
-        return self._assemble(n, mm, n, mm - 1, term)
+        return self._block((n, mm), (n, mm - 1), [_merge(self.dmul, n + 1 + t, t) for t in range(mm - 1)])
 
     def hspi(self, n, mm):
         """Contract l_1 against <l_1, h_1(2)...h_n(2).a_(1)>; keeps first legs."""
-        f = self.f
-
-        def term(hs, a, ls, beta):
-            for (ps, qs, c_h) in self.legs(hs):
-                for (a0, w, cm) in self.coactM[a]:
-                    c_pair = self.product(qs + (w,)).get(ls[0])
-                    if c_pair is not None:
-                        yield ps + (a0,) + ls[1:] + (beta,), f.mul(f.mul(c_h, cm), c_pair)
-
-        return self._assemble(n, mm, n, mm - 1, term)
+        core = self._pairing_core(self.coactM, False)  # reads (h_1..h_n, a, l_1)
+        return self._block((n, mm), (n, mm - 1), [(range(n + 2), range(n + 1), core)])
 
     def pih(self, n, mm):
         """Contract h_n against <l_1(1)...l_m(1), h_n(1)>, act by h_n(2) on M."""
-        f = self.f
-
-        def term(hs, a, ls, beta):
-            for (us, vs, c_l) in self.legs(ls, dual=True):
-                prod = self.product(us, dual=True)
-                for (x, y, cn) in self.comul[hs[-1]]:
-                    c_pair = prod.get(x)
-                    if c_pair is None:
-                        continue
-                    for (b_out, ca) in self.actM.get((y, a), ()):
-                        yield hs[:-1] + (b_out,) + vs + (beta,), f.mul(f.mul(c_l, cn), f.mul(c_pair, ca))
-
-        return self._assemble(n, mm, n - 1, mm, term)
+        core = self._acting_core(self.comul, self.actM, True)  # reads (l_1..l_m, h_n, a)
+        reads, writes = (*range(n + 1, n + mm + 1), n - 1, n), (*range(n, n + mm), n - 1)
+        return self._block((n, mm), (n - 1, mm), [(reads, writes, core)])
 
     def hpi(self, n, mm):
         """Contract h_1 against <l_1(2)...l_m(2).b_(1), h_1>."""
-        f = self.f
-
-        def term(hs, a, ls, beta):
-            for (us, vs, c_l) in self.legs(ls, dual=True):
-                for (alpha, iN, cb) in self.delta_Nstar[beta]:
-                    c_pair = self.product(vs + (iN,), dual=True).get(hs[0])
-                    if c_pair is not None:
-                        yield hs[1:] + (a,) + us + (alpha,), f.mul(f.mul(c_l, cb), c_pair)
-
-        return self._assemble(n, mm, n - 1, mm, term)
+        core = self._pairing_core(self.delta_Nstar, True)  # reads (l_1..l_m, beta, h_1)
+        return self._block((n, mm), (n - 1, mm), [((*range(n + 1, n + mm + 2), 0), range(n, n + mm + 1), core)])
 
     def pihs(self, n, mm):
         """Contract l_m against <l_m(1), h_1(1)...h_n(1)>, act by l_m(2) on N*."""
-        f = self.f
+        core = self._acting_core(self.ddelta, self.lam_Nstar, False)  # reads (h_1..h_n, l_m, beta)
+        reads, writes = (*range(n), n + mm, n + mm + 1), (*range(n), n + mm)
+        return self._block((n, mm), (n, mm - 1), [(reads, writes, core)])
 
-        def term(hs, a, ls, beta):
-            for (ps, qs, c_h) in self.legs(hs):
-                prod = self.product(ps)
-                for (u, v, cm) in self.ddelta[ls[-1]]:
-                    c_pair = prod.get(u)
-                    if c_pair is None:
-                        continue
-                    for (alpha, cl) in self.lam_Nstar.get((v, beta), ()):
-                        yield qs + (a,) + ls[:-1] + (alpha,), f.mul(f.mul(c_h, cm), f.mul(c_pair, cl))
 
-        return self._assemble(n, mm, n, mm - 1, term)
+def _assemble(f, src_dims, dst_dims, pieces):
+    """The matrix src_dims -> dst_dims of a sum of pieces (reads, writes, core), see _SweedlerOps.
+
+    Each core runs once per value of the factors it reads, and its entries
+    are tiled over the pass-through offsets.  Plain + and * accumulate; the
+    constructor reduces, canonicalises and drops zeros.
+    """
+    src_stride, dst_stride = ([math.prod(ds[p + 1 :]) for p in range(len(ds))] for ds in (src_dims, dst_dims))
+    ent = {}
+    for reads, writes, core in pieces:
+        core_ent = {}
+        for vals in itertools.product(*[range(src_dims[p]) for p in reads]):
+            col = sum(v * src_stride[p] for v, p in zip(vals, reads))
+            for outs, c in core(vals):
+                key = (sum(o * dst_stride[q] for o, q in zip(outs, writes)), col)
+                core_ent[key] = core_ent.get(key, 0) + c
+        passed = [p for p in range(len(src_dims)) if p not in reads]
+        kept = [q for q in range(len(dst_dims)) if q not in writes]
+        for vals in itertools.product(*[range(src_dims[p]) for p in passed]):
+            ro = sum(v * dst_stride[q] for v, q in zip(vals, kept))
+            co = sum(v * src_stride[p] for v, p in zip(vals, passed))
+            for (r, c), v in core_ent.items():
+                key = (ro + r, co + c)
+                ent[key] = ent.get(key, 0) + v
+    return SparseMatrix(f, math.prod(dst_dims), math.prod(src_dims), ent)
+
+
+def _merge(mul, pos, t):
+    """The piece (-1)^(t+1) mul on the factors at pos and pos + 1 (bar and cobar)."""
+    sign = 1 if t % 2 else -1
+    return (pos, pos + 1), (pos,), lambda xy: [((k,), sign * c) for (k, c) in mul.get(xy, ())]
 
 
 def _sign_pow(f, exponent):
@@ -538,7 +533,14 @@ def yd_bidifferential(h, m, max_total_degree, check_inputs=True):
     cx = GradedComplex(
         h.field, line2.dims, d_blocks, dp_blocks, max_total_degree, meta={"kind": "yd_bidifferential"}
     )
-    return _verify_or_raise(cx)
+    # the swapped, negated identities are line 2's: d^2 and d'^2 trade places
+    passed = {c.name: c.passed for c in line2.bicomplex_report.checks}
+    swap = {"d_squared": "d_prime_squared", "d_prime_squared": "d_squared"}
+    rep = AxiomReport(line2.bicomplex_report.title)
+    for name in passed:
+        kind, k = name.split("@")
+        rep.add(name, passed[f"{swap.get(kind, kind)}@{k}"])
+    return _verify_or_raise(cx, rep)
 
 
 COMPLEX_LINES = (1, 2, 3, 4)
@@ -560,10 +562,8 @@ def coefficient_complex(h, m, n_mod, line, max_total_degree, check_inputs=True):
                 raise ValueError(f"module {tag} fails YD axioms: {rep.first_failure()}")
     ops = _SweedlerOps(h, m, n_mod)
     f = h.field
-    dims = {}
+    dims = {deg: math.prod(ops.comp_dims(*deg)) for deg in _bidegrees(max_total_degree)}
     d_blocks, dp_blocks = {}, {}
-    for (n, mm) in _bidegrees(max_total_degree):
-        dims[(n, mm)] = ops.comp_dim(n, mm)
     for (n, mm) in _bidegrees(max_total_degree):
         sgn_n = _sign_pow(f, n)
         sgn_nm = _sign_pow(f, n + mm)

@@ -1,12 +1,19 @@
 """Characters, braided differentials, Table-style complexes, homology dims."""
 
+import hashlib
 import itertools
+import json
+import math
+import os
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from braidalg import homology, io as bio
 from braidalg.homology import (
+    COMPLEX_LINES,
     BraidedCharacter,
     GradedComplex,
     InsufficientTruncationError,
@@ -25,7 +32,7 @@ from braidalg.hopf import cyclic_group_table, group_algebra, s3_table
 from braidalg.linalg import GF, QQ, SparseMatrix
 from braidalg.systems import BraidedSystem, build_yd_system, sigma_ass
 from braidalg.tensor import LinMap, identity
-from braidalg.yd import change_of_basis, dual_yd, regular_yd_group_algebra, unit_yd
+from braidalg.yd import YDModule, change_of_basis, dual_yd, regular_yd_group_algebra, unit_yd
 
 Z2_TABLE, Z2_NAMES = cyclic_group_table(2)
 
@@ -131,6 +138,43 @@ def test_yd_bidifferential_identities_trivial_and_regular():
     for module in (triv, m):
         cx = yd_bidifferential(b, module, 4)
         assert verify_bicomplex(cx).passed
+
+
+def test_yd_bidifferential_verifies_once_and_keeps_the_fresh_report(monkeypatch):
+    b, m, _ = z2_setup()
+    calls = []
+    real_verify = homology.verify_bicomplex
+    monkeypatch.setattr(homology, "verify_bicomplex", lambda c: calls.append(c) or real_verify(c))
+    cx = yd_bidifferential(b, m, 4)
+    assert len(calls) == 1 and calls[0] is not cx
+    fresh = real_verify(cx)
+    assert cx.bicomplex_report.title == fresh.title
+    assert cx.bicomplex_report.checks == fresh.checks
+
+
+def _swap_acting_module(b, reg):
+    """Every group element acts by the swap: d^2 of line 2 fails, its d'^2 holds."""
+    ent = {(1 - a, g * 2 + a): QQ.one for g in range(2) for a in range(2)}
+    lam = LinMap(reg.lam.domain, reg.lam.codomain, SparseMatrix(QQ, 2, 4, ent))
+    return YDModule(b, reg.space, lam, reg.delta)
+
+
+def test_yd_bidifferential_report_swaps_the_failing_identities(monkeypatch):
+    b, m, _ = z2_setup()
+    bad = _swap_acting_module(b, m)
+    with pytest.raises(AssertionError, match="bidifferential identities fail: d_squared@2"):
+        yd_bidifferential(b, bad, 3, check_inputs=False)
+    real_verify = homology.verify_bicomplex
+
+    def keep(c, rep=None):
+        c.bicomplex_report = real_verify(c) if rep is None else rep
+        return c
+
+    monkeypatch.setattr(homology, "_verify_or_raise", keep)
+    cx = yd_bidifferential(b, bad, 3, check_inputs=False)
+    fresh = real_verify(cx)
+    assert not fresh["d_prime_squared@2"].passed and fresh["d_squared@2"].passed
+    assert cx.bicomplex_report.checks == fresh.checks
 
 
 def test_yd_bidifferential_degree_zero_has_no_boundaries():
@@ -506,3 +550,124 @@ def test_generic_engine_rank_four_system():
                 assert g4.block("d_prime", (n, 1, 0, mm), (n - 1, 1, 0, mm)) == ycx.block(
                     "d_prime", (n, mm), (n - 1, mm)
                 )
+
+
+# -- the tiling primitive ------------------------------------------------------------
+
+
+def _tile_scalars(field):
+    # small raw values, unreduced over F_p and non-canonical over Q, so that
+    # repeated outputs of one core and of different pieces can cancel
+    if field.kind == "Q":
+        return st.one_of(st.integers(-2, 2), st.builds(Fraction, st.integers(-2, 2), st.sampled_from([1, 2])))
+    return st.integers(-2, 7)
+
+
+@st.composite
+def tiling_cases(draw):
+    field = draw(st.sampled_from([QQ, GF(5)]))
+    src_dims = draw(st.lists(st.integers(1, 3), min_size=0, max_size=4))
+    reads = draw(st.permutations(range(len(src_dims))))[: draw(st.integers(0, len(src_dims)))]
+    n_pass = len(src_dims) - len(reads)
+    write_dims = draw(st.lists(st.integers(1, 3), max_size=3))
+    writes = draw(st.permutations(range(n_pass + len(write_dims))))[: len(write_dims)]
+    dst_dims = [None] * (n_pass + len(write_dims))
+    for q, dim in zip(writes, write_dims):
+        dst_dims[q] = dim
+    passed = iter(src_dims[p] for p in range(len(src_dims)) if p not in reads)
+    dst_dims = [next(passed) if dim is None else dim for dim in dst_dims]
+    # the same layout twice (sums of pieces) and one piece that reads and writes every factor
+    layouts = [(reads, writes)] * draw(st.integers(1, 2))
+    if draw(st.booleans()):
+        layouts.append((draw(st.permutations(range(len(src_dims)))), draw(st.permutations(range(len(dst_dims))))))
+    pieces = []
+    for rd, wr in layouts:
+        table = {}
+        for vals in itertools.product(*[range(src_dims[p]) for p in rd]):
+            outs = st.tuples(*[st.integers(0, dst_dims[q] - 1) for q in wr])
+            table[vals] = draw(st.lists(st.tuples(outs, _tile_scalars(field)), max_size=3))
+        pieces.append((tuple(rd), tuple(wr), table))
+    return field, src_dims, dst_dims, pieces
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(tiling_cases())
+def test_assemble_equals_the_matrix_of_every_source_tuple(case):
+    field, src_dims, dst_dims, pieces = case
+    oracle = {}
+    for col, src in enumerate(itertools.product(*[range(d) for d in src_dims])):
+        for reads, writes, table in pieces:
+            passed = [src[p] for p in range(len(src_dims)) if p not in reads]
+            for outs, coeff in table[tuple(src[p] for p in reads)]:
+                dst, placed = list(passed), dict(zip(writes, outs))
+                dst = [placed[q] if q in placed else dst.pop(0) for q in range(len(dst_dims))]
+                row = 0
+                for i, d in zip(dst, dst_dims):
+                    row = row * d + i
+                oracle[row, col] = field.add(oracle.get((row, col), field.zero), coeff)
+    oracle = {k: v for k, v in oracle.items() if not field.is_zero(v)}
+    got = homology._assemble(
+        field, src_dims, dst_dims, [(r, w, lambda vals, t=table: t[vals]) for r, w, table in pieces]
+    )
+    assert (got.n_rows, got.n_cols) == (math.prod(dst_dims), math.prod(src_dims))
+    assert got.entries == oracle
+
+
+# -- pinned Sweedler blocks --------------------------------------------------------
+
+SWEEDLER_BLOCKS = os.path.join(os.path.dirname(__file__), "data", "sweedler_blocks.json")
+
+
+def _block_digest(blocks):
+    """SHA-256 of a block family: each (src, dst, shape) with its sorted (row, col, scalar) entries."""
+    h = hashlib.sha256()
+    for (src, dst), mat in sorted(blocks.items()):
+        h.update(repr((src, dst, mat.n_rows, mat.n_cols)).encode())
+        for (r, c), v in sorted(mat.entries.items()):
+            h.update(f"{r},{c},{v};".encode())
+    return h.hexdigest()
+
+
+def sweedler_block_digests():
+    """{case: digest} for every block the Sweedler engine builds on the pinned inputs.
+
+    kZ/2 over Q to degree 4, kZ/3 over F_7 to degree 3, kS3 over F_5 to
+    degree 2, and k^S3 (the dual of kS3, non-cocommutative) over F_5 to
+    degree 2; M and N regular or trivial; lines 1-4 (d and d'), the four
+    contraction families, and the explicit bidifferential.
+    """
+    t3, n3 = s3_table()
+    bases = [
+        ("kZ2-Q", *cyclic_group_table(2), QQ, 4, False),
+        ("kZ3-F7", *cyclic_group_table(3), GF(7), 3, False),
+        ("kS3-F5", t3, n3, GF(5), 2, False),
+        ("kS3dual-F5", t3, n3, GF(5), 2, True),
+    ]
+    out = {}
+    for tag, table, names, field, deg, dual in bases:
+        reg = regular_yd_group_algebra(table, names, field=field)
+        if dual:
+            reg = dual_yd(reg)
+        b = reg.base
+        mods = {"regular": reg, "trivial": unit_yd(b)}
+        for mname, m in mods.items():
+            cy = yd_bidifferential(b, m, deg)
+            out[f"{tag}/M={mname}/yd_bidifferential/d"] = _block_digest(cy.d_blocks)
+            out[f"{tag}/M={mname}/yd_bidifferential/d_prime"] = _block_digest(cy.dprime_blocks)
+            for nname, n_mod in mods.items():
+                case = f"{tag}/M={mname}/N={nname}"
+                for line in COMPLEX_LINES:
+                    cx = coefficient_complex(b, m, n_mod, line, deg)
+                    out[f"{case}/line{line}/d"] = _block_digest(cx.d_blocks)
+                    out[f"{case}/line{line}/d_prime"] = _block_digest(cx.dprime_blocks)
+                for fam, blocks in pi_maps(b, m, n_mod, deg).items():
+                    out[f"{case}/{fam}"] = _block_digest(blocks)
+    return out
+
+
+def test_sweedler_blocks_match_the_pinned_digests():
+    with open(SWEEDLER_BLOCKS) as fh:
+        pinned = json.load(fh)
+    got = sweedler_block_digests()
+    assert sorted(got) == sorted(pinned)
+    assert [k for k in sorted(got) if got[k] != pinned[k]] == []

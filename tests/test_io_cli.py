@@ -366,6 +366,20 @@ def test_cli_homology_report_deterministic(tmp_path):
     )
 
 
+def test_cli_homology_s3_line4_degree4_matches_the_golden_report(tmp_path):
+    # kS3 over Q, regular M, trivial N, line 4: d_3 is 648 x 5184 and the
+    # degree-4 Sweedler blocks are the largest the suite builds
+    h, m, t = (str(tmp_path / name) for name in ("s3.json", "m.json", "t.json"))
+    rep = tmp_path / "report.json"
+    run("gen", "group-algebra", "--group", "S3", "--field", "Q", "-o", h)
+    run("gen", "regular-yd", "--hopf", h, "-o", m)
+    run("gen", "trivial-yd", "--hopf", h, "-o", t)
+    code = run("homology", "--hopf", h, "--mod", m, "--coeff", t, "--line", "4", "--max-degree", "4", "-o", str(rep))
+    assert code == 0
+    golden = os.path.join(os.path.dirname(__file__), "data", "homology_s3_q_line4_deg4.json")
+    assert rep.read_bytes() == open(golden, "rb").read()
+
+
 def test_cli_homology_refuses_max_degree_below_one(tmp_path, capsys):
     h = str(tmp_path / "z2.json")
     t = str(tmp_path / "t.json")
