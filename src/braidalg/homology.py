@@ -283,7 +283,7 @@ def generic_differentials(s, zeta, xi, max_total_degree):
         for i, ki in enumerate(types, start=1):
             tgt = tuple(m - (1 if t == ki - 1 else 0) for t, m in enumerate(deg))
             # (-1)^(i-1) on both sides: i-1 crossings to the front; (-1)^(n-1) times n-i to the back
-            sign = _sign_pow(f, i - 1)
+            sign = -1 if (i - 1) % 2 else 1
             # left differential: braid factor i to the front, apply zeta
             if not zeta.component(ki).is_zero():
                 comp, ctx = braid_factor(s, types, i, front=True)
@@ -322,15 +322,16 @@ class _SweedlerOps:
     """Structure-constant expansions on T(H) (x) M (x) T(H*) (x) N*.
 
     Component bases are tuples (h_1..h_n, a, l_1..l_m, beta) linearised
-    with the left factor major.  Each map is a sum of pieces
-    (reads, writes, core): the core takes the values of the source factors
-    at positions ``reads`` and returns (outputs, coeff) pairs, the outputs
-    landing on the target positions ``writes``; every other factor passes
-    through unchanged and in order.  ``_assemble`` evaluates a core once
-    per value of the factors it reads and tiles the result over the
-    pass-through factors.  Everything is index arithmetic over structure
-    constants; no braiding machinery is involved, which keeps this path
-    independent of the generic engine.
+    with the left factor major.  Each map returns its list of pieces
+    (reads, writes, core), a given sign folded into the cores: the core
+    takes the values of the source factors at positions ``reads`` and
+    returns (outputs, coeff) pairs, the outputs landing on the target
+    positions ``writes``; every other factor passes through unchanged and
+    in order.  ``block`` hands the pieces of one or more maps to
+    ``_assemble``, which evaluates a core once per value of the factors it
+    reads and tiles the result over the pass-through factors.  Everything
+    is index arithmetic over structure constants; no braiding machinery is
+    involved, which keeps this path independent of the generic engine.
     """
 
     def __init__(self, h, m, n_mod):
@@ -399,21 +400,21 @@ class _SweedlerOps:
             for (x, y, cv) in (self.ddelta if dual else self.comul)[idxs[-1]]
         ]
 
-    def _pairing_core(self, coact, dual):
-        """Core (i_1..i_k, o, x) -> [(first legs + (o',), coeff)]: <e_x, second legs . w>, (o', w) in coact[o]."""
+    def _pairing_core(self, coact, dual, sign):
+        """Core (i_1..i_k, o, x) -> [(first legs + (o',), sign coeff)]: <e_x, second legs . w>, (o', w) in coact[o]."""
 
         def build(idxs, o):
             table = {}
             for (ps, qs, c_h) in self.legs(idxs, dual):
                 for (o_out, w, c) in coact[o]:
                     for x, c_pair in self.product(qs + (w,), dual).items():
-                        table.setdefault(x, []).append((ps + (o_out,), c_h * c * c_pair))
+                        table.setdefault(x, []).append((ps + (o_out,), sign * c_h * c * c_pair))
             return table
 
-        return lambda vals: self._once(("pairing", dual, vals[:-1]), build, vals[:-2], vals[-2]).get(vals[-1], ())
+        return lambda vals: self._once(("pairing", dual, sign, vals[:-1]), build, vals[:-2], vals[-2]).get(vals[-1], ())
 
-    def _acting_core(self, coprod, act, dual):
-        """Core (i_1..i_k, j, b) -> [(second legs + (b',), coeff)]: <first legs, j(1)>, j(2) acting on b."""
+    def _acting_core(self, coprod, act, dual, sign):
+        """Core (i_1..i_k, j, b) -> [(second legs + (b',), sign coeff)]: <first legs, j(1)>, j(2) acting on b."""
 
         def build(idxs):
             table = {}
@@ -425,7 +426,7 @@ class _SweedlerOps:
         def core(vals):
             paired = self._once(("acting", dual, vals[:-2]), build, vals[:-2])
             return [
-                (qs + (b_out,), c * cj * ca)
+                (qs + (b_out,), sign * c * cj * ca)
                 for (x, y, cj) in coprod[vals[-2]]
                 for (qs, c) in paired.get(x, ())
                 for (b_out, ca) in act.get((y, vals[-1]), ())
@@ -436,40 +437,39 @@ class _SweedlerOps:
     def comp_dims(self, n, mm):
         return [self.dH] * n + [self.dM] + [self.dH] * mm + [self.dN]
 
-    def _block(self, src, dst, pieces):
+    def block(self, src, dst, pieces):
+        """The matrix src -> dst (bidegrees) of a sum of pieces."""
         return _assemble(self.f, self.comp_dims(*src), self.comp_dims(*dst), pieces)
 
-    # -- the six primitive maps ------------------------------------------
+    # -- the six primitive maps, as pieces --------------------------------
 
     def bar(self, n, mm):
-        """sum_t (-1)^t (merge h_t h_{t+1}); zero for n < 2."""
-        return self._block((n, mm), (n - 1, mm), [_merge(self.mul, t, t) for t in range(n - 1)])
+        """sum_t (-1)^t (merge h_t h_{t+1}); no pieces for n < 2."""
+        return [_merge(self.mul, t, t, 1) for t in range(n - 1)]
 
-    def cob(self, n, mm):
-        """sum_t (-1)^t (merge l_t l_{t+1}); zero for m < 2."""
-        return self._block((n, mm), (n, mm - 1), [_merge(self.dmul, n + 1 + t, t) for t in range(mm - 1)])
+    def cob(self, n, mm, sign=1):
+        """sign sum_t (-1)^t (merge l_t l_{t+1}); no pieces for m < 2."""
+        return [_merge(self.dmul, n + 1 + t, t, sign) for t in range(mm - 1)]
 
-    def hspi(self, n, mm):
+    def hspi(self, n, mm, sign=1):
         """Contract l_1 against <l_1, h_1(2)...h_n(2).a_(1)>; keeps first legs."""
-        core = self._pairing_core(self.coactM, False)  # reads (h_1..h_n, a, l_1)
-        return self._block((n, mm), (n, mm - 1), [(range(n + 2), range(n + 1), core)])
+        core = self._pairing_core(self.coactM, False, sign)  # reads (h_1..h_n, a, l_1)
+        return [(range(n + 2), range(n + 1), core)]
 
-    def pih(self, n, mm):
+    def pih(self, n, mm, sign=1):
         """Contract h_n against <l_1(1)...l_m(1), h_n(1)>, act by h_n(2) on M."""
-        core = self._acting_core(self.comul, self.actM, True)  # reads (l_1..l_m, h_n, a)
-        reads, writes = (*range(n + 1, n + mm + 1), n - 1, n), (*range(n, n + mm), n - 1)
-        return self._block((n, mm), (n - 1, mm), [(reads, writes, core)])
+        core = self._acting_core(self.comul, self.actM, True, sign)  # reads (l_1..l_m, h_n, a)
+        return [((*range(n + 1, n + mm + 1), n - 1, n), (*range(n, n + mm), n - 1), core)]
 
     def hpi(self, n, mm):
         """Contract h_1 against <l_1(2)...l_m(2).b_(1), h_1>."""
-        core = self._pairing_core(self.delta_Nstar, True)  # reads (l_1..l_m, beta, h_1)
-        return self._block((n, mm), (n - 1, mm), [((*range(n + 1, n + mm + 2), 0), range(n, n + mm + 1), core)])
+        core = self._pairing_core(self.delta_Nstar, True, 1)  # reads (l_1..l_m, beta, h_1)
+        return [((*range(n + 1, n + mm + 2), 0), range(n, n + mm + 1), core)]
 
-    def pihs(self, n, mm):
+    def pihs(self, n, mm, sign=1):
         """Contract l_m against <l_m(1), h_1(1)...h_n(1)>, act by l_m(2) on N*."""
-        core = self._acting_core(self.ddelta, self.lam_Nstar, False)  # reads (h_1..h_n, l_m, beta)
-        reads, writes = (*range(n), n + mm, n + mm + 1), (*range(n), n + mm)
-        return self._block((n, mm), (n, mm - 1), [(reads, writes, core)])
+        core = self._acting_core(self.ddelta, self.lam_Nstar, False, sign)  # reads (h_1..h_n, l_m, beta)
+        return [((*range(n), n + mm, n + mm + 1), (*range(n), n + mm), core)]
 
 
 def _assemble(f, src_dims, dst_dims, pieces):
@@ -499,14 +499,10 @@ def _assemble(f, src_dims, dst_dims, pieces):
     return SparseMatrix(f, math.prod(dst_dims), math.prod(src_dims), ent)
 
 
-def _merge(mul, pos, t):
-    """The piece (-1)^(t+1) mul on the factors at pos and pos + 1 (bar and cobar)."""
-    sign = 1 if t % 2 else -1
+def _merge(mul, pos, t, sign):
+    """The piece sign (-1)^(t+1) mul on the factors at pos and pos + 1 (bar and cobar)."""
+    sign = sign if t % 2 else -sign
     return (pos, pos + 1), (pos,), lambda xy: [((k,), sign * c) for (k, c) in mul.get(xy, ())]
-
-
-def _sign_pow(f, exponent):
-    return f.neg(f.one) if exponent % 2 else f.one
 
 
 def _bidegrees(max_total):
@@ -565,22 +561,22 @@ def coefficient_complex(h, m, n_mod, line, max_total_degree, check_inputs=True):
     dims = {deg: math.prod(ops.comp_dims(*deg)) for deg in _bidegrees(max_total_degree)}
     d_blocks, dp_blocks = {}, {}
     for (n, mm) in _bidegrees(max_total_degree):
-        sgn_n = _sign_pow(f, n)
-        sgn_nm = _sign_pow(f, n + mm)
+        sgn_n = -1 if n % 2 else 1
+        sgn_nm = -1 if (n + mm) % 2 else 1
         if n >= 1:
-            mat = ops.bar(n, mm)
+            pieces = ops.bar(n, mm)
             if line in (2, 4):
-                mat = mat + ops.pih(n, mm).scale(sgn_n)
+                pieces += ops.pih(n, mm, sgn_n)
             if line in (3, 4):
-                mat = mat + ops.hpi(n, mm)
-            d_blocks[((n, mm), (n - 1, mm))] = mat
+                pieces += ops.hpi(n, mm)
+            d_blocks[((n, mm), (n - 1, mm))] = ops.block((n, mm), (n - 1, mm), pieces)
         if mm >= 1:
-            mat = ops.cob(n, mm).scale(sgn_n)
+            pieces = ops.cob(n, mm, sgn_n)
             if line in (2, 4):
-                mat = mat + ops.hspi(n, mm).scale(sgn_n)
+                pieces += ops.hspi(n, mm, sgn_n)
             if line in (3, 4):
-                mat = mat + ops.pihs(n, mm).scale(sgn_nm)
-            dp_blocks[((n, mm), (n, mm - 1))] = mat
+                pieces += ops.pihs(n, mm, sgn_nm)
+            dp_blocks[((n, mm), (n, mm - 1))] = ops.block((n, mm), (n, mm - 1), pieces)
     cx = GradedComplex(
         f, dims, d_blocks, dp_blocks, max_total_degree, meta={"kind": "coefficient", "line": line}
     )
@@ -591,13 +587,16 @@ def pi_maps(h, m, n_mod, max_total_degree):
     """The four contraction maps as block families, unsigned."""
     ops = _SweedlerOps(h, m, n_mod)
     fams = {"hspi": {}, "pihs": {}, "pih": {}, "hpi": {}}
-    for (n, mm) in _bidegrees(max_total_degree):
+    for src in _bidegrees(max_total_degree):
+        n, mm = src
         if mm >= 1:
-            fams["hspi"][((n, mm), (n, mm - 1))] = ops.hspi(n, mm)
-            fams["pihs"][((n, mm), (n, mm - 1))] = ops.pihs(n, mm)
+            dst = (n, mm - 1)
+            fams["hspi"][(src, dst)] = ops.block(src, dst, ops.hspi(n, mm))
+            fams["pihs"][(src, dst)] = ops.block(src, dst, ops.pihs(n, mm))
         if n >= 1:
-            fams["pih"][((n, mm), (n - 1, mm))] = ops.pih(n, mm)
-            fams["hpi"][((n, mm), (n - 1, mm))] = ops.hpi(n, mm)
+            dst = (n - 1, mm)
+            fams["pih"][(src, dst)] = ops.block(src, dst, ops.pih(n, mm))
+            fams["hpi"][(src, dst)] = ops.block(src, dst, ops.hpi(n, mm))
     return fams
 
 

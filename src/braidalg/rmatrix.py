@@ -24,7 +24,7 @@ from .hopf import Bialgebra, check_bialgebra, mu_on_tensor, mu_tensor_square, op
 from .linalg import SparseMatrix
 from .report import AxiomReport
 from .tensor import LinMap, compose_chain, flip, identity
-from .yd import YDModule, yd_braiding
+from .yd import YDModule, _check_two_sided_inverse, yd_braiding
 
 
 class AntipodeMissingError(ValueError):
@@ -168,12 +168,7 @@ def r_braiding(m, n, r):
                 r.inverse.tensor(flip(N, M, f)),
             ]
         )
-        left = c_inv.compose(c)
-        right = c.compose(c_inv)
-        ok = left.matrix == SparseMatrix.identity(f, left.matrix.n_rows) and right.matrix == SparseMatrix.identity(
-            f, right.matrix.n_rows
-        )
-        if not ok:
+        if not _check_two_sided_inverse(c, c_inv):
             c_inv = None
     return c, c_inv
 

@@ -26,11 +26,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .hopf import Bialgebra, UAA, check_bialgebra, dual_bialgebra
+from .hopf import Bialgebra, check_bialgebra, dual_bialgebra
 from .linalg import SparseMatrix, inverse as matrix_inverse, rank as matrix_rank
 from .report import AxiomReport
-from .tensor import LinMap, Space, compose_chain, embed_at, flip, identity
-from .yd import YDModule, YDModuleAlgebra, check_yd, tensor_space
+from .tensor import LinMap, Space, compose_chain, embed_at, evaluation, identity
+from .yd import YDModule, YDModuleAlgebra, check_yd, ring_braiding, tensor_space
 
 
 @dataclass
@@ -99,7 +99,8 @@ def check_braided_morphism(fs, src, dst):
 
 
 def sigma_ass(uaa, side="left"):
-    """Associativity braiding of a UAA: left x(x)y -> 1(x)xy, right -> xy(x)1."""
+    """Associativity braiding of a UAA (any object with mu and nu, such as a YD
+    module algebra): left x(x)y -> 1(x)xy, right -> xy(x)1."""
     if side not in ("left", "right"):
         raise ValueError(f"unknown side {side!r}")
     if side == "left":
@@ -115,19 +116,30 @@ def dual_action(b, dual=None):
     f = b.field
     if dual is None:
         dual = dual_bialgebra(b)
-    H, Hs = b.space, dual.space
-    d = b.dim
-    # ev: H (x) H* -> k
-    ev_ent = {(0, i * d + i): f.one for i in range(d)}
-    ev = LinMap((H, Hs), (), SparseMatrix(f, 1, d * d, ev_ent))
-    return ev.tensor(identity([Hs], f)).compose(identity([H], f).tensor(dual.delta))
+    ev = evaluation(b.space, f)[1]  # H (x) H* -> k
+    return ev.tensor(identity([dual.space], f)).compose(identity([b.space], f).tensor(dual.delta))
 
 
-def ring_braiding(delta_x, lam_y, f):
-    """c o (Id (x) lam_Y) o (delta_X (x) Id): X (x) Y -> Y (x) X."""
-    X = delta_x.domain[0]
-    Y = lam_y.codomain[0]
-    return compose_chain([flip(X, Y, f), identity([X], f).tensor(lam_y), delta_x.tensor(identity([Y], f))])
+def yd_sigmas(h, dual, lam_dual, mods, variant):
+    """sigma_{i,j} of (H, M_1..M_r, H*) as in the module docstring.
+
+    ``dual`` is ``dual_bialgebra(h)`` and ``lam_dual`` is ``dual_action(h,
+    dual)``; both depend on h alone, so a caller building many systems over
+    one h builds them once.  ``mods`` are YD modules (variant "yd") or YD
+    module algebras (variant "ydalg"); no axioms are assumed.
+    """
+    f = h.field
+    yds = [m.yd if isinstance(m, YDModuleAlgebra) else m for m in mods]
+    n = len(mods) + 2
+    coaction = [h.delta] + [m.delta for m in yds]  # of components 1..n-1 (H coacts on itself via Delta)
+    action = [m.lam for m in yds] + [lam_dual]  # of components 2..n
+    sigma = {(1, 1): sigma_ass(h, "right"), (n, n): sigma_ass(dual, "left")}
+    for t, m in enumerate(mods, start=2):
+        sigma[(t, t)] = identity([m.space, m.space], f) if variant == "yd" else sigma_ass(m, "left")
+    for i in range(1, n):
+        for j in range(i + 1, n + 1):
+            sigma[(i, j)] = ring_braiding(coaction[i - 1], action[j - 2], f)
+    return sigma
 
 
 @dataclass
@@ -140,7 +152,7 @@ class YDSystem(BraidedSystem):
     variant: str = "yd"
 
 
-def build_yd_system(h, mods, variant="yd", h_side="right", dual_side="left", mod_side="left", check=True):
+def build_yd_system(h, mods, variant="yd", check=True):
     """The rank r+2 braided system (H, M_1..M_r, H*).
 
     variant "yd" takes plain YD modules and uses identity diagonals on them;
@@ -163,35 +175,8 @@ def build_yd_system(h, mods, variant="yd", h_side="right", dual_side="left", mod
         raise TypeError("variant 'ydalg' needs YDModuleAlgebra inputs")
 
     dual = dual_bialgebra(h)
-    lam_dual = dual_action(h, dual)
-    yds = [m.yd if isinstance(m, YDModuleAlgebra) else m for m in mods]
-    r = len(yds)
-    components = (h.space,) + tuple(m.space for m in yds) + (dual.space,)
-    n = r + 2
-    sigma = {}
-    # coactions indexed like components (H coacts on itself via Delta)
-    coaction = {1: h.delta}
-    action = {n: lam_dual}
-    for t, m in enumerate(yds, start=2):
-        coaction[t] = m.delta
-        action[t] = m.lam
-    # diagonals
-    sigma[(1, 1)] = sigma_ass(h.as_uaa(), h_side)
-    sigma[(n, n)] = sigma_ass(dual.as_uaa(), dual_side)
-    for t, m in enumerate(mods, start=2):
-        if variant == "yd":
-            sp = yds[t - 2].space
-            sigma[(t, t)] = identity([sp, sp], f)
-        else:
-            sigma[(t, t)] = sigma_ass(UAA(m.space, m.mu, m.nu), mod_side)
-    # off-diagonals: the rotated YD braiding built from delta_i and lam_j
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            lam_j = action.get(j)
-            delta_i = coaction.get(i)
-            if lam_j is None or delta_i is None:
-                raise AssertionError("missing structure for off-diagonal braiding")
-            sigma[(i, j)] = ring_braiding(delta_i, lam_j, f)
+    components = (h.space,) + tuple(m.space for m in mods) + (dual.space,)
+    sigma = yd_sigmas(h, dual, dual_action(h, dual), mods, variant)
     sys = YDSystem(components, sigma, f, bialgebra=h, dual=dual, modules=tuple(mods), variant=variant)
     if check:
         rep = verify_cybe(sys)
@@ -377,25 +362,6 @@ _PRECISION_CHECKS = {
 }
 
 
-def precision_sigmas(h, dual, lam_dual, v, lam, delta, mu, nu):
-    """The r=1 braiding components for arbitrary (lam, delta, mu, nu) on V.
-
-    ``dual`` is ``dual_bialgebra(h)`` and ``lam_dual`` is ``dual_action(h,
-    dual)``; both depend on h alone, so a caller running many trials builds
-    them once.  No axioms are assumed; this feeds the equivalence harness.
-    """
-    f = h.field
-    sigma = {
-        (1, 1): sigma_ass(h.as_uaa(), "right"),
-        (2, 2): nu.tensor(mu),
-        (3, 3): sigma_ass(dual.as_uaa(), "left"),
-        (1, 2): ring_braiding(h.delta, lam, f),
-        (1, 3): ring_braiding(h.delta, lam_dual, f),
-        (2, 3): ring_braiding(delta, lam_dual, f),
-    }
-    return BraidedSystem((h.space, v, dual.space), sigma, f)
-
-
 def precision_harness(h, dual, lam_dual, v, lam, delta, mu, nu):
     """Row-by-row equivalence "cYBE instance <=> structure axiom".
 
@@ -403,10 +369,13 @@ def precision_harness(h, dual, lam_dual, v, lam, delta, mu, nu):
     condition, the cYBE instance, and the axiom.  Axioms and side
     conditions are read from one ``check_yd(..., "yd_algebra")`` report.
     Whenever the side condition is met the last two are asserted equal.
-    ``dual`` and ``lam_dual`` are as in ``precision_sigmas``.
+    The cYBE instances are those of the system ``build_yd_system`` builds
+    from (v, lam, delta, mu, nu) with variant "ydalg"; ``dual`` and
+    ``lam_dual`` are as in ``yd_sigmas``.
     """
-    sys = precision_sigmas(h, dual, lam_dual, v, lam, delta, mu, nu)
-    axioms = check_yd(YDModuleAlgebra(YDModule(h, v, lam, delta), mu, nu), "yd_algebra")
+    alg = YDModuleAlgebra(YDModule(h, v, lam, delta), mu, nu)
+    sys = BraidedSystem((h.space, v, dual.space), yd_sigmas(h, dual, lam_dual, [alg], "ydalg"), h.field)
+    axioms = check_yd(alg, "yd_algebra")
     passed = {c.name: c.passed for c in axioms.checks}
     rep = AxiomReport("precision harness (cYBE <=> axiom)")
     rows = []

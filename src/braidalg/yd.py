@@ -185,6 +185,13 @@ def _check_two_sided_inverse(c, c_inv):
     )
 
 
+def ring_braiding(delta_x, lam_y, f):
+    """c o (Id (x) lam_Y) o (delta_X (x) Id): X (x) Y -> Y (x) X."""
+    X = delta_x.domain[0]
+    Y = lam_y.codomain[0]
+    return compose_chain([flip(X, Y, f), identity([X], f).tensor(lam_y), delta_x.tensor(identity([Y], f))])
+
+
 def yd_braiding(m, n, variant="standard"):
     """The YD braiding c_{M,N}: M (x) N -> N (x) M, plus a verified inverse.
 
@@ -205,7 +212,7 @@ def yd_braiding(m, n, variant="standard"):
     if variant == "standard":
         c = compose_chain([id_N.tensor(m.lam), n.delta.tensor(id_M), flip(M, N, f)])
     else:
-        c = compose_chain([flip(M, N, f), id_M.tensor(n.lam), m.delta.tensor(id_N)])
+        c = ring_braiding(m.delta, n.lam, f)
     c_inv = None
     if b.antipode is not None:
         s = b.antipode

@@ -389,3 +389,40 @@ def test_rational_parse_accepts_exactly_what_fraction_accepts(text):
         got = QQ.parse(text)
         assert got == expected
         assert_canonical(QQ, [got])
+
+
+# -- the product laws every sigma composite relies on ---------------------------
+
+
+def matrices(field, rows, cols):
+    """Random rows x cols matrices, one raw scalar per cell (zero or unreduced among them)."""
+    values = q_scalars() if field.kind == "Q" else scalars(field)
+    cells = st.lists(values, min_size=rows * cols, max_size=rows * cols)
+    return cells.map(lambda vs: SparseMatrix(field, rows, cols, {divmod(t, cols): v for t, v in enumerate(vs)}))
+
+
+PRODUCT_FIELDS = st.sampled_from((QQ, GF(5)))
+SIDES = st.integers(1, 3)
+
+
+@PROPERTY_SETTINGS
+@given(PRODUCT_FIELDS, st.lists(SIDES, min_size=4, max_size=4), st.data())
+def test_matmul_is_associative(f, dims, data):
+    a, b, c = (data.draw(matrices(f, r, k)) for r, k in zip(dims, dims[1:]))
+    assert (a @ b) @ c == a @ (b @ c)
+
+
+@PROPERTY_SETTINGS
+@given(PRODUCT_FIELDS, st.lists(SIDES, min_size=6, max_size=6), st.data())
+def test_kronecker_is_associative_on_random_shapes(f, dims, data):
+    a, b, c = (data.draw(matrices(f, dims[2 * t], dims[2 * t + 1])) for t in range(3))
+    assert kronecker(kronecker(a, b), c) == kronecker(a, kronecker(b, c))
+
+
+@PROPERTY_SETTINGS
+@given(PRODUCT_FIELDS, st.lists(SIDES, min_size=6, max_size=6), st.data())
+def test_mixed_product_of_kronecker_and_matmul(f, dims, data):
+    """(A (x) B) @ (C (x) D) = (A @ C) (x) (B @ D) for A: n x k, C: k x l, B: p x q, D: q x r."""
+    n, k, l, p, q, r = dims
+    a, c, b, d = (data.draw(matrices(f, *shape)) for shape in ((n, k), (k, l), (p, q), (q, r)))
+    assert kronecker(a, b) @ kronecker(c, d) == kronecker(a @ c, b @ d)

@@ -23,6 +23,8 @@ from braidalg.systems import (
 )
 from braidalg.tensor import LinMap, Space, compose_chain, flip, identity
 from braidalg.yd import (
+    YDModule,
+    YDModuleAlgebra,
     check_yd,
     formal_unit_extend,
     regular_yd_group_algebra,
@@ -392,6 +394,37 @@ def test_precision_harness_random_equivalence():
             seen_false[r["row"]] |= not r["axiom"]
     assert all(seen_true.values())
     assert all(seen_false.values()), seen_false
+
+
+def test_precision_harness_checks_the_system_build_yd_system_builds():
+    """Each row's cybe flag equals the same triple's cYBE check on the
+    "ydalg" system build_yd_system builds from the same data; the data
+    fails axioms, and every other trial a side condition may fail too."""
+    F = GF(5)
+    rng = random.Random(13)
+    seen = set()
+    cases = ((Z2_TABLE, Z2_NAMES, 2, 12), (Z2_TABLE, Z2_NAMES, 3, 6), (S3_TABLE, S3_NAMES, 2, 4))
+    for table, names, dim, trials in cases:
+        b = group_algebra(table, names, field=F)
+        dual = dual_bialgebra(b)
+        lam_dual = dual_action(b, dual)
+        for trial in range(trials):
+            v, lam, delta, mu, nu = random_precision_data(b, dim, rng)
+            if trial % 2:
+                m = rng.choice((lam, delta, mu))
+                shape = (m.matrix.n_rows, m.matrix.n_cols)
+                bump = SparseMatrix(F, *shape, {(rng.randrange(shape[0]), rng.randrange(shape[1])): 1})
+                m_bumped = LinMap(m.domain, m.codomain, m.matrix + bump)
+                lam, delta, mu = (m_bumped if x is m else x for x in (lam, delta, mu))
+            _rep, rows = precision_harness(b, dual, lam_dual, v, lam, delta, mu, nu)
+            alg = YDModuleAlgebra(YDModule(b, v, lam, delta), mu, nu)
+            built = verify_cybe(build_yd_system(b, [alg], "ydalg", check=False))
+            for r in rows:
+                assert r["cybe"] == built["cYBE({},{},{})".format(*r["triple"])].passed, (b.dim, dim, trial, r)
+                seen.add((r["cybe"], r["side"]))
+    # both flags, and an axiom failing with its side condition met
+    assert {(True, True), (False, True)} <= seen, seen
+    assert any(not side for _cybe, side in seen), seen
 
 
 def test_precision_sampling_needs_prime_field():

@@ -238,7 +238,8 @@ def test_random_valid_module_comodule_yd_iff_braiding_instance():
     """For valid module+comodule data, the YD axiom holds exactly when the
     mixed braiding instance on H (x) M (x) H* does (cross-validated with
     the precision harness)."""
-    from braidalg.systems import cybe_instance, dual_action, precision_sigmas
+    from braidalg.systems import BraidedSystem, cybe_instance, dual_action, yd_sigmas
+    from braidalg.yd import YDModuleAlgebra
 
     F = GF(5)
     b = group_algebra(Z2_TABLE, Z2_NAMES, field=F)
@@ -275,7 +276,8 @@ def test_random_valid_module_comodule_yd_iff_braiding_instance():
         assert rep["action_associativity"].passed and rep["coaction_coassociativity"].passed
         mu = LinMap((M, M), (M,), SparseMatrix(F, dim, dim * dim))
         nu = LinMap((), (M,), SparseMatrix(F, dim, 1, {(0, 0): F.one}))
-        sys = precision_sigmas(b, dual, lam_dual, M, lam, delta, mu, nu)
+        sigma = yd_sigmas(b, dual, lam_dual, [YDModuleAlgebra(m, mu, nu)], "ydalg")
+        sys = BraidedSystem((b.space, M, dual.space), sigma, F)
         lhs, rhs = cybe_instance(sys, 1, 2, 3)
         assert rep.passed == (lhs.matrix == rhs.matrix)
         hits[rep.passed] += 1
