@@ -32,8 +32,8 @@ print(check_yd(M, "yd"))
 c, c_inv = yd_braiding(M, M, "standard")
 # on group elements: h (x) g  |->  g (x) g h g^{-1}
 i12, i13, i23 = names.index("(12)"), names.index("(13)"), names.index("(23)")
-col = i13 * 6 + i12  # (13) (x) (12)
-print("\nc((13) (x) (12)) hits (12) (x) (23):", c.matrix.get(i12 * 6 + i23, col) == QQ.one)
+# terms() lists c as (output basis tuple, input basis tuple, coefficient)
+print("\nc((13) (x) (12)) hits (12) (x) (23):", ((i12, i23), (i13, i12), QQ.one) in c.terms())
 
 idm = identity([M.space], QQ)
 lhs = compose_chain([c.tensor(idm), idm.tensor(c), c.tensor(idm)])

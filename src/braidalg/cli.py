@@ -33,7 +33,7 @@ class InputError(Exception):
 
 
 def _parse_field(text):
-    if text is None or text == "Q":
+    if text == "Q":
         return QQ
     if text.startswith("Fp:"):
         try:
@@ -56,7 +56,6 @@ def _relref(target, out_path):
 
 
 def cmd_gen(args):
-    field = _parse_field(args.field)
     if args.what == "group-algebra":
         spec = args.group
         if spec[0] == "table":
@@ -74,7 +73,7 @@ def cmd_gen(args):
         else:
             raise InputError(f"bad --group arguments {spec}")
         try:
-            b = group_algebra(table, names=names, field=field)
+            b = group_algebra(table, names=names, field=_parse_field(args.field))
         except ValueError as e:
             raise InputError(f"not a group table: {e}") from None
         bio.save_bialgebra(args.output, b)
@@ -321,7 +320,6 @@ def build_parser():
     for name in ("regular-yd", "trivial-yd"):
         gm = gs.add_parser(name)
         gm.add_argument("--hopf", required=True)
-        gm.add_argument("--field", default=None, help=argparse.SUPPRESS)
         gm.add_argument("-o", "--output", required=True)
         gm.set_defaults(func=cmd_gen)
 

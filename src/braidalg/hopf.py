@@ -22,8 +22,10 @@ from .report import AxiomReport
 from .tensor import (
     LinMap,
     Space,
+    basis,
     compose_chain,
     flip,
+    from_terms,
     identity,
     permutation_map,
     rainbow_dual,
@@ -125,38 +127,25 @@ def solve_antipode(b, detail=False):
     against the right half (a one-sided convolution inverse need not be
     two-sided).
     """
-    f = b.field
-    d = b.dim
-    mu_m, delta_m = b.mu.matrix, b.delta.matrix
-    # unknown u = c*d + a  <->  s[c, a]  (s maps e_a to sum_c s[c,a] e_c)
-    ent = {}
-    for (ab, j), dv in delta_m.entries.items():
-        a, bb = divmod(ab, d)
-        for (i, cb), mv in mu_m.entries.items():
-            c, b2 = divmod(cb, d)
-            if b2 != bb:
-                continue
-            key = (i * d + j, c * d + a)
-            s = f.add(ent.get(key, f.zero), f.mul(dv, mv))
-            if f.is_zero(s):
-                ent.pop(key, None)
-            else:
-                ent[key] = s
-    system = SparseMatrix(f, d * d, d * d, ent)
-    nu_eps = b.nu.compose(b.eps).matrix
-    rhs = [nu_eps.get(i, j) for i in range(d) for j in range(d)]
     from .linalg import solve_linear
 
-    x = solve_linear(system, rhs)
+    f = b.field
+    H = b.space
+    # unknown (c, a) is s[c, a], the coefficient of e_c in s(e_a); equation (i, j) is the
+    # coefficient of e_i in mu (s (x) Id) Delta(e_j) = sum s[c, a] Delta[a, bb; j] mu[i; c, bb]
+    mu_terms = b.mu.terms()
+    terms = (
+        ((i, j), (c, a), dv * mv)
+        for (a, bb), (j,), dv in b.delta.terms()
+        for (i,), (c, b2), mv in mu_terms
+        if b2 == bb
+    )
+    system = from_terms((H, H), (H, H), terms, f)
+    nu_eps = b.nu.compose(b.eps).matrix
+    x = solve_linear(system.matrix, [nu_eps.get(i, j) for i, j in basis((H, H))])
     if x is None:
         return (None, "left antipode system inconsistent") if detail else None
-    s_ent = {}
-    for c in range(d):
-        for a in range(d):
-            v = x[c * d + a]
-            if not f.is_zero(v):
-                s_ent[(c, a)] = v
-    s = LinMap((b.space,), (b.space,), SparseMatrix(f, d, d, s_ent))
+    s = from_terms((H,), (H,), (((c,), (a,), v) for (c, a), v in zip(basis((H, H)), x)), f)
     id_H = identity([b.space], f)
     right = compose_chain([b.mu, id_H.tensor(s), b.delta])
     if right.matrix != b.nu.compose(b.eps).matrix:
@@ -240,42 +229,31 @@ def _validate_table(table, need_inverses):
     return e, inv
 
 
-def _grouplike_bialgebra(table, field, names, label):
+def _grouplike_bialgebra(table, e, field, names, label):
+    """mu(g (x) h) = gh, nu = e, Delta(g) = g (x) g, eps(g) = 1 on the basis of a monoid table."""
     n = len(table)
     space = Space(n, label, tuple(names) if names else None)
-    mu = LinMap(
-        (space, space),
-        (space,),
-        SparseMatrix(field, n, n * n, {(table[i][j], i * n + j): field.one for i in range(n) for j in range(n)}),
-    )
-    delta = LinMap(
-        (space,),
-        (space, space),
-        SparseMatrix(field, n * n, n, {(i * n + i, i): field.one for i in range(n)}),
-    )
-    eps = LinMap((space,), (), SparseMatrix(field, 1, n, {(0, i): field.one for i in range(n)}))
-    return space, mu, delta, eps
+    one = field.one
+    products = (((table[i][j],), (i, j), one) for i in range(n) for j in range(n))
+    mu = from_terms((space, space), (space,), products, field)
+    nu = from_terms((), (space,), [((e,), (), one)], field)
+    delta = from_terms((space,), (space, space), (((i, i), (i,), one) for i in range(n)), field)
+    eps = from_terms((space,), (), (((), (i,), one) for i in range(n)), field)
+    return space, mu, nu, delta, eps
 
 
 def group_algebra(table, names=None, field=QQ, label="H"):
     """Hopf algebra kG of a finite group given by its multiplication table."""
     e, inv = _validate_table(table, need_inverses=True)
-    n = len(table)
-    space, mu, delta, eps = _grouplike_bialgebra(table, field, names, label)
-    nu = LinMap((), (space,), SparseMatrix(field, n, 1, {(e, 0): field.one}))
-    antipode = LinMap(
-        (space,), (space,), SparseMatrix(field, n, n, {(inv[i], i): field.one for i in range(n)})
-    )
+    space, mu, nu, delta, eps = _grouplike_bialgebra(table, e, field, names, label)
+    antipode = from_terms((space,), (space,), (((inv[i],), (i,), field.one) for i in range(len(table))), field)
     return Bialgebra(space, mu, nu, delta, eps, antipode)
 
 
 def monoid_algebra(table, names=None, field=QQ, label="H"):
     """Bialgebra of a finite monoid; carries no antipode field."""
     e, _ = _validate_table(table, need_inverses=False)
-    n = len(table)
-    space, mu, delta, eps = _grouplike_bialgebra(table, field, names, label)
-    nu = LinMap((), (space,), SparseMatrix(field, n, 1, {(e, 0): field.one}))
-    return Bialgebra(space, mu, nu, delta, eps, antipode=None)
+    return Bialgebra(*_grouplike_bialgebra(table, e, field, names, label), antipode=None)
 
 
 def group_table_from_bialgebra(b):
@@ -287,20 +265,21 @@ def group_table_from_bialgebra(b):
     """
     f = b.field
     d = b.dim
+    delta = {(out, inp): v for out, inp, v in b.delta.terms()}
     for i in range(d):
-        if b.delta.matrix.get(i * d + i, i) != f.one:
+        if delta.get(((i, i), (i,))) != f.one:
             raise ValueError(f"basis vector {i} is not grouplike")
         if b.eps.matrix.get(0, i) != f.one:
             raise ValueError(f"eps(e_{i}) != 1")
-    if len(b.delta.matrix.entries) != d:
+    if len(delta) != d:
         raise ValueError("comultiplication is not grouplike on the basis")
-    by_col = {}
-    for (r, c), v in b.mu.matrix.entries.items():
-        by_col.setdefault(c, []).append((r, v))
+    products = {}
+    for out, inp, v in b.mu.terms():
+        products.setdefault(inp, []).append((out[0], v))
     table = [[None] * d for _ in range(d)]
     for i in range(d):
         for j in range(d):
-            col = by_col.get(i * d + j, [])
+            col = products.get((i, j), [])
             if len(col) != 1 or col[0][1] != f.one:
                 raise ValueError(f"product e_{i} e_{j} is not a basis vector")
             table[i][j] = col[0][0]

@@ -22,12 +22,14 @@ from __future__ import annotations
 import json
 import os
 import warnings
+from functools import reduce
+from operator import getitem
 
 from .hopf import Bialgebra
 from .linalg import GF, QQ, FieldError, SparseMatrix
 from .rmatrix import RMatrix
 from .systems import BraidedSystem
-from .tensor import LinMap, Space
+from .tensor import LinMap, Space, basis, from_terms
 from .yd import YDModule, YDModuleAlgebra
 
 
@@ -74,39 +76,30 @@ def _parse_cube(f, data, shape, where):
     return [_parse_cube(f, x, shape[1:], f"{where}[{i}]") for i, x in enumerate(data)]
 
 
-def _cube_json(f, cube):
-    if isinstance(cube, list):
-        return [_cube_json(f, x) for x in cube]
-    return f.to_json(cube)
+# A map A1 (x) ... (x) Ap -> B1 (x) ... (x) Bq is stored as the cube
+# [a1]...[ap][b1]...[bq], the coefficient of b1 (x) ... (x) bq in the image of
+# a1 (x) ... (x) ap: mul[a][b][c], comul[a][b][c], unit[c], counit[a],
+# antipode[a][b], action[h][a][b] and coaction[a][b][h].
 
 
-# A map A (x) B -> C is stored as cube[a][b][c], the coefficient of c in the
-# image of a (x) b; a map A -> B (x) C as cube[a][b][c], the coefficient of
-# b (x) c in the image of a.
+def _map_from_json(f, raw, domain, codomain, where):
+    cube = _parse_cube(f, raw, [s.dim for s in domain + codomain], where)
+    p = len(domain)
+    terms = ((t[p:], t[:p], reduce(getitem, t, cube)) for t in basis(domain + codomain))
+    return from_terms(domain, codomain, terms, f)
 
 
-def _product_from_json(f, raw, spaces, where):
-    A, B, C = spaces
-    cube = _parse_cube(f, raw, (A.dim, B.dim, C.dim), where)
-    ent = {(c, a * B.dim + b): cube[a][b][c] for a in range(A.dim) for b in range(B.dim) for c in range(C.dim)}
-    return LinMap((A, B), (C,), SparseMatrix(f, C.dim, A.dim * B.dim, ent))
+def _map_json(m):
+    f = m.field
+    coeff = {inp + out: v for out, inp, v in m.terms()}
+    dims = [s.dim for s in m.domain + m.codomain]
 
+    def cube(t):
+        if len(t) == len(dims):
+            return f.to_json(coeff.get(t, f.zero))
+        return [cube(t + (i,)) for i in range(dims[len(t)])]
 
-def _product_json(m, da, db, dc):
-    cube = [[[m.matrix.get(c, a * db + b) for c in range(dc)] for b in range(db)] for a in range(da)]
-    return _cube_json(m.field, cube)
-
-
-def _coproduct_from_json(f, raw, spaces, where):
-    A, B, C = spaces
-    cube = _parse_cube(f, raw, (A.dim, B.dim, C.dim), where)
-    ent = {(b * C.dim + c, a): cube[a][b][c] for a in range(A.dim) for b in range(B.dim) for c in range(C.dim)}
-    return LinMap((A,), (B, C), SparseMatrix(f, B.dim * C.dim, A.dim, ent))
-
-
-def _coproduct_json(m, da, db, dc):
-    cube = [[[m.matrix.get(b * dc + c, a) for c in range(dc)] for b in range(db)] for a in range(da)]
-    return _cube_json(m.field, cube)
+    return cube(())
 
 
 def _load_json(path):
@@ -132,21 +125,18 @@ def canonical_json(obj):
 
 
 def bialgebra_to_json(b):
-    f = b.field
     d = b.dim
     out = {
-        "field": field_spec_json(f),
+        "field": field_spec_json(b.field),
         "dim": d,
         "basis": [b.space.name(i) for i in range(d)],
-        "mul": _product_json(b.mu, d, d, d),
-        "unit": _cube_json(f, [b.nu.matrix.get(k, 0) for k in range(d)]),
-        "comul": _coproduct_json(b.delta, d, d, d),
-        "counit": _cube_json(f, [b.eps.matrix.get(0, i) for i in range(d)]),
+        "mul": _map_json(b.mu),
+        "unit": _map_json(b.nu),
+        "comul": _map_json(b.delta),
+        "counit": _map_json(b.eps),
     }
     if b.antipode is not None:
-        out["antipode"] = _cube_json(
-            f, [[b.antipode.matrix.get(j, i) for j in range(d)] for i in range(d)]
-        )
+        out["antipode"] = _map_json(b.antipode)
     return out
 
 
@@ -162,18 +152,13 @@ def bialgebra_from_json(data, label="H", where="bialgebra"):
     if basis is not None and (len(basis) != d or len(set(basis)) != d):
         raise SchemaError(f"{where}.basis: expected {d} distinct names")
     space = Space(d, label, tuple(basis) if basis else None)
-    mu = _product_from_json(f, data["mul"], (space, space, space), f"{where}.mul")
-    unit = _parse_cube(f, data["unit"], (d,), f"{where}.unit")
-    delta = _coproduct_from_json(f, data["comul"], (space, space, space), f"{where}.comul")
-    counit = _parse_cube(f, data["counit"], (d,), f"{where}.counit")
-    nu = LinMap((), (space,), SparseMatrix(f, d, 1, {(k, 0): unit[k] for k in range(d)}))
-    eps = LinMap((space,), (), SparseMatrix(f, 1, d, {(0, i): counit[i] for i in range(d)}))
+    mu = _map_from_json(f, data["mul"], (space, space), (space,), f"{where}.mul")
+    nu = _map_from_json(f, data["unit"], (), (space,), f"{where}.unit")
+    delta = _map_from_json(f, data["comul"], (space,), (space, space), f"{where}.comul")
+    eps = _map_from_json(f, data["counit"], (space,), (), f"{where}.counit")
     antipode = None
     if "antipode" in data:
-        anti = _parse_cube(f, data["antipode"], (d, d), f"{where}.antipode")
-        antipode = LinMap(
-            (space,), (space,), SparseMatrix(f, d, d, {(j, i): anti[i][j] for i in range(d) for j in range(d)})
-        )
+        antipode = _map_from_json(f, data["antipode"], (space,), (space,), f"{where}.antipode")
     return Bialgebra(space, mu, nu, delta, eps, antipode)
 
 
@@ -189,19 +174,17 @@ def load_bialgebra(path):
 
 
 def yd_module_to_json(m, bialgebra_path, mu=None, nu=None):
-    f = m.field
-    dH, dM = m.base.dim, m.dim
     out = {
         "bialgebra": bialgebra_path,
-        "dim": dM,
-        "basis": [m.space.name(i) for i in range(dM)],
-        "action": _product_json(m.lam, dH, dM, dM),
+        "dim": m.dim,
+        "basis": [m.space.name(i) for i in range(m.dim)],
+        "action": _map_json(m.lam),
     }
     if m.delta is not None:
-        out["coaction"] = _coproduct_json(m.delta, dM, dM, dH)
+        out["coaction"] = _map_json(m.delta)
     if mu is not None:
-        out["mul"] = _product_json(mu, dM, dM, dM)
-        out["unit"] = _cube_json(f, [nu.matrix.get(k, 0) for k in range(dM)])
+        out["mul"] = _map_json(mu)
+        out["unit"] = _map_json(nu)
     return out
 
 
@@ -217,17 +200,16 @@ def yd_module_from_json(data, base, label="M", where="yd-module"):
     if basis is not None and len(basis) != dM:
         raise SchemaError(f"{where}.basis: expected {dM} names")
     space = Space(dM, label, tuple(basis) if basis else None)
-    lam = _product_from_json(f, data["action"], (base.space, space, space), f"{where}.action")
+    lam = _map_from_json(f, data["action"], (base.space, space), (space,), f"{where}.action")
     delta = None
     if "coaction" in data:
-        delta = _coproduct_from_json(f, data["coaction"], (space, space, base.space), f"{where}.coaction")
+        delta = _map_from_json(f, data["coaction"], (space,), (space, base.space), f"{where}.coaction")
     yd = YDModule(base, space, lam, delta)
     if "mul" in data:
         if "unit" not in data:
             raise SchemaError(f"{where}: 'mul' without 'unit'")
-        mu = _product_from_json(f, data["mul"], (space, space, space), f"{where}.mul")
-        unit = _parse_cube(f, data["unit"], (dM,), f"{where}.unit")
-        nu = LinMap((), (space,), SparseMatrix(f, dM, 1, {(k, 0): unit[k] for k in range(dM)}))
+        mu = _map_from_json(f, data["mul"], (space, space), (space,), f"{where}.mul")
+        nu = _map_from_json(f, data["unit"], (), (space,), f"{where}.unit")
         return YDModuleAlgebra(yd, mu, nu)
     return yd
 
@@ -262,10 +244,10 @@ def rmatrix_to_json(r, bialgebra_path):
     d = r.base.dim
     out = {
         "bialgebra": bialgebra_path,
-        "vector": _cube_json(f, [r.vector.matrix.get(i, 0) for i in range(d * d)]),
+        "vector": [f.to_json(r.vector.matrix.get(i, 0)) for i in range(d * d)],
     }
     if r.inverse is not None:
-        out["inverse"] = _cube_json(f, [r.inverse.matrix.get(i, 0) for i in range(d * d)])
+        out["inverse"] = [f.to_json(r.inverse.matrix.get(i, 0)) for i in range(d * d)]
     return out
 
 

@@ -49,39 +49,12 @@ def is_prime(n):
     return True
 
 
-class Field:
-    """Common interface of the two scalar backends.
-
-    Scalars are plain Python values (``int`` or non-integral ``Fraction``
-    for Q, ``int`` in [0, p) for F_p); the field object supplies the
-    operations, parsing and canonical string form.
-    """
-
-    def add(self, a, b):
-        raise NotImplementedError
-
-    def sub(self, a, b):
-        raise NotImplementedError
-
-    def mul(self, a, b):
-        raise NotImplementedError
-
-    def neg(self, a):
-        raise NotImplementedError
-
-    def inv(self, a):
-        raise NotImplementedError
-
-    def is_zero(self, a):
-        return a == self.zero
-
-
 def _canonical(x):
     """A rational as an int when integral, else the Fraction itself."""
     return x.numerator if x.denominator == 1 else x
 
 
-class RationalField(Field):
+class RationalField:
     kind = "Q"
 
     def __init__(self):
@@ -99,6 +72,9 @@ class RationalField(Field):
 
     def neg(self, a):
         return _canonical(-a)
+
+    def is_zero(self, a):
+        return a == 0
 
     def inv(self, a):
         if a == 0:
@@ -136,7 +112,7 @@ class RationalField(Field):
         return "QQ"
 
 
-class PrimeField(Field):
+class PrimeField:
     kind = "Fp"
 
     def __init__(self, p):
@@ -249,8 +225,7 @@ class SparseMatrix:
             if len(row) != n_cols:
                 raise ValueError("ragged rows")
             for j, v in enumerate(row):
-                if not field.is_zero(v):
-                    ent[(i, j)] = v
+                ent[(i, j)] = v
         return SparseMatrix(field, n_rows, n_cols, ent)
 
     # -- basic algebra ------------------------------------------------
@@ -468,8 +443,7 @@ def solve_linear(a, b):
     f = a.field
     aug_ent = dict(a.entries)
     for r, v in enumerate(b):
-        if not f.is_zero(v):
-            aug_ent[(r, a.n_cols)] = v
+        aug_ent[(r, a.n_cols)] = v
     aug = SparseMatrix(f, a.n_rows, a.n_cols + 1, aug_ent)
     rows, pivots = aug.rref_data()
     if a.n_cols in pivots:

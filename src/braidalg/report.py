@@ -4,14 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-
-def _decode(index, dims):
-    """Split a linearised tensor index into per-factor indices (left major)."""
-    out = []
-    for d in reversed(dims):
-        out.append(index % d)
-        index //= d
-    return tuple(reversed(out))
+from .tensor import decode
 
 
 @dataclass(frozen=True)
@@ -62,11 +55,9 @@ class AxiomReport:
             return True
         # entries are canonical, so they differ exactly where lhs - rhs is nonzero
         row, col = min(k for k, _ in lhs.matrix.entries.items() ^ rhs.matrix.entries.items())
-        dom_dims = [s.dim for s in lhs.domain]
-        cod_dims = [s.dim for s in lhs.codomain]
         w = Witness(
-            domain_index=_decode(col, dom_dims) if dom_dims else (),
-            codomain_index=_decode(row, cod_dims) if cod_dims else (),
+            domain_index=decode(col, lhs.domain),
+            codomain_index=decode(row, lhs.codomain),
             lhs=str(lhs.matrix.get(row, col)),
             rhs=str(rhs.matrix.get(row, col)),
         )
@@ -92,12 +83,8 @@ class AxiomReport:
     def __contains__(self, name):
         return any(c.name == name for c in self.checks)
 
-    def names(self):
-        return [c.name for c in self.checks]
-
-    def merge(self, other, prefix=""):
-        for c in other.checks:
-            self.checks.append(CheckResult(prefix + c.name, c.passed, c.witness))
+    def merge(self, other):
+        self.checks.extend(other.checks)
         return self
 
     def __str__(self):

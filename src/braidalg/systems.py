@@ -27,9 +27,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .hopf import Bialgebra, check_bialgebra, dual_bialgebra
-from .linalg import SparseMatrix, inverse as matrix_inverse, rank as matrix_rank
+from .linalg import inverse as matrix_inverse, rank as matrix_rank
 from .report import AxiomReport
-from .tensor import LinMap, Space, compose_chain, embed_at, evaluation, identity
+from .tensor import LinMap, Space, compose_chain, embed_at, evaluation, from_terms, identity
 from .yd import YDModule, YDModuleAlgebra, check_yd, ring_braiding, tensor_space
 
 
@@ -255,14 +255,13 @@ def validate_uaa_system(uaas, xi):
     for i in range(1, r + 1):
         sigma[(i, i)] = sigma_ass(uaas[i - 1], "left")
     sys = BraidedSystem(tuple(u.space for u in uaas), sigma, f)
+    full = verify_cybe(sys)
     for i in range(1, r + 1):
         for j in range(i + 1, r + 1):
             for k in range(j + 1, r + 1):
-                lhs, rhs = cybe_instance(sys, i, j, k)
-                ok = lhs.matrix == rhs.matrix
+                ok = full[f"cYBE({i},{j},{k})"].passed
                 rep.add(f"strict_cYBE({i},{j},{k})", ok)
                 condition2 = condition2 and ok
-    full = verify_cybe(sys)
     rep.add("full_cybe", full.passed, None if full.passed else full.first_failure().witness)
     rep.add("equivalence_cond2_iff_cybe", condition2 == full.passed)
     if condition2 != full.passed:
@@ -414,60 +413,26 @@ def random_precision_data(h, dim_v, rng):
     def rand():
         return rng.randrange(p)
 
+    one = f.one
     # nu_V = v0
-    nu_ent = {(0, 0): f.one}
-    nu = LinMap((), (v,), SparseMatrix(f, dim_v, 1, nu_ent))
+    nu = from_terms((), (v,), [((0,), (), one)], f)
     # mu random with v0 a two-sided unit
-    mu_ent = {}
-    for a in range(dim_v):
-        for b in range(dim_v):
-            for c in range(dim_v):
-                if a == 0:
-                    val = f.one if b == c else f.zero
-                elif b == 0:
-                    val = f.one if a == c else f.zero
-                else:
-                    val = rand()
-                if not f.is_zero(val):
-                    mu_ent[(c, a * dim_v + b)] = val
-    mu = LinMap((v, v), (v,), SparseMatrix(f, dim_v, dim_v * dim_v, mu_ent))
+    mu_terms = [((x,), (0, x), one) for x in range(dim_v)] + [((x,), (x, 0), one) for x in range(1, dim_v)]
+    mu_terms += [((c,), (a, b), rand()) for a in range(1, dim_v) for b in range(1, dim_v) for c in range(dim_v)]
+    mu = from_terms((v, v), (v,), mu_terms, f)
     # lam random with lam(unit (x) .) = Id and lam(h (x) v0) = eps(h) v0
-    lam_ent = {}
-    for i in range(dH):
-        for a in range(dim_v):
-            for b in range(dim_v):
-                if i == unit_idx:
-                    val = f.one if a == b else f.zero
-                elif a == 0:
-                    val = h.eps.matrix.get(0, i) if b == 0 else f.zero
-                else:
-                    val = rand()
-                if not f.is_zero(val):
-                    lam_ent[(b, i * dim_v + a)] = val
-    lam = LinMap((h.space, v), (v,), SparseMatrix(f, dim_v, dH * dim_v, lam_ent))
+    others = [i for i in range(dH) if i != unit_idx]
+    lam_terms = [((a,), (unit_idx, a), one) for a in range(dim_v)]
+    lam_terms += [((0,), (i, 0), h.eps.matrix.get(0, i)) for i in others]
+    lam_terms += [((b,), (i, a), rand()) for i in others for a in range(1, dim_v) for b in range(dim_v)]
+    lam = from_terms((h.space, v), (v,), lam_terms, f)
     # delta with (Id (x) eps) delta = Id and delta(v0) = v0 (x) 1_H
-    eps_row = [h.eps.matrix.get(0, i) for i in range(dH)]
-    if f.is_zero(eps_row[unit_idx]):
-        raise ValueError("eps(unit) vanishes")
-    delta_ent = {}
-    for a in range(dim_v):
+    delta_terms = [((0, unit_idx), (0,), one)]
+    for a in range(1, dim_v):
         for b in range(dim_v):
-            if a == 0:
-                if b == 0:
-                    delta_ent[(b * dH + unit_idx, a)] = f.one
-                continue
-            acc = f.zero  # sum_i coeff_i * eps(e_i) must be delta_{ab}
-            coeffs = {}
-            for i in range(dH):
-                if i == unit_idx:
-                    continue
-                val = rand()
-                coeffs[i] = val
-                acc = f.add(acc, f.mul(val, eps_row[i]))
-            target = f.one if a == b else f.zero
-            coeffs[unit_idx] = f.mul(f.sub(target, acc), f.inv(eps_row[unit_idx]))
-            for i, val in coeffs.items():
-                if not f.is_zero(val):
-                    delta_ent[(b * dH + i, a)] = val
-    delta = LinMap((v,), (v, h.space), SparseMatrix(f, dim_v * dH, dim_v, delta_ent))
+            coeffs = {i: rand() for i in others}
+            # sum_i coeff_i * eps(e_i) must be delta_{ab}, and eps(unit) = 1
+            coeffs[unit_idx] = int(a == b) - sum(val * h.eps.matrix.get(0, i) for i, val in coeffs.items())
+            delta_terms += [((b, i), (a,), val) for i, val in coeffs.items()]
+    delta = from_terms((v,), (v, h.space), delta_terms, f)
     return v, lam, delta, mu, nu

@@ -3,7 +3,10 @@
 A LinMap records ordered lists of tensor factors for its domain and
 codomain next to its sparse matrix.  Basis indices of a tensor product are
 linearised with the left factor as major index, matching the Kronecker
-convention of :mod:`braidalg.linalg`.
+convention of :mod:`braidalg.linalg`.  This module is the one place that
+converts between basis tuples (one index per factor) and linear indices:
+maps are built from basis-tuple terms with :func:`from_terms` and read back
+with :meth:`LinMap.terms`, and :func:`decode` splits a single index.
 
 Dualisation follows the order-reversing ("rainbow") pairing
 
@@ -15,7 +18,9 @@ Bq* (x) ... (x) B1* -> Ap* (x) ... (x) A1*.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from operator import mul
 
 from .linalg import SparseMatrix
 
@@ -61,6 +66,45 @@ def prod_dim(spaces):
     return d
 
 
+def _strides(spaces):
+    """Weight of each factor's index in the linear index (left factor major)."""
+    out, w = [], 1
+    for s in reversed(spaces):
+        out.append(w)
+        w *= s.dim
+    return out[::-1]
+
+
+def basis(spaces):
+    """The basis tuples of a tensor product, in linear-index order."""
+    return itertools.product(*(range(s.dim) for s in spaces))
+
+
+def decode(index, spaces):
+    """The basis tuple at a linear index of a tensor product (left factor major)."""
+    out = []
+    for s in reversed(spaces):
+        index, i = divmod(index, s.dim)
+        out.append(i)
+    return tuple(reversed(out))
+
+
+def from_terms(domain, codomain, terms, field):
+    """The map f with f(input tuple) = sum of coefficient * output tuple over ``terms``.
+
+    ``terms`` yields (output tuple, input tuple, coefficient), one basis index
+    per factor.  Coefficients of a repeated pair add up; the SparseMatrix
+    constructor canonicalises the sums and drops the zeros.
+    """
+    domain, codomain = tuple(domain), tuple(codomain)
+    rows, cols = _strides(codomain), _strides(domain)
+    ent = {}
+    for out, inp, v in terms:
+        key = (sum(map(mul, out, rows)), sum(map(mul, inp, cols)))
+        ent[key] = ent.get(key, 0) + v
+    return LinMap(domain, codomain, SparseMatrix(field, prod_dim(codomain), prod_dim(domain), ent))
+
+
 class LinMap:
     """Linear map between tensor products of finite-dimensional spaces."""
 
@@ -95,6 +139,10 @@ class LinMap:
 
     def is_zero(self):
         return self.matrix.is_zero()
+
+    def terms(self):
+        """The nonzero entries as (output tuple, input tuple, coefficient); see from_terms."""
+        return [(decode(r, self.codomain), decode(c, self.domain), v) for (r, c), v in self.matrix.entries.items()]
 
     def __repr__(self):
         dom = "(x)".join(s.label for s in self.domain) or "k"
@@ -156,31 +204,18 @@ def tensor_maps(maps):
     return out
 
 
-def _linearize(indices, dims):
-    idx = 0
-    for i, d in zip(indices, dims):
-        idx = idx * d + i
-    return idx
-
-
 def permutation_map(spaces, order, field):
     """Map reordering tensor factors: output factor t is input factor order[t]."""
     spaces = tuple(spaces)
     if sorted(order) != list(range(len(spaces))):
         raise ValueError(f"not a permutation: {order}")
-    dims = [s.dim for s in spaces]
     cod = tuple(spaces[t] for t in order)
-    cod_dims = [s.dim for s in cod]
-    ent = {}
+    # input factor order[t] carries output factor t's stride; columns are enumerated in index order
+    weights = [0] * len(spaces)
+    for t, w in zip(order, _strides(cod)):
+        weights[t] = w
+    ent = {(sum(map(mul, x, weights)), col): field.one for col, x in enumerate(basis(spaces))}
     total = prod_dim(spaces)
-    for col in range(total):
-        rem, multi = col, []
-        for d in reversed(dims):
-            multi.append(rem % d)
-            rem //= d
-        multi.reverse()
-        row = _linearize([multi[t] for t in order], cod_dims)
-        ent[(row, col)] = field.one
     return LinMap(spaces, cod, SparseMatrix(field, total, total, ent))
 
 
@@ -233,9 +268,6 @@ def rainbow_dual(f):
 
 def evaluation(v, field):
     """The two evaluation maps (V* (x) V -> k, V (x) V* -> k)."""
-    d = v.dim
     vd = v.dual()
-    ent = {(0, i * d + i): field.one for i in range(d)}
-    ev_left = LinMap((vd, v), (), SparseMatrix(field, 1, d * d, ent))
-    ev_right = LinMap((v, vd), (), SparseMatrix(field, 1, d * d, dict(ent)))
-    return ev_left, ev_right
+    terms = [((), (i, i), field.one) for i in range(v.dim)]
+    return from_terms((vd, v), (), terms, field), from_terms((v, vd), (), terms, field)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .hopf import Bialgebra, opposites
 from .linalg import SparseMatrix, inverse as matrix_inverse
 from .report import AxiomReport
-from .tensor import LinMap, Space, compose_chain, flip, identity, rainbow_dual
+from .tensor import LinMap, Space, compose_chain, flip, from_terms, identity, rainbow_dual
 
 
 @dataclass
@@ -160,15 +160,12 @@ def regular_yd_group_algebra(table_or_bialgebra, names=None, field=None):
     f = b.field
     n = b.dim
     _, inv = _validate_table(table, need_inverses=True)
-    M = Space(n, b.space.label + "_yd", b.space.basis_names)
+    H, M = b.space, Space(n, b.space.label + "_yd", b.space.basis_names)
     # lam(g (x) h) = g h g^-1
-    lam_ent = {}
-    for g in range(n):
-        for h in range(n):
-            lam_ent[(table[table[g][h]][inv[g]], g * n + h)] = f.one
-    lam = LinMap((b.space, M), (M,), SparseMatrix(f, n, n * n, lam_ent))
+    conjugates = (((table[table[g][h]][inv[g]],), (g, h), f.one) for g in range(n) for h in range(n))
+    lam = from_terms((H, M), (M,), conjugates, f)
     # delta(h) = h (x) h
-    delta = LinMap((M,), (M, b.space), SparseMatrix(f, n * n, n, {(h * n + h, h): f.one for h in range(n)}))
+    delta = from_terms((M,), (M, H), (((h, h), (h,), f.one) for h in range(n)), f)
     return YDModule(b, M, lam, delta)
 
 
@@ -284,35 +281,18 @@ def formal_unit_extend(m):
         names = tuple(["1"] + [f"{m.space.name(i)}~" for i in range(d)])
     Mt = Space(d + 1, m.space.label + "~", names)
     H = b.space
-    dH = b.dim
-    lam_ent = {}
     # lam~(h (x) 1) = eps(h) 1 ; lam~(h (x) m) = lam(h (x) m)
-    for i in range(dH):
-        v = b.eps.matrix.get(0, i)
-        if not f.is_zero(v):
-            lam_ent[(0, i * (d + 1) + 0)] = v
-    for (bb, col), v in m.lam.matrix.entries.items():
-        i, a = divmod(col, d)
-        lam_ent[(bb + 1, i * (d + 1) + (a + 1))] = v
-    lam = LinMap((H, Mt), (Mt,), SparseMatrix(f, d + 1, dH * (d + 1), lam_ent))
-    delta_ent = {}
+    lam_terms = [((0,), (i, 0), v) for _, (i,), v in b.eps.terms()]
+    lam_terms += [((a + 1,), (i, c + 1), v) for (a,), (i, c), v in m.lam.terms()]
+    lam = from_terms((H, Mt), (Mt,), lam_terms, f)
     # delta~(1) = 1 (x) 1_H ; delta~(m) = delta(m)
-    for k in range(dH):
-        v = b.nu.matrix.get(k, 0)
-        if not f.is_zero(v):
-            delta_ent[(0 * dH + k, 0)] = v
-    for (row, a), v in m.delta.matrix.entries.items():
-        bb, i = divmod(row, dH)
-        delta_ent[((bb + 1) * dH + i, a + 1)] = v
-    delta = LinMap((Mt,), (Mt, H), SparseMatrix(f, (d + 1) * dH, d + 1, delta_ent))
+    delta_terms = [((0, k), (0,), v) for (k,), _, v in b.nu.terms()]
+    delta_terms += [((a + 1, i), (c + 1,), v) for (a, i), (c,), v in m.delta.terms()]
+    delta = from_terms((Mt,), (Mt, H), delta_terms, f)
     # trivial multiplication: unit acts as identity, M.M = 0
-    mu_ent = {}
-    for x in range(d + 1):
-        mu_ent[(x, 0 * (d + 1) + x)] = f.one
-        if x != 0:
-            mu_ent[(x, x * (d + 1) + 0)] = f.one
-    mu = LinMap((Mt, Mt), (Mt,), SparseMatrix(f, d + 1, (d + 1) * (d + 1), mu_ent))
-    nu = LinMap((), (Mt,), SparseMatrix(f, d + 1, 1, {(0, 0): f.one}))
+    mu_terms = [((x,), (0, x), f.one) for x in range(d + 1)] + [((x,), (x, 0), f.one) for x in range(1, d + 1)]
+    mu = from_terms((Mt, Mt), (Mt,), mu_terms, f)
+    nu = from_terms((), (Mt,), [((0,), (), f.one)], f)
     return YDModuleAlgebra(YDModule(b, Mt, lam, delta), mu, nu)
 
 

@@ -234,6 +234,16 @@ def test_cli_gen_rejects_non_group(tmp_path):
     assert run("gen", "group-algebra", "--group", "table", table_file, "-o", str(tmp_path / "x.json")) == 2
 
 
+@pytest.mark.parametrize("what", ["regular-yd", "trivial-yd"])
+def test_cli_gen_module_takes_no_field(tmp_path, capsys, what):
+    h = str(tmp_path / "z2.json")
+    assert run("gen", "group-algebra", "--group", "Z2", "--field", "Fp:5", "-o", h) == 0
+    with pytest.raises(SystemExit) as exc:
+        run("gen", what, "--hopf", h, "--field", "Q", "-o", str(tmp_path / "m.json"))
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --field" in capsys.readouterr().err
+
+
 def test_cli_check_failure_exit_code(tmp_path, capsys):
     h = str(tmp_path / "s3.json")
     hd = str(tmp_path / "s3_dual.json")

@@ -1,5 +1,6 @@
-"""Tensor-factor bookkeeping: flips, embeddings, rainbow duality, evaluation."""
+"""Tensor-factor bookkeeping: basis-tuple terms, flips, embeddings, rainbow duality, evaluation."""
 
+import itertools
 import random
 
 import pytest
@@ -9,11 +10,16 @@ from braidalg.tensor import (
     DimensionMismatch,
     LinMap,
     Space,
+    basis,
     compose_chain,
+    decode,
     embed_at,
     evaluation,
     flip,
+    from_terms,
     identity,
+    permutation_map,
+    prod_dim,
     rainbow_dual,
     tensor_maps,
 )
@@ -29,6 +35,57 @@ def rand_map(rng, dom, cod, field=F5):
             if v:
                 ent[(r, c)] = field.from_int(v)
     return LinMap((dom,), (cod,), SparseMatrix(field, cod.dim, dom.dim, ent))
+
+
+@pytest.mark.parametrize("field", [QQ, F5], ids=["Q", "F5"])
+def test_from_terms_sums_repeated_terms_and_drops_cancelled_ones(field):
+    V, W = Space(2, "V"), Space(3, "W")
+    half = field.inv(field.from_int(2))
+    terms = [
+        ((2,), (1, 0), half),
+        ((2,), (1, 0), half),  # adds up to 1
+        ((0,), (0, 1), field.from_int(3)),
+        ((0,), (0, 1), field.neg(field.from_int(3))),  # cancels
+        ((1,), (1, 1), field.from_int(4)),
+    ]
+    f = from_terms((V, V), (W,), terms, field)
+    assert f.matrix.entries == {(2, 2): field.one, (1, 3): field.from_int(4)}
+    assert sorted(f.terms()) == [((1,), (1, 1), field.from_int(4)), ((2,), (1, 0), field.one)]
+    assert from_terms((V, V), (W,), terms[2:4], field).is_zero()
+
+
+@pytest.mark.parametrize("field", [QQ, F5], ids=["Q", "F5"])
+def test_from_terms_inverts_terms_on_random_maps(field):
+    rng = random.Random(17)
+    A, B, C = Space(2, "A"), Space(3, "B"), Space(1, "C")
+    shapes = [((), (A,)), ((A,), ()), ((A, B), (B,)), ((B,), (A, C, B)), ((), ()), ((A, B, C), (B, A))]
+    for dom, cod in shapes:
+        rows, cols = prod_dim(cod), prod_dim(dom)
+        ent = {(r, c): rng.randrange(-3, 4) for r in range(rows) for c in range(cols) if rng.randrange(2)}
+        f = LinMap(dom, cod, SparseMatrix(field, rows, cols, ent))
+        assert from_terms(f.domain, f.codomain, f.terms(), field) == f
+        assert all(len(out) == len(cod) and len(inp) == len(dom) for out, inp, _ in f.terms())
+
+
+def test_decode_inverts_the_linear_index():
+    spaces = (Space(2, "A"), Space(3, "B"), Space(4, "C"))
+    for index, t in enumerate(basis(spaces)):
+        assert decode(index, spaces) == t
+        # from_terms places the basis tuple t at the same linear index
+        assert from_terms((), spaces, [(t, (), QQ.one)], QQ).matrix.entries == {(index, 0): QQ.one}
+    assert decode(23, spaces) == (1, 2, 3)  # 1 * 12 + 2 * 4 + 3: the left factor is major
+    assert decode(0, ()) == ()
+
+
+def test_permutation_map_on_three_factors():
+    spaces = (Space(2, "A"), Space(3, "B"), Space(4, "C"))
+    for order in itertools.permutations(range(3)):
+        p = permutation_map(spaces, order, F5)
+        assert [s.label for s in p.codomain] == [spaces[t].label for t in order]
+        expected = {(tuple(x[t] for t in order), x, F5.one) for x in basis(spaces)}
+        assert set(p.terms()) == expected and len(p.terms()) == 24
+        back = permutation_map(p.codomain, tuple(order.index(t) for t in range(3)), F5)
+        assert back.compose(p) == identity(spaces, F5)
 
 
 def test_compose_chain_and_tensor():
