@@ -191,9 +191,8 @@ def cmd_build(args):
             raise InputError(f"{path}: module base differs from {args.hopf}")
         rebased = YDModule(b, yd.space, yd.lam, yd.delta)
         mods.append(YDModuleAlgebra(rebased, m.mu, m.nu) if isinstance(m, YDModuleAlgebra) else rebased)
-    variant = {"yd": "yd", "ydalg": "ydalg"}[args.variant]
     try:
-        sys_ = build_yd_system(b, mods, variant)
+        sys_ = build_yd_system(b, mods, args.variant)
     except (ValueError, TypeError) as e:
         print(f"FAIL {e}")
         return 1

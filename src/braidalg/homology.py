@@ -329,7 +329,8 @@ class _SweedlerOps:
     positions ``writes``; every other factor passes through unchanged and
     in order.  ``block`` hands the pieces of one or more maps to
     ``_assemble``, which evaluates a core once per value of the factors it
-    reads and tiles the result over the pass-through factors.  Everything
+    reads and tiles the result over the pass-through factors.  The four
+    contractions read their comultiplication legs through ``fold``.  Everything
     is index arithmetic over structure constants; no braiding machinery is
     involved, which keeps this path independent of the generic engine.
     """
@@ -367,7 +368,7 @@ class _SweedlerOps:
         for alpha in range(dN):
             for (beta, j, v) in coactN[alpha]:
                 self.lam_Nstar.setdefault((j, beta), []).append((alpha, v))
-        self._memo = {("legs", dual, ()): [((), (), self.f.one)] for dual in (False, True)}
+        self._memo = {}
 
     def _once(self, key, build, *args):
         """build(*args), computed once per key."""
@@ -375,40 +376,43 @@ class _SweedlerOps:
             self._memo[key] = build(*args)
         return self._memo[key]
 
-    def product(self, idxs, dual=False):
-        """e_i1 ... e_ik in H (in H* if dual) as {basis: coeff}; the empty product is the unit."""
-        return self._once(("product", dual, idxs), self._product, idxs, dual)
+    def fold(self, idxs, dual=False, keep=0):
+        """Delta(e_i1) (x) ... (x) Delta(e_ik) in H (in H* if dual) as {product: {kept legs: coeff}}.
 
-    def _product(self, idxs, dual):
+        The legs on side ``keep`` (0 first, 1 second) stay a tuple, the others
+        are multiplied into a running product factor by factor, and a term is
+        dropped once its coefficient vanishes (over k^G, d_a d_b = 0 unless
+        a = b).  The empty fold is the unit.
+        """
+        return self._once(("fold", dual, keep, idxs), self._fold, idxs, dual, keep)
+
+    def _fold(self, idxs, dual, keep):
         f = self.f
-        if len(idxs) < 2:
-            return {idxs[0]: f.one} if idxs else (self.dual_unit_vec if dual else self.unit_vec)
+        if not idxs:
+            return {x: {(): c} for x, c in (self.dual_unit_vec if dual else self.unit_vec).items()}
+        mul = self.dmul if dual else self.mul
         acc = {}
-        for x, cx in self.product(idxs[:-1], dual).items():
-            for (k, ck) in (self.dmul if dual else self.mul).get((x, idxs[-1]), ()):
-                acc[k] = f.add(acc.get(k, f.zero), f.mul(cx, ck))
-        return {k: v for k, v in acc.items() if not f.is_zero(v)}
-
-    def legs(self, idxs, dual=False):
-        """[(first legs, second legs, coeff)] of Delta(e_i1) (x) ... (x) Delta(e_ik) in H (in H* if dual)."""
-        return self._once(("legs", dual, idxs), self._legs, idxs, dual)
-
-    def _legs(self, idxs, dual):
-        return [
-            (ps + (x,), qs + (y,), self.f.mul(c, cv))
-            for (ps, qs, c) in self.legs(idxs[:-1], dual)
-            for (x, y, cv) in (self.ddelta if dual else self.comul)[idxs[-1]]
-        ]
+        for x, kept in self.fold(idxs[:-1], dual, keep).items():
+            for legs in (self.ddelta if dual else self.comul)[idxs[-1]]:
+                for y, c_y in mul.get((x, legs[1 - keep]), ()):
+                    c_step, row = f.mul(legs[2], c_y), acc.setdefault(y, {})
+                    for ks, c in kept.items():
+                        key = ks + (legs[keep],)
+                        row[key] = f.add(row.get(key, f.zero), f.mul(c, c_step))
+        acc = {y: {ks: c for ks, c in row.items() if not f.is_zero(c)} for y, row in acc.items()}
+        return {y: row for y, row in acc.items() if row}
 
     def _pairing_core(self, coact, dual, sign):
         """Core (i_1..i_k, o, x) -> [(first legs + (o',), sign coeff)]: <e_x, second legs . w>, (o', w) in coact[o]."""
+        mul = self.dmul if dual else self.mul
 
         def build(idxs, o):
             table = {}
-            for (ps, qs, c_h) in self.legs(idxs, dual):
+            for y, kept in self.fold(idxs, dual, 0).items():
                 for (o_out, w, c) in coact[o]:
-                    for x, c_pair in self.product(qs + (w,), dual).items():
-                        table.setdefault(x, []).append((ps + (o_out,), sign * c_h * c * c_pair))
+                    for x, c_w in mul.get((y, w), ()):
+                        c_w *= sign * c
+                        table.setdefault(x, []).extend((ps + (o_out,), c_h * c_w) for ps, c_h in kept.items())
             return table
 
         return lambda vals: self._once(("pairing", dual, sign, vals[:-1]), build, vals[:-2], vals[-2]).get(vals[-1], ())
@@ -416,19 +420,12 @@ class _SweedlerOps:
     def _acting_core(self, coprod, act, dual, sign):
         """Core (i_1..i_k, j, b) -> [(second legs + (b',), sign coeff)]: <first legs, j(1)>, j(2) acting on b."""
 
-        def build(idxs):
-            table = {}
-            for (ps, qs, c_h) in self.legs(idxs, dual):
-                for x, c_pair in self.product(ps, dual).items():
-                    table.setdefault(x, []).append((qs, c_h * c_pair))
-            return table
-
         def core(vals):
-            paired = self._once(("acting", dual, vals[:-2]), build, vals[:-2])
+            paired = self.fold(vals[:-2], dual, 1)
             return [
                 (qs + (b_out,), sign * c * cj * ca)
                 for (x, y, cj) in coprod[vals[-2]]
-                for (qs, c) in paired.get(x, ())
+                for (qs, c) in paired.get(x, {}).items()
                 for (b_out, ca) in act.get((y, vals[-1]), ())
             ]
 

@@ -45,13 +45,12 @@ class RMatrix:
     def from_coefficients(base, coeffs, inverse=None):
         """Build from a length dim^2 coefficient list (left-major index)."""
         d = base.dim
-        f = base.field
 
         def vec(cs):
             if len(cs) != d * d:
                 raise ValueError(f"R vector needs {d * d} coefficients, got {len(cs)}")
-            ent = {(i, 0): v for i, v in enumerate(cs) if not f.is_zero(v)}
-            return LinMap((), (base.space, base.space), SparseMatrix(f, d * d, 1, ent))
+            ent = {(i, 0): v for i, v in enumerate(cs)}
+            return LinMap((), (base.space, base.space), SparseMatrix(base.field, d * d, 1, ent))
 
         return RMatrix(base, vec(coeffs), vec(inverse) if inverse is not None else None)
 

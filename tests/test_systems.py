@@ -1,5 +1,6 @@
 """Braided systems: cYBE checks, YD-system builders, gluing, harnesses."""
 
+import hashlib
 import random
 
 import pytest
@@ -431,6 +432,26 @@ def test_precision_sampling_needs_prime_field():
     b = group_algebra(Z2_TABLE, Z2_NAMES)
     with pytest.raises(ValueError):
         random_precision_data(b, 2, random.Random(0))
+
+
+@pytest.mark.parametrize(
+    "group, dim, seed, digest",
+    [
+        ("Z2", 2, 1, "61fcd0ed5d82366e54ad61367cc26f0c269b6b9106b38035ef9feea70ca05de5"),
+        ("Z2", 2, 7, "0ff41a1935b91c03fef2b0e87a0fa9453bbad5b551e527d2622113923bd52ecc"),
+        ("S3", 3, 99, "544869cb70dc2390d662e5deb3c0cf564a5071dee7fe7c54c93b07cc79e7a8f3"),
+    ],
+)
+def test_precision_sampling_is_pinned_per_seed(group, dim, seed, digest):
+    """A seed gives the same (lam, delta, mu, nu) in every version: SHA-256
+    of each map's shape and sorted entries, in that order, over F_5."""
+    table, names = {"Z2": (Z2_TABLE, Z2_NAMES), "S3": (S3_TABLE, S3_NAMES)}[group]
+    b = group_algebra(table, names, field=GF(5))
+    _v, *maps = random_precision_data(b, dim, random.Random(seed))
+    h = hashlib.sha256()
+    for m in maps:
+        h.update(repr((m.matrix.n_rows, m.matrix.n_cols, sorted(m.matrix.entries.items()))).encode())
+    assert h.hexdigest() == digest
 
 
 def test_sigma_dual_components_sweedler_oracle():
