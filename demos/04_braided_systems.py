@@ -57,9 +57,9 @@ print("monoid: sigma_{H,H*} rank", inv[(1, 2)]["rank"], "of", inv[(1, 2)]["size"
 # instance booleans track the axiom booleans row by row
 Z2 = group_algebra(*cyclic_group_table(2), field=GF(5))
 rng = random.Random(1)
-v, lam, delta, mu, nu = random_precision_data(Z2, 2, rng)
+alg = random_precision_data(Z2, 2, rng)
 Z2_dual = dual_bialgebra(Z2)
-_report, rows = precision_harness(Z2, Z2_dual, dual_action(Z2, Z2_dual), v, lam, delta, mu, nu)
+_report, rows = precision_harness(alg, Z2_dual, dual_action(Z2, Z2_dual))
 print()
 for row in rows:
     print(f"row {row['row']:28s} cYBE={row['cybe']!s:5s} axiom={row['axiom']!s:5s}")

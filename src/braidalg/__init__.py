@@ -74,9 +74,7 @@ from .systems import (
     verify_cybe,
 )
 from .homology import (
-    BraidedCharacter,
     GradedComplex,
-    InsufficientTruncationError,
     check_character,
     eps_characters,
     generic_differentials,

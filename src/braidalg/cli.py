@@ -7,6 +7,7 @@ witness is printed), 2 = input/schema error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import random
 import sys
@@ -24,7 +25,7 @@ from .systems import (
     random_precision_data,
     verify_cybe,
 )
-from .yd import YDModule, YDModuleAlgebra, check_yd, dual_yd, regular_yd_group_algebra, unit_yd
+from .yd import YDModuleAlgebra, check_yd, dual_yd, regular_yd_group_algebra, unit_yd
 from .homology import coefficient_complex
 
 
@@ -126,8 +127,6 @@ def cmd_dual(args):
         print(f"wrote {args.output}")
         return 0
     m = bio.load_yd_module(args.file)
-    if isinstance(m, YDModuleAlgebra):
-        m = m.yd
     if m.delta is None:
         raise InputError(f"{args.file}: plain module has no coaction to dualise")
     dm = dual_yd(m)
@@ -147,8 +146,6 @@ def cmd_dual(args):
 def cmd_rmatrix(args):
     if args.what == "coaction":
         m = bio.load_yd_module(args.module)
-        if isinstance(m, YDModuleAlgebra):
-            m = m.yd
         r = bio.load_rmatrix(args.r)
         if not m.base.same_structure(r.base):
             raise InputError("module and R-matrix reference different bialgebras")
@@ -186,11 +183,9 @@ def cmd_build(args):
     mods = []
     for path in args.mod or []:
         m = bio.load_yd_module(path)
-        yd = m.yd if isinstance(m, YDModuleAlgebra) else m
-        if not yd.base.same_structure(b):
+        if not m.base.same_structure(b):
             raise InputError(f"{path}: module base differs from {args.hopf}")
-        rebased = YDModule(b, yd.space, yd.lam, yd.delta)
-        mods.append(YDModuleAlgebra(rebased, m.mu, m.nu) if isinstance(m, YDModuleAlgebra) else rebased)
+        mods.append(dataclasses.replace(m, base=b))
     try:
         sys_ = build_yd_system(b, mods, args.variant)
     except (ValueError, TypeError) as e:
@@ -231,6 +226,8 @@ def cmd_glue(args):
 
 
 def cmd_harness(args):
+    if args.trials < 1:
+        raise InputError(f"--trials must be at least 1, got {args.trials}")
     b = bio.load_bialgebra(args.hopf)
     rep_pre = check_bialgebra(b, "bialgebra")
     if not rep_pre.passed:
@@ -243,8 +240,8 @@ def cmd_harness(args):
     counts = {}
     try:
         for trial in range(args.trials):
-            v, lam, delta, mu, nu = random_precision_data(b, args.dim, rng)
-            rep, rows = precision_harness(b, dual, lam_dual, v, lam, delta, mu, nu)
+            alg = random_precision_data(b, args.dim, rng)
+            rep, rows = precision_harness(alg, dual, lam_dual)
             for row in rows:
                 held = (not row["side"]) or row["cybe"] == row["axiom"]
                 stats = counts.setdefault(row["row"], [0, 0, 0])
@@ -271,10 +268,6 @@ def cmd_homology(args):
     b = bio.load_bialgebra(args.hopf)
     m = bio.load_yd_module(args.mod)
     n = bio.load_yd_module(args.coeff)
-    if isinstance(m, YDModuleAlgebra):
-        m = m.yd
-    if isinstance(n, YDModuleAlgebra):
-        n = n.yd
     for mod, path in ((m, args.mod), (n, args.coeff)):
         if not mod.base.same_structure(b):
             raise InputError(f"{path}: module base differs from {args.hopf}")

@@ -28,42 +28,32 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 from .linalg import SparseMatrix, rank as matrix_rank
 from .report import AxiomReport
-from .systems import BraidedSystem, YDSystem, braid_factor
+from .systems import YDSystem, braid_factor
 from .tensor import LinMap, identity
 from .yd import check_yd, unit_yd
-
-
-class InsufficientTruncationError(ValueError):
-    pass
-
-
-@dataclass
-class BraidedCharacter:
-    system: BraidedSystem
-    zeta: tuple  # LinMap V_i -> k, one per component
-
-    def component(self, i):
-        return self.zeta[i - 1]
 
 
 def zero_character_map(space, f):
     return LinMap((space,), (), SparseMatrix(f, 1, space.dim))
 
 
-def check_character(c):
-    """(zeta_j (x) zeta_i) o sigma_{i,j} = zeta_i (x) zeta_j for all i <= j."""
-    s = c.system
+def check_character(s, zeta):
+    """A braided character of s is a tuple zeta of maps V_i -> k, one per
+    component; checks (zeta_j (x) zeta_i) o sigma_{i,j} = zeta_i (x) zeta_j
+    for all i <= j.  A tuple of the wrong length or shape raises ValueError.
+    """
+    if len(zeta) != s.rank:
+        raise ValueError(f"a character of a rank-{s.rank} system needs {s.rank} maps, got {len(zeta)}")
+    for i, z in enumerate(zeta, start=1):
+        if (z.matrix.n_rows, z.matrix.n_cols) != (1, s.space(i).dim):
+            raise ValueError(f"character component {i} is not a map V_{i} -> k")
     rep = AxiomReport("braided character")
     for i in range(1, s.rank + 1):
-        if c.zeta[i - 1].domain[0].dim != s.space(i).dim:
-            raise ValueError(f"character component {i} has wrong dimension")
-    for i in range(1, s.rank + 1):
         for j in range(i, s.rank + 1):
-            zi, zj = c.component(i), c.component(j)
+            zi, zj = zeta[i - 1], zeta[j - 1]
             rep.compare(f"char({i},{j})", zj.tensor(zi).compose(s.sigma[(i, j)]), zi.tensor(zj))
     return rep
 
@@ -78,15 +68,11 @@ def eps_characters(s):
         raise TypeError("eps_characters needs a system built by build_yd_system")
     f = s.field
     n = s.rank
-    zeros = [zero_character_map(s.space(i), f) for i in range(1, n + 1)]
-    z_h = list(zeros)
-    z_h[0] = LinMap((s.space(1),), (), s.bialgebra.eps.matrix)
-    z_hs = list(zeros)
-    z_hs[n - 1] = LinMap((s.space(n),), (), s.dual.eps.matrix)
-    char_h = BraidedCharacter(s, tuple(z_h))
-    char_hs = BraidedCharacter(s, tuple(z_hs))
+    zeros = tuple(zero_character_map(s.space(i), f) for i in range(1, n + 1))
+    char_h = (LinMap((s.space(1),), (), s.bialgebra.eps.matrix),) + zeros[1:]
+    char_hs = zeros[:-1] + (LinMap((s.space(n),), (), s.dual.eps.matrix),)
     for ch in (char_h, char_hs):
-        rep = check_character(ch)
+        rep = check_character(s, ch)
         if not rep.passed:
             raise AssertionError(f"built-in character failed: {rep.first_failure()}")
     return char_h, char_hs
@@ -186,7 +172,7 @@ def _verify_or_raise(c, rep=None):
     return c
 
 
-def homology_dims(c, which="d", cohomology=False, up_to=None):
+def homology_dims(c, which="d", cohomology=False):
     """Exact homology dimensions for total degrees 0..max_total-1.
 
     dim H_k = dim ker(d_k) - rank(d_{k+1}); with cohomology=True the
@@ -202,24 +188,18 @@ def homology_dims(c, which="d", cohomology=False, up_to=None):
     if which not in ("d", "d_prime", "total"):
         raise ValueError(f"unknown differential choice {which!r}")
     top = c.max_total - 1
-    if up_to is None:
-        up_to = top
-    if up_to > top:
-        raise InsufficientTruncationError(
-            f"degree {up_to} requested but truncation supports only <= {top}"
-        )
     rows = []
-    for k in range(0, up_to + 1):
+    for k in range(0, top + 1):
         dim_ck = c.chain_dim(k)
         rank_in, rank_out = c.rank(which, k), c.rank(which, k + 1)
         h = dim_ck - rank_in - rank_out
         # the coboundary out of degree k is the transpose of d_{k+1}
         rank_d = rank_out if cohomology else rank_in
         rows.append({"degree": k, "chain_dim": dim_ck, "rank_d": rank_d, "homology_dim": h})
-    boundary_rank = c.rank(which, up_to + 1)
+    boundary_rank = c.rank(which, top + 1)
     euler_h = sum((-1) ** r["degree"] * r["homology_dim"] for r in rows)
     euler_c = sum((-1) ** r["degree"] * r["chain_dim"] for r in rows)
-    euler_ok = euler_h == euler_c - ((-1) ** up_to) * boundary_rank
+    euler_ok = euler_h == euler_c - ((-1) ** top) * boundary_rank
     return {
         "which": which,
         "cohomology": bool(cohomology),
@@ -262,7 +242,7 @@ def generic_differentials(s, zeta, xi, max_total_degree):
     the mirror image with the global sign (-1)^(n-1).
     """
     for ch in (zeta, xi):
-        rep = check_character(ch)
+        rep = check_character(s, ch)
         if not rep.passed:
             raise ValueError(f"invalid braided character: {rep.first_failure()}")
     f = s.field
@@ -285,14 +265,14 @@ def generic_differentials(s, zeta, xi, max_total_degree):
             # (-1)^(i-1) on both sides: i-1 crossings to the front; (-1)^(n-1) times n-i to the back
             sign = -1 if (i - 1) % 2 else 1
             # left differential: braid factor i to the front, apply zeta
-            if not zeta.component(ki).is_zero():
+            if not zeta[ki - 1].is_zero():
                 comp, ctx = braid_factor(s, types, i, front=True)
-                front = zeta.component(ki).tensor(identity(ctx[1:], f))
+                front = zeta[ki - 1].tensor(identity(ctx[1:], f))
                 add_block(d_blocks, deg, tgt, front.compose(comp).scale(sign).matrix)
             # right differential: braid factor i to the back, apply xi
-            if not xi.component(ki).is_zero():
+            if not xi[ki - 1].is_zero():
                 comp, ctx = braid_factor(s, types, i, front=False)
-                back = identity(ctx[:-1], f).tensor(xi.component(ki))
+                back = identity(ctx[:-1], f).tensor(xi[ki - 1])
                 add_block(dp_blocks, deg, tgt, back.compose(comp).scale(sign).matrix)
 
     cx = GradedComplex(f, dims, d_blocks, dp_blocks, max_total_degree, meta={"kind": "generic"})

@@ -32,7 +32,7 @@ from .tensor import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass
 class UAA:
     """A unital associative algebra presented by its two structure maps."""
 
@@ -42,10 +42,9 @@ class UAA:
 
 
 @dataclass
-class Bialgebra:
-    space: Space
-    mu: LinMap
-    nu: LinMap
+class Bialgebra(UAA):
+    """A UAA with a compatible comultiplication and counit, and optionally an antipode."""
+
     delta: LinMap
     eps: LinMap
     antipode: LinMap | None = None
@@ -57,9 +56,6 @@ class Bialgebra:
     @property
     def dim(self):
         return self.space.dim
-
-    def as_uaa(self):
-        return UAA(self.space, self.mu, self.nu)
 
     def same_structure(self, other):
         return (
@@ -119,7 +115,7 @@ def check_bialgebra(b, level="bialgebra"):
     return rep
 
 
-def solve_antipode(b, detail=False):
+def solve_antipode(b):
     """Solve the antipode equation; None if no two-sided antipode exists.
 
     The linear system comes from the left half of the antipode equation
@@ -144,13 +140,13 @@ def solve_antipode(b, detail=False):
     nu_eps = b.nu.compose(b.eps).matrix
     x = solve_linear(system.matrix, [nu_eps.get(i, j) for i, j in basis((H, H))])
     if x is None:
-        return (None, "left antipode system inconsistent") if detail else None
+        return None
     s = from_terms((H,), (H,), (((c,), (a,), v) for (c, a), v in zip(basis((H, H)), x)), f)
     id_H = identity([b.space], f)
     right = compose_chain([b.mu, id_H.tensor(s), b.delta])
     if right.matrix != b.nu.compose(b.eps).matrix:
-        return (None, "left antipode found but right antipode equation fails") if detail else None
-    return (s, "ok") if detail else s
+        return None
+    return s
 
 
 def opposites(b):
@@ -229,10 +225,10 @@ def _validate_table(table, need_inverses):
     return e, inv
 
 
-def _grouplike_bialgebra(table, e, field, names, label):
+def _grouplike_bialgebra(table, e, field, names):
     """mu(g (x) h) = gh, nu = e, Delta(g) = g (x) g, eps(g) = 1 on the basis of a monoid table."""
     n = len(table)
-    space = Space(n, label, tuple(names) if names else None)
+    space = Space(n, "H", tuple(names) if names else None)
     one = field.one
     products = (((table[i][j],), (i, j), one) for i in range(n) for j in range(n))
     mu = from_terms((space, space), (space,), products, field)
@@ -242,18 +238,18 @@ def _grouplike_bialgebra(table, e, field, names, label):
     return space, mu, nu, delta, eps
 
 
-def group_algebra(table, names=None, field=QQ, label="H"):
+def group_algebra(table, names=None, field=QQ):
     """Hopf algebra kG of a finite group given by its multiplication table."""
     e, inv = _validate_table(table, need_inverses=True)
-    space, mu, nu, delta, eps = _grouplike_bialgebra(table, e, field, names, label)
+    space, mu, nu, delta, eps = _grouplike_bialgebra(table, e, field, names)
     antipode = from_terms((space,), (space,), (((inv[i],), (i,), field.one) for i in range(len(table))), field)
     return Bialgebra(space, mu, nu, delta, eps, antipode)
 
 
-def monoid_algebra(table, names=None, field=QQ, label="H"):
+def monoid_algebra(table, names=None, field=QQ):
     """Bialgebra of a finite monoid; carries no antipode field."""
     e, _ = _validate_table(table, need_inverses=False)
-    return Bialgebra(*_grouplike_bialgebra(table, e, field, names, label), antipode=None)
+    return Bialgebra(*_grouplike_bialgebra(table, e, field, names), antipode=None)
 
 
 def group_table_from_bialgebra(b):

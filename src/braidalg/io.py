@@ -102,6 +102,17 @@ def _map_json(m):
     return cube(())
 
 
+def _basis_names(data, d, where):
+    """The optional basis names of a d-dimensional space: d distinct strings."""
+    names = data.get("basis")
+    if names is None:
+        return None
+    strings = isinstance(names, list) and all(isinstance(x, str) for x in names)
+    if not (strings and len(set(names)) == len(names) == d):
+        raise SchemaError(f"{where}.basis: expected {d} distinct names")
+    return tuple(names)
+
+
 def _load_json(path):
     try:
         with open(path) as fh:
@@ -140,18 +151,15 @@ def bialgebra_to_json(b):
     return out
 
 
-def bialgebra_from_json(data, label="H", where="bialgebra"):
+def bialgebra_from_json(data, where="bialgebra"):
     for key in ("field", "dim", "mul", "unit", "comul", "counit"):
         if key not in data:
             raise SchemaError(f"{where}: missing key {key!r}")
     f = parse_field_spec(data["field"], f"{where}.field")
     d = data["dim"]
-    if not isinstance(d, int) or d < 1:
+    if type(d) is not int or d < 1:
         raise SchemaError(f"{where}.dim: expected a positive integer")
-    basis = data.get("basis")
-    if basis is not None and (len(basis) != d or len(set(basis)) != d):
-        raise SchemaError(f"{where}.basis: expected {d} distinct names")
-    space = Space(d, label, tuple(basis) if basis else None)
+    space = Space(d, "H", _basis_names(data, d, where))
     mu = _map_from_json(f, data["mul"], (space, space), (space,), f"{where}.mul")
     nu = _map_from_json(f, data["unit"], (), (space,), f"{where}.unit")
     delta = _map_from_json(f, data["comul"], (space,), (space, space), f"{where}.comul")
@@ -173,7 +181,7 @@ def load_bialgebra(path):
 # -- YD modules --------------------------------------------------------------
 
 
-def yd_module_to_json(m, bialgebra_path, mu=None, nu=None):
+def yd_module_to_json(m, bialgebra_path):
     out = {
         "bialgebra": bialgebra_path,
         "dim": m.dim,
@@ -182,39 +190,38 @@ def yd_module_to_json(m, bialgebra_path, mu=None, nu=None):
     }
     if m.delta is not None:
         out["coaction"] = _map_json(m.delta)
-    if mu is not None:
-        out["mul"] = _map_json(mu)
-        out["unit"] = _map_json(nu)
+    if isinstance(m, YDModuleAlgebra):
+        out["mul"] = _map_json(m.mu)
+        out["unit"] = _map_json(m.nu)
     return out
 
 
-def yd_module_from_json(data, base, label="M", where="yd-module"):
+def yd_module_from_json(data, base, where="yd-module"):
     for key in ("dim", "action"):
         if key not in data:
             raise SchemaError(f"{where}: missing key {key!r}")
     f = base.field
     dM = data["dim"]
-    if not isinstance(dM, int) or dM < 1:
+    if type(dM) is not int or dM < 1:
         raise SchemaError(f"{where}.dim: expected a positive integer")
-    basis = data.get("basis")
-    if basis is not None and len(basis) != dM:
-        raise SchemaError(f"{where}.basis: expected {dM} names")
-    space = Space(dM, label, tuple(basis) if basis else None)
+    space = Space(dM, "M", _basis_names(data, dM, where))
     lam = _map_from_json(f, data["action"], (base.space, space), (space,), f"{where}.action")
     delta = None
     if "coaction" in data:
         delta = _map_from_json(f, data["coaction"], (space,), (space, base.space), f"{where}.coaction")
-    yd = YDModule(base, space, lam, delta)
     if "mul" in data:
         if "unit" not in data:
             raise SchemaError(f"{where}: 'mul' without 'unit'")
         mu = _map_from_json(f, data["mul"], (space, space), (space,), f"{where}.mul")
         nu = _map_from_json(f, data["unit"], (), (space,), f"{where}.unit")
-        return YDModuleAlgebra(yd, mu, nu)
-    return yd
+        return YDModuleAlgebra(base, space, lam, delta, mu=mu, nu=nu)
+    return YDModule(base, space, lam, delta)
 
 
 def resolve_reference(path, ref):
+    """The path of the bialgebra file ``ref`` that the file at ``path`` names."""
+    if not isinstance(ref, str):
+        raise SchemaError(f"{path}.bialgebra: expected a file path")
     if os.path.isabs(ref):
         return ref
     return os.path.normpath(os.path.join(os.path.dirname(os.path.abspath(path)), ref))
@@ -230,10 +237,7 @@ def load_yd_module(path):
 
 
 def save_yd_module(path, m, bialgebra_path):
-    if isinstance(m, YDModuleAlgebra):
-        _dump_json(path, yd_module_to_json(m.yd, bialgebra_path, m.mu, m.nu))
-    else:
-        _dump_json(path, yd_module_to_json(m, bialgebra_path))
+    _dump_json(path, yd_module_to_json(m, bialgebra_path))
 
 
 # -- R-matrices ---------------------------------------------------------------
@@ -311,12 +315,21 @@ def system_from_json(data, where="braided-system"):
         if key not in data:
             raise SchemaError(f"{where}: missing key {key!r}")
     f = parse_field_spec(data["field"], f"{where}.field")
+    if not isinstance(data["components"], list):
+        raise SchemaError(f"{where}.components: expected a list")
     comps = []
     for t, c in enumerate(data["components"], start=1):
-        if "dim" not in c:
-            raise SchemaError(f"{where}.components[{t - 1}]: missing 'dim'")
+        loc = f"{where}.components[{t - 1}]"
+        if not isinstance(c, dict) or "dim" not in c:
+            raise SchemaError(f"{loc}: expected an object with a 'dim'")
+        if type(c["dim"]) is not int or c["dim"] < 1:
+            raise SchemaError(f"{loc}.dim: expected a positive integer")
+        if not isinstance(c.get("label", ""), str):
+            raise SchemaError(f"{loc}.label: expected a string")
         comps.append(Space(c["dim"], c.get("label", f"V{t}")))
     r = len(comps)
+    if not isinstance(data["sigma"], dict):
+        raise SchemaError(f"{where}.sigma: expected an object")
     sigma = {}
     for key, raw in data["sigma"].items():
         try:

@@ -30,7 +30,7 @@ from .hopf import Bialgebra, check_bialgebra, dual_bialgebra
 from .linalg import inverse as matrix_inverse, rank as matrix_rank
 from .report import AxiomReport
 from .tensor import LinMap, Space, compose_chain, embed_at, evaluation, from_terms, identity
-from .yd import YDModule, YDModuleAlgebra, check_yd, ring_braiding, tensor_space
+from .yd import YDModuleAlgebra, check_yd, ring_braiding, tensor_space
 
 
 @dataclass
@@ -111,11 +111,9 @@ def sigma_ass(uaa, side="left"):
 # -- the (H, M_1..M_r, H*) system -----------------------------------------
 
 
-def dual_action(b, dual=None):
-    """The H-action on H*: (h.l)(x) = l(x h), i.e. (ev (x) Id) o (Id (x) Delta*)."""
+def dual_action(b, dual):
+    """The H-action on H* = dual: (h.l)(x) = l(x h), i.e. (ev (x) Id) o (Id (x) Delta*)."""
     f = b.field
-    if dual is None:
-        dual = dual_bialgebra(b)
     ev = evaluation(b.space, f)[1]  # H (x) H* -> k
     return ev.tensor(identity([dual.space], f)).compose(identity([b.space], f).tensor(dual.delta))
 
@@ -129,10 +127,9 @@ def yd_sigmas(h, dual, lam_dual, mods, variant):
     module algebras (variant "ydalg"); no axioms are assumed.
     """
     f = h.field
-    yds = [m.yd if isinstance(m, YDModuleAlgebra) else m for m in mods]
     n = len(mods) + 2
-    coaction = [h.delta] + [m.delta for m in yds]  # of components 1..n-1 (H coacts on itself via Delta)
-    action = [m.lam for m in yds] + [lam_dual]  # of components 2..n
+    coaction = [h.delta] + [m.delta for m in mods]  # of components 1..n-1 (H coacts on itself via Delta)
+    action = [m.lam for m in mods] + [lam_dual]  # of components 2..n
     sigma = {(1, 1): sigma_ass(h, "right"), (n, n): sigma_ass(dual, "left")}
     for t, m in enumerate(mods, start=2):
         sigma[(t, t)] = identity([m.space, m.space], f) if variant == "yd" else sigma_ass(m, "left")
@@ -142,14 +139,12 @@ def yd_sigmas(h, dual, lam_dual, mods, variant):
     return sigma
 
 
-@dataclass
+@dataclass(repr=False)
 class YDSystem(BraidedSystem):
-    """Braided system produced by build_yd_system, keeping its ingredients."""
+    """Braided system produced by build_yd_system, keeping H and H*."""
 
     bialgebra: Bialgebra = None
     dual: Bialgebra = None
-    modules: tuple = ()
-    variant: str = "yd"
 
 
 def build_yd_system(h, mods, variant="yd", check=True):
@@ -177,7 +172,7 @@ def build_yd_system(h, mods, variant="yd", check=True):
     dual = dual_bialgebra(h)
     components = (h.space,) + tuple(m.space for m in mods) + (dual.space,)
     sigma = yd_sigmas(h, dual, dual_action(h, dual), mods, variant)
-    sys = YDSystem(components, sigma, f, bialgebra=h, dual=dual, modules=tuple(mods), variant=variant)
+    sys = YDSystem(components, sigma, f, bialgebra=h, dual=dual)
     if check:
         rep = verify_cybe(sys)
         if not rep.passed:
@@ -289,7 +284,7 @@ def braid_factor(s, types, i, front):
     return comp, ctx
 
 
-def glue(s, lo, hi, check=True):
+def glue(s, lo, hi):
     """Replace consecutive components lo..hi by their tensor product.
 
     The glued block gets the identity diagonal braiding; mixed braidings
@@ -331,10 +326,9 @@ def glue(s, lo, hi, check=True):
         sigma[(block_idx, old_new[b])] = LinMap((block, s.space(b)), (s.space(b), block), comp.matrix)
 
     out = BraidedSystem(tuple(new_components), sigma, f)
-    if check:
-        rep = verify_cybe(out)
-        if not rep.passed:
-            raise AssertionError(f"glued system fails cYBE: {rep.first_failure()}")
+    rep = verify_cybe(out)
+    if not rep.passed:
+        raise AssertionError(f"glued system fails cYBE: {rep.first_failure()}")
     return out
 
 
@@ -361,19 +355,19 @@ _PRECISION_CHECKS = {
 }
 
 
-def precision_harness(h, dual, lam_dual, v, lam, delta, mu, nu):
+def precision_harness(alg, dual, lam_dual):
     """Row-by-row equivalence "cYBE instance <=> structure axiom".
 
     For each of the six rows the report carries three booleans: the side
     condition, the cYBE instance, and the axiom.  Axioms and side
-    conditions are read from one ``check_yd(..., "yd_algebra")`` report.
+    conditions are read from one ``check_yd(alg, "yd_algebra")`` report.
     Whenever the side condition is met the last two are asserted equal.
     The cYBE instances are those of the system ``build_yd_system`` builds
-    from (v, lam, delta, mu, nu) with variant "ydalg"; ``dual`` and
-    ``lam_dual`` are as in ``yd_sigmas``.
+    from the candidate YD module algebra ``alg`` with variant "ydalg";
+    ``dual`` and ``lam_dual`` are as in ``yd_sigmas`` for ``h = alg.base``.
     """
-    alg = YDModuleAlgebra(YDModule(h, v, lam, delta), mu, nu)
-    sys = BraidedSystem((h.space, v, dual.space), yd_sigmas(h, dual, lam_dual, [alg], "ydalg"), h.field)
+    h = alg.base
+    sys = BraidedSystem((h.space, alg.space, dual.space), yd_sigmas(h, dual, lam_dual, [alg], "ydalg"), h.field)
     axioms = check_yd(alg, "yd_algebra")
     passed = {c.name: c.passed for c in axioms.checks}
     rep = AxiomReport("precision harness (cYBE <=> axiom)")
@@ -391,7 +385,8 @@ def precision_harness(h, dual, lam_dual, v, lam, delta, mu, nu):
 
 
 def random_precision_data(h, dim_v, rng):
-    """Random (lam, delta, mu, nu) on a dim_v space, side conditions enforced.
+    """A candidate YD module algebra over h on a dim_v space with random
+    (lam, delta, mu, nu), side conditions enforced.
 
     Needs the unit of H to be a basis vector with eps(unit) = 1 (true for
     group algebras); the side conditions of the six rows are then linear
@@ -435,4 +430,4 @@ def random_precision_data(h, dim_v, rng):
             coeffs[unit_idx] = int(a == b) - sum(val * h.eps.matrix.get(0, i) for i, val in coeffs.items())
             delta_terms += [((b, i), (a,), val) for i, val in coeffs.items()]
     delta = from_terms((v,), (v, h.space), delta_terms, f)
-    return v, lam, delta, mu, nu
+    return YDModuleAlgebra(h, v, lam, delta, mu=mu, nu=nu)

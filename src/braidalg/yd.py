@@ -41,23 +41,12 @@ class YDModule:
         return f"YDModule({self.space.label}, dim={self.dim} over {self.base.space.label})"
 
 
-@dataclass
-class YDModuleAlgebra:
-    yd: YDModule
+@dataclass(kw_only=True, repr=False)
+class YDModuleAlgebra(YDModule):
+    """A YD module with a compatible unital multiplication mu: M (x) M -> M, nu: k -> M."""
+
     mu: LinMap
     nu: LinMap
-
-    @property
-    def base(self):
-        return self.yd.base
-
-    @property
-    def space(self):
-        return self.yd.space
-
-    @property
-    def field(self):
-        return self.yd.field
 
 
 def check_yd(m, level="yd"):
@@ -66,20 +55,19 @@ def check_yd(m, level="yd"):
         raise ValueError(f"unknown level {level!r}")
     if level == "yd_algebra" and not isinstance(m, YDModuleAlgebra):
         raise TypeError("yd_algebra level needs a YDModuleAlgebra")
-    yd = m.yd if isinstance(m, YDModuleAlgebra) else m
-    b = yd.base
-    f = yd.field
-    H, M = b.space, yd.space
+    b = m.base
+    f = m.field
+    H, M = b.space, m.space
     id_H = identity([H], f)
     id_M = identity([M], f)
     rep = AxiomReport(f"{level} axioms for {M.label}")
 
     if level in ("module", "yd", "yd_algebra"):
-        lam = yd.lam
+        lam = m.lam
         rep.compare("action_associativity", lam.compose(b.mu.tensor(id_M)), lam.compose(id_H.tensor(lam)))
         rep.compare("action_unit", lam.compose(b.nu.tensor(id_M)), id_M)
     if level in ("comodule", "yd", "yd_algebra"):
-        delta = yd.delta
+        delta = m.delta
         if delta is None:
             rep.add("coaction_present", False)
             return rep
@@ -92,15 +80,14 @@ def check_yd(m, level="yd"):
     if level in ("yd", "yd_algebra"):
         c_HM = flip(H, M, f)
         lhs = compose_chain(
-            [id_M.tensor(b.mu), yd.delta.tensor(id_H), c_HM, id_H.tensor(yd.lam), b.delta.tensor(id_M)]
+            [id_M.tensor(b.mu), m.delta.tensor(id_H), c_HM, id_H.tensor(m.lam), b.delta.tensor(id_M)]
         )
         rhs = compose_chain(
-            [yd.lam.tensor(b.mu), id_H.tensor(c_HM).tensor(id_H), b.delta.tensor(yd.delta)]
+            [m.lam.tensor(b.mu), id_H.tensor(c_HM).tensor(id_H), b.delta.tensor(m.delta)]
         )
         rep.compare("yd_compatibility", lhs, rhs)
     if level == "yd_algebra":
         mu, nu = m.mu, m.nu
-        lam, delta = yd.lam, yd.delta
         rep.compare("uaa_associativity", mu.compose(mu.tensor(id_M)), mu.compose(id_M.tensor(mu)))
         rep.compare("uaa_unit_left", mu.compose(nu.tensor(id_M)), id_M)
         rep.compare("uaa_unit_right", mu.compose(id_M.tensor(nu)), id_M)
@@ -293,7 +280,7 @@ def formal_unit_extend(m):
     mu_terms = [((x,), (0, x), f.one) for x in range(d + 1)] + [((x,), (x, 0), f.one) for x in range(1, d + 1)]
     mu = from_terms((Mt, Mt), (Mt,), mu_terms, f)
     nu = from_terms((), (Mt,), [((0,), (), f.one)], f)
-    return YDModuleAlgebra(YDModule(b, Mt, lam, delta), mu, nu)
+    return YDModuleAlgebra(b, Mt, lam, delta, mu=mu, nu=nu)
 
 
 def dual_yd(n):

@@ -14,9 +14,7 @@ from hypothesis import given, settings, strategies as st
 from braidalg import homology, io as bio
 from braidalg.homology import (
     COMPLEX_LINES,
-    BraidedCharacter,
     GradedComplex,
-    InsufficientTruncationError,
     check_character,
     eps_characters,
     generic_differentials,
@@ -31,7 +29,7 @@ from braidalg.homology import (
 from braidalg.hopf import Bialgebra, check_bialgebra, cyclic_group_table, dual_bialgebra, group_algebra, s3_table
 from braidalg.linalg import GF, QQ, SparseMatrix, inverse as minverse
 from braidalg.systems import BraidedSystem, build_yd_system, sigma_ass
-from braidalg.tensor import LinMap, identity
+from braidalg.tensor import LinMap, Space, identity
 from braidalg.yd import YDModule, change_of_basis, dual_yd, regular_yd_group_algebra, unit_yd
 
 Z2_TABLE, Z2_NAMES = cyclic_group_table(2)
@@ -53,20 +51,20 @@ def test_zero_character_passes():
     b = kZ2()
     m = regular_yd_group_algebra(Z2_TABLE, Z2_NAMES)
     s = build_yd_system(b, [m], "yd")
-    zeros = BraidedCharacter(s, tuple(zero_character_map(s.space(i), QQ) for i in (1, 2, 3)))
-    assert check_character(zeros).passed
+    zeros = tuple(zero_character_map(s.space(i), QQ) for i in (1, 2, 3))
+    assert check_character(s, zeros).passed
 
 
 def test_eps_characters_pass_and_locate_nontrivial_instance():
     b, m, _ = z2_setup()
     s = build_yd_system(b, [m], "yd")
     ch_h, ch_hs = eps_characters(s)
-    rep = check_character(ch_h)
+    rep = check_character(s, ch_h)
     assert rep.passed
     # the only instance with both sides nonzero is H (x) H
-    lhs = ch_h.component(1).tensor(ch_h.component(1)).compose(s.sigma[(1, 1)])
+    lhs = ch_h[0].tensor(ch_h[0]).compose(s.sigma[(1, 1)])
     assert not lhs.matrix.is_zero()
-    assert check_character(ch_hs).passed
+    assert check_character(s, ch_hs).passed
 
 
 # -- generic engine -----------------------------------------------------------
@@ -87,8 +85,8 @@ def test_rank_one_associativity_system_gives_bar_differential():
     the augmented bar differential: sum_i (-1)^(i-1) eps(h_1) ... merged."""
     b = kZ2()
     A = b.space
-    s = BraidedSystem((A,), {(1, 1): sigma_ass(b.as_uaa(), "left")}, QQ)
-    eps_char = BraidedCharacter(s, (LinMap((A,), (), b.eps.matrix),))
+    s = BraidedSystem((A,), {(1, 1): sigma_ass(b, "left")}, QQ)
+    eps_char = (LinMap((A,), (), b.eps.matrix),)
     cx = generic_differentials(s, eps_char, eps_char, 3)
     # independent hand expansion at degree 3:
     # d(h1 h2 h3) = eps(h1) h2 h3 - (h1 h2) h3 + h1 (h2 h3)
@@ -121,13 +119,22 @@ def test_generic_engine_needs_valid_characters():
     # the indicator of the unit basis vector is not an algebra morphism on
     # kZ/2 (it vanishes on g but not on g.g), so the H (x) H instance fails
     badmap = LinMap((s.space(1),), (), SparseMatrix(QQ, 1, 2, {(0, 0): QQ.one}))
-    bad = BraidedCharacter(
-        s, (badmap, zero_character_map(s.space(2), QQ), zero_character_map(s.space(3), QQ))
-    )
-    rep = check_character(bad)
+    bad = (badmap, zero_character_map(s.space(2), QQ), zero_character_map(s.space(3), QQ))
+    rep = check_character(s, bad)
     assert not rep["char(1,1)"].passed
     with pytest.raises(ValueError):
         generic_differentials(s, bad, bad, 2)
+
+
+def test_character_needs_one_map_per_component_of_the_right_dimension():
+    b, m, _ = z2_setup()
+    s = build_yd_system(b, [m], "yd")
+    ch_h, _ = eps_characters(s)
+    with pytest.raises(ValueError, match="needs 3 maps, got 2"):
+        check_character(s, ch_h[:2])
+    wrong = (ch_h[0], zero_character_map(Space(3, "W"), QQ), ch_h[2])
+    with pytest.raises(ValueError, match="component 2"):
+        generic_differentials(s, wrong, ch_h, 2)
 
 
 # -- explicit Sweedler differentials -------------------------------------------
@@ -412,13 +419,6 @@ def test_cohomology_matches_homology_dims_over_a_field():
         assert coh["euler_identity_holds"]
 
 
-def test_truncation_guard():
-    b, m, triv = z2_setup()
-    cx = coefficient_complex(b, m, triv, 1, 2)
-    with pytest.raises(InsufficientTruncationError):
-        homology_dims(cx, "d", up_to=2)
-
-
 def test_basis_change_invariance_of_dimension_tables():
     F = GF(5)
     b, m, triv = z2_setup(F)
@@ -510,7 +510,7 @@ def test_generic_engine_identical_across_diagonal_variants():
 
     ext = formal_unit_extend(m)
     s_alg = build_yd_system(b, [ext], "ydalg")
-    s_yd = build_yd_system(b, [ext.yd], "yd")
+    s_yd = build_yd_system(b, [ext], "yd")
     ch_h_alg, ch_hs_alg = eps_characters(s_alg)
     c1 = generic_differentials(s_alg, ch_hs_alg, ch_h_alg, 3)
     ch_h, ch_hs = eps_characters(s_yd)

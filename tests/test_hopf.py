@@ -92,8 +92,6 @@ def test_solve_antipode_trivial_and_monoid():
     s = solve_antipode(b1)
     assert s is not None and s.matrix == SparseMatrix.identity(QQ, 1)
     assert solve_antipode(idempotent_monoid()) is None
-    _, reason = solve_antipode(idempotent_monoid(), detail=True)
-    assert "inconsistent" in reason or "right" in reason
 
 
 def test_hopf_level_reports_antipode_missing_distinctly():

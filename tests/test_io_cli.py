@@ -1,7 +1,10 @@
 """File formats: round trips, diagnostics; CLI workflows and exit codes."""
 
+import hashlib
 import json
 import os
+from functools import reduce
+from operator import getitem
 
 import pytest
 
@@ -9,6 +12,7 @@ from braidalg import io as bio
 from braidalg.cli import main
 from braidalg.hopf import check_bialgebra, cyclic_group_table, dual_bialgebra, group_algebra, s3_table
 from braidalg.linalg import GF
+from braidalg.rmatrix import unit_r_matrix
 from braidalg.systems import build_yd_system
 from braidalg.yd import YDModuleAlgebra, dual_yd, formal_unit_extend, regular_yd_group_algebra
 
@@ -89,6 +93,7 @@ def test_system_round_trip(tmp_path):
     bio.save_system(p, s)
     loaded = bio.load_system(p)
     assert loaded.rank == 3
+    assert repr(s) == repr(loaded) == "BraidedSystem(H,H_yd,H*)"
     for key, sig in s.sigma.items():
         assert loaded.sigma[key].matrix == sig.matrix
     p2 = tmp_path / "sys2.json"
@@ -157,6 +162,49 @@ def test_sigma_must_be_rows_or_entries(tmp_path):
     path.write_text(json.dumps(data))
     with pytest.raises(bio.SchemaError, match=r"sigma\[1,2\]: expected dense rows or an object"):
         bio.load_system(path)
+
+
+@pytest.mark.parametrize(
+    "path, value, location",
+    [
+        (("components", 0, "dim"), 0, "components[0].dim"),
+        (("components", 0, "dim"), "2", "components[0].dim"),
+        (("components", 0, "label"), 3, "components[0].label"),
+        (("components", 0), 2, "components[0]"),
+        (("components",), 3, "components"),
+        (("sigma",), [], "sigma"),
+    ],
+    ids=["dim-zero", "dim-string", "label-number", "component-number", "components-number", "sigma-list"],
+)
+def test_malformed_system_file_is_an_input_error(tmp_path, capsys, path, value, location):
+    b = group_algebra(Z2_TABLE, Z2_NAMES)
+    data = bio.system_to_json(build_yd_system(b, [regular_yd_group_algebra(Z2_TABLE, Z2_NAMES)], "yd"))
+    reduce(getitem, path[:-1], data)[path[-1]] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    assert run("verify", "cybe", str(bad)) == 2
+    assert f"bad.json.{location}: expected" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("basis", ["a", "a"], "basis: expected 2 distinct names"),
+        ("bialgebra", 5, "bialgebra: expected a file path"),
+        ("dim", True, "dim: expected a positive integer"),
+    ],
+    ids=["basis-repeated", "bialgebra-number", "dim-true"],
+)
+def test_malformed_yd_module_file_is_an_input_error(tmp_path, capsys, key, value, message):
+    h, m = str(tmp_path / "z2.json"), tmp_path / "m.json"
+    assert run("gen", "group-algebra", "--group", "Z2", "-o", h) == 0
+    assert run("gen", "regular-yd", "--hopf", h, "-o", str(m)) == 0
+    data = json.loads(m.read_text())
+    data[key] = value
+    m.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert run("check", "yd", str(m)) == 2
+    assert f"m.json.{message}" in capsys.readouterr().err
 
 
 def test_structure_constant_layouts_follow_the_schema(tmp_path):
@@ -351,6 +399,16 @@ def test_cli_harness_precision(tmp_path, capsys):
     assert "0 equivalence violations" in out
 
 
+def test_cli_harness_refuses_trials_below_one(tmp_path, capsys):
+    h = str(tmp_path / "z2.json")
+    assert run("gen", "group-algebra", "--group", "Z2", "--field", "Fp:5", "-o", h) == 0
+    capsys.readouterr()
+    for trials in ("-3", "0"):
+        assert run("harness", "precision", "--hopf", h, "--dim", "2", "--trials", trials, "--seed", "3") == 2
+        out, err = capsys.readouterr()
+        assert "--trials must be at least 1" in err and "trials," not in out
+
+
 def test_cli_homology_report_deterministic(tmp_path):
     h = str(tmp_path / "z2.json")
     m = str(tmp_path / "m.json")
@@ -450,3 +508,93 @@ def test_cli_homology_needs_full_modules(tmp_path):
     code = run("homology", "--hopf", h, "--mod", m, "--coeff", t, "--line", "1", "--max-degree", "2", "-o", str(tmp_path / "r.json"))
     assert code == 2
 
+
+# formal_unit_extend(regular kS3 over Q) through every command that reads a
+# module file: each exits 0, and stdout and every file it writes are pinned
+# by SHA-256 digest
+MODULE_ALGEBRA_RUNS = (
+    (
+        ("check", "yd-algebra", "ma.json"),
+        {
+            "stdout": "e645e702d4312b28879b2080c31dbfb7ed2081b29eaf6c9727d0de26ad2354de",
+        },
+    ),
+    (
+        ("check", "yd", "ma.json"),
+        {
+            "stdout": "0fd5070f7c72cd59f2b7cc92f7edb24e6975e4263766b8daac361fa3d84547cd",
+        },
+    ),
+    (
+        ("build", "yd-system", "--hopf", "s3.json", "--mod", "ma.json", "--variant", "ydalg", "-o", "alg.json"),
+        {
+            "stdout": "762832688201ecc08fb5a67859aaae0ad6b1c9530c8f074c019f88e45afa1140",
+            "alg.json": "fcda0283559991f49a18fe62f86a5119db1adae266acd0b95bcdaafe4e2a3602",
+        },
+    ),
+    (
+        ("build", "yd-system", "--hopf", "s3.json", "--mod", "ma.json", "--variant", "yd", "-o", "yd.json"),
+        {
+            "stdout": "cfb9ee375690a4fa906f63bda35e08038ae395cf2359f2cf9c239a443ece83f4",
+            "yd.json": "1a2219668be757e87b1ab2c7c9745c60dea0089f9c653f3187ed8d6cd3e464ec",
+        },
+    ),
+    (
+        ("verify", "cybe", "alg.json"),
+        {
+            "stdout": "67e1e1069358312370832be64494ff423fa6d6516cd172acfc5f17ee3e912c8b",
+        },
+    ),
+    (
+        ("verify", "cybe", "yd.json"),
+        {
+            "stdout": "67e1e1069358312370832be64494ff423fa6d6516cd172acfc5f17ee3e912c8b",
+        },
+    ),
+    (
+        ("dual", "yd", "ma.json", "-o", "dual.json"),
+        {
+            "stdout": "d907fe9e6f04a51edbd165fd5483a43c31e1a49e9c986333880a08d73618c3a9",
+            "dual.json": "e4fdc577155ea810c7b265dae1e4a1796275800de3b5911e684ddf9793f13be4",
+            "dual_base.json": "2b9c6326a0034b35ab14cb9891c6341005e8eb8a0d313a2a0a470a5a3b4fcee5",
+        },
+    ),
+    (
+        ("rmatrix", "coaction", "--module", "ma.json", "--r", "r.json", "-o", "rc.json"),
+        {
+            "stdout": "f7e110988daa938201b20b74f8c2d07f2df688bdf6616b0e4e4cf7e40b3ffe1f",
+            "rc.json": "d941110fe649bcee0c3f424cf9fb30009e7076b30477d83f2e40dd0cab91852b",
+        },
+    ),
+    (
+        ("homology", "--hopf", "s3.json", "--mod", "ma.json", "--coeff", "t.json", "--line", "4", "--max-degree", "3",
+         "-o", "mod.json"),
+        {
+            "stdout": "3207c28b842e6d52f85a846f0879101c0515290b2c374c971cb3c82545811119",
+            "mod.json": "7539e0a24f05bd2adba99bfa580e618d7d0506eb10c1f1da47533a2ab0c0b7a2",
+        },
+    ),
+    (
+        ("homology", "--hopf", "s3.json", "--mod", "t.json", "--coeff", "ma.json", "--line", "4", "--max-degree", "3",
+         "-o", "coeff.json"),
+        {
+            "stdout": "cacb57771218ebde41fd43566c5a141e3aabc304ef986b6546c08278d6b30d4d",
+            "coeff.json": "7539e0a24f05bd2adba99bfa580e618d7d0506eb10c1f1da47533a2ab0c0b7a2",
+        },
+    ),
+)
+
+
+def test_cli_reads_a_module_algebra_file_in_every_command(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run("gen", "group-algebra", "--group", "S3", "-o", "s3.json") == 0
+    assert run("gen", "regular-yd", "--hopf", "s3.json", "-o", "m.json") == 0
+    assert run("gen", "trivial-yd", "--hopf", "s3.json", "-o", "t.json") == 0
+    bio.save_yd_module("ma.json", formal_unit_extend(bio.load_yd_module("m.json")), "s3.json")
+    bio.save_rmatrix("r.json", unit_r_matrix(bio.load_bialgebra("s3.json")), "s3.json")
+    capsys.readouterr()
+    for argv, digests in MODULE_ALGEBRA_RUNS:
+        assert run(*argv) == 0, argv
+        outputs = {"stdout": capsys.readouterr().out.encode()}
+        outputs.update((name, (tmp_path / name).read_bytes()) for name in digests if name != "stdout")
+        assert {name: hashlib.sha256(data).hexdigest() for name, data in outputs.items()} == digests, argv

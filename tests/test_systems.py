@@ -1,5 +1,6 @@
 """Braided systems: cYBE checks, YD-system builders, gluing, harnesses."""
 
+import dataclasses
 import hashlib
 import random
 
@@ -24,8 +25,6 @@ from braidalg.systems import (
 )
 from braidalg.tensor import LinMap, Space, compose_chain, flip, identity
 from braidalg.yd import (
-    YDModule,
-    YDModuleAlgebra,
     check_yd,
     formal_unit_extend,
     regular_yd_group_algebra,
@@ -170,16 +169,16 @@ def test_braided_morphism_breaking_grading_fails_on_MHstar():
 
 def test_sigma_ass_cases():
     b1 = group_algebra(*cyclic_group_table(1))
-    assert sigma_ass(b1.as_uaa(), "left").matrix == SparseMatrix.identity(QQ, 1)
+    assert sigma_ass(b1, "left").matrix == SparseMatrix.identity(QQ, 1)
     b2 = group_algebra(Z2_TABLE, Z2_NAMES)
-    left = sigma_ass(b2.as_uaa(), "left")
+    left = sigma_ass(b2, "left")
     # g (x) g -> e (x) e
     assert left.matrix.get(0 * 2 + 0, 1 * 2 + 1) == QQ.one
-    right = sigma_ass(b2.as_uaa(), "right")
+    right = sigma_ass(b2, "right")
     assert right.matrix.get(0 * 2 + 0, 1 * 2 + 1) == QQ.one  # g.g (x) 1 = e (x) e
     # YBE for the associativity braiding of kS3
     bs = group_algebra(S3_TABLE, S3_NAMES)
-    sig = sigma_ass(bs.as_uaa(), "left")
+    sig = sigma_ass(bs, "left")
     idh = identity([bs.space], QQ)
     lhs = compose_chain([sig.tensor(idh), idh.tensor(sig), sig.tensor(idh)])
     rhs = compose_chain([idh.tensor(sig), sig.tensor(idh), idh.tensor(sig)])
@@ -227,7 +226,7 @@ def test_validate_uaa_system_trivial_and_hhstar():
     b = group_algebra(Z2_TABLE, Z2_NAMES)
     s = build_yd_system(b, [], "yd")
     d = dual_bialgebra(b)
-    rep, _ = validate_uaa_system([b.as_uaa(), d.as_uaa()], {(1, 2): s.sigma[(1, 2)]})
+    rep, _ = validate_uaa_system([b, d], {(1, 2): s.sigma[(1, 2)]})
     assert rep.passed
 
 
@@ -250,7 +249,7 @@ def test_validate_uaa_system_equivalence_on_non_natural_xi():
         (1 * 2 + 1, 1 * 2 + 1): two,
     }
     xi = LinMap((b.space, d.space), (d.space, b.space), SparseMatrix(QQ, 4, 4, ent))
-    rep, _ = validate_uaa_system([b.as_uaa(), d.as_uaa()], {(1, 2): xi})
+    rep, _ = validate_uaa_system([b, d], {(1, 2): xi})
     assert not rep["mu_naturality(1,2)_left"].passed or not rep["mu_naturality(1,2)_right"].passed
     assert not rep["full_cybe"].passed
     assert rep["equivalence_cond2_iff_cybe"].passed
@@ -261,7 +260,7 @@ def test_validate_uaa_system_rejects_non_unit_natural_xi():
     d = dual_bialgebra(b)
     bad = LinMap((b.space, d.space), (d.space, b.space), SparseMatrix(QQ, 4, 4))
     with pytest.raises(ValueError, match="units"):
-        validate_uaa_system([b.as_uaa(), d.as_uaa()], {(1, 2): bad})
+        validate_uaa_system([b, d], {(1, 2): bad})
 
 
 def test_glue_matches_twisted_tensor_structures():
@@ -273,7 +272,7 @@ def test_glue_matches_twisted_tensor_structures():
     tw = tensor_yd(m, m, "twisted")
     assert check_yd(tw, "yd").passed  # the gluing certifies this structure
     assert g.sigma[(1, 2)].matrix == ring_braiding(b.delta, tw.lam, QQ).matrix
-    assert g.sigma[(2, 3)].matrix == ring_braiding(tw.delta, dual_action(b), QQ).matrix
+    assert g.sigma[(2, 3)].matrix == ring_braiding(tw.delta, dual_action(b, dual_bialgebra(b)), QQ).matrix
 
 
 def test_glue_single_component_is_degenerate():
@@ -320,7 +319,7 @@ def test_yd_and_ydalg_variants_agree_off_diagonal():
     m = regular_yd_group_algebra(Z2_TABLE, Z2_NAMES, field=F)
     ext = formal_unit_extend(m)
     sa = build_yd_system(b, [ext], "ydalg")
-    sy = build_yd_system(b, [ext.yd], "yd")
+    sy = build_yd_system(b, [ext], "yd")
     for (i, j) in sa.sigma:
         if i != j:
             assert sa.sigma[(i, j)].matrix == sy.sigma[(i, j)].matrix
@@ -337,7 +336,7 @@ def test_precision_harness_valid_inputs_all_rows_true():
     b = group_algebra(Z2_TABLE, Z2_NAMES, field=F)
     ext = formal_unit_extend(regular_yd_group_algebra(Z2_TABLE, Z2_NAMES, field=F))
     dual = dual_bialgebra(b)
-    rep, rows = precision_harness(b, dual, dual_action(b, dual), ext.yd.space, ext.yd.lam, ext.yd.delta, ext.mu, ext.nu)
+    rep, rows = precision_harness(ext, dual, dual_action(b, dual))
     assert rep.passed
     assert all(r["side"] and r["cybe"] and r["axiom"] for r in rows)
 
@@ -358,14 +357,11 @@ def test_precision_harness_side_conditions_read_their_axioms(target, entry, fail
     F = GF(5)
     b = group_algebra(Z2_TABLE, Z2_NAMES, field=F)
     ext = formal_unit_extend(regular_yd_group_algebra(Z2_TABLE, Z2_NAMES, field=F))
-    maps = {"lam": ext.yd.lam, "delta": ext.yd.delta, "mu": ext.mu}
-    m = maps[target]
+    m = getattr(ext, target)
     bump = SparseMatrix(F, m.matrix.n_rows, m.matrix.n_cols, {entry: F.one})
-    maps[target] = LinMap(m.domain, m.codomain, m.matrix + bump)
+    alg = dataclasses.replace(ext, **{target: LinMap(m.domain, m.codomain, m.matrix + bump)})
     dual = dual_bialgebra(b)
-    rep, rows = precision_harness(
-        b, dual, dual_action(b, dual), ext.yd.space, maps["lam"], maps["delta"], maps["mu"], ext.nu
-    )
+    rep, rows = precision_harness(alg, dual, dual_action(b, dual))
     assert {r["row"] for r in rows if not r["side"]} == failing
     assert all(rep[f"{name}_equivalence"].passed for name, _ in PRECISION_ROWS)
 
@@ -379,8 +375,7 @@ def test_precision_harness_random_equivalence():
     seen_false = {name: False for name, _ in PRECISION_ROWS}
     seen_true = {name: False for name, _ in PRECISION_ROWS}
     for _ in range(30):
-        v, lam, delta, mu, nu = random_precision_data(b, 2, rng)
-        _rep, rows = precision_harness(b, dual, lam_dual, v, lam, delta, mu, nu)
+        _rep, rows = precision_harness(random_precision_data(b, 2, rng), dual, lam_dual)
         for r in rows:
             assert r["side"]
             assert r["cybe"] == r["axiom"]
@@ -388,8 +383,7 @@ def test_precision_harness_random_equivalence():
             seen_true[r["row"]] |= r["axiom"]
     # with dim 3 the associativity row also exercises its false branch
     for _ in range(10):
-        v, lam, delta, mu, nu = random_precision_data(b, 3, rng)
-        _rep, rows = precision_harness(b, dual, lam_dual, v, lam, delta, mu, nu)
+        _rep, rows = precision_harness(random_precision_data(b, 3, rng), dual, lam_dual)
         for r in rows:
             assert r["cybe"] == r["axiom"]
             seen_false[r["row"]] |= not r["axiom"]
@@ -410,15 +404,14 @@ def test_precision_harness_checks_the_system_build_yd_system_builds():
         dual = dual_bialgebra(b)
         lam_dual = dual_action(b, dual)
         for trial in range(trials):
-            v, lam, delta, mu, nu = random_precision_data(b, dim, rng)
+            alg = random_precision_data(b, dim, rng)
             if trial % 2:
-                m = rng.choice((lam, delta, mu))
+                target = rng.choice(("lam", "delta", "mu"))
+                m = getattr(alg, target)
                 shape = (m.matrix.n_rows, m.matrix.n_cols)
                 bump = SparseMatrix(F, *shape, {(rng.randrange(shape[0]), rng.randrange(shape[1])): 1})
-                m_bumped = LinMap(m.domain, m.codomain, m.matrix + bump)
-                lam, delta, mu = (m_bumped if x is m else x for x in (lam, delta, mu))
-            _rep, rows = precision_harness(b, dual, lam_dual, v, lam, delta, mu, nu)
-            alg = YDModuleAlgebra(YDModule(b, v, lam, delta), mu, nu)
+                alg = dataclasses.replace(alg, **{target: LinMap(m.domain, m.codomain, m.matrix + bump)})
+            _rep, rows = precision_harness(alg, dual, lam_dual)
             built = verify_cybe(build_yd_system(b, [alg], "ydalg", check=False))
             for r in rows:
                 assert r["cybe"] == built["cYBE({},{},{})".format(*r["triple"])].passed, (b.dim, dim, trial, r)
@@ -447,7 +440,8 @@ def test_precision_sampling_is_pinned_per_seed(group, dim, seed, digest):
     of each map's shape and sorted entries, in that order, over F_5."""
     table, names = {"Z2": (Z2_TABLE, Z2_NAMES), "S3": (S3_TABLE, S3_NAMES)}[group]
     b = group_algebra(table, names, field=GF(5))
-    _v, *maps = random_precision_data(b, dim, random.Random(seed))
+    alg = random_precision_data(b, dim, random.Random(seed))
+    maps = (alg.lam, alg.delta, alg.mu, alg.nu)
     h = hashlib.sha256()
     for m in maps:
         h.update(repr((m.matrix.n_rows, m.matrix.n_cols, sorted(m.matrix.entries.items()))).encode())

@@ -147,7 +147,7 @@ def test_braiding_hexagons_on_tensor_products():
     """c_{V,W(x)U} = (Id (x) c_{V,U}) o (c_{V,W} (x) Id) and its mirror,
     with the standard tensor-product YD structure."""
     m = regular_yd_group_algebra(Z2_TABLE, Z2_NAMES)
-    u = formal_unit_extend(m).yd  # 3-dim module for variety
+    u = formal_unit_extend(m)  # 3-dim module for variety
     for v, w, x in ((m, m, u), (m, u, m), (u, m, m)):
         wu = tensor_yd(w, x, "standard")
         lhs, _ = yd_braiding(v, wu, "standard")
@@ -276,7 +276,7 @@ def test_random_valid_module_comodule_yd_iff_braiding_instance():
         assert rep["action_associativity"].passed and rep["coaction_coassociativity"].passed
         mu = LinMap((M, M), (M,), SparseMatrix(F, dim, dim * dim))
         nu = LinMap((), (M,), SparseMatrix(F, dim, 1, {(0, 0): F.one}))
-        sigma = yd_sigmas(b, dual, lam_dual, [YDModuleAlgebra(m, mu, nu)], "ydalg")
+        sigma = yd_sigmas(b, dual, lam_dual, [YDModuleAlgebra(b, M, lam, delta, mu=mu, nu=nu)], "ydalg")
         sys = BraidedSystem((b.space, M, dual.space), sigma, F)
         lhs, rhs = cybe_instance(sys, 1, 2, 3)
         assert rep.passed == (lhs.matrix == rhs.matrix)
@@ -319,7 +319,7 @@ def test_ybe_for_derived_modules():
         tensor_yd(m, m, "standard"),
         tensor_yd(m, m, "twisted"),
         dual_yd(m),
-        formal_unit_extend(m).yd,
+        formal_unit_extend(m),
     ]
     for mod in candidates:
         assert check_yd(mod, "yd").passed
