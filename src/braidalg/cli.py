@@ -62,10 +62,7 @@ def cmd_gen(args):
         if spec[0] == "table":
             if len(spec) != 2:
                 raise InputError("--group table needs a file argument")
-            data = bio._load_json(spec[1])
-            if "table" not in data:
-                raise bio.SchemaError(f"{spec[1]}: missing key 'table'")
-            table, names = data["table"], data.get("names")
+            table, names = bio.load_group_table(spec[1])
         elif len(spec) == 1:
             try:
                 table, names = stock_group_table(spec[0])
@@ -168,6 +165,9 @@ def cmd_rmatrix(args):
         filled = antipode_inverse_r(r)
     except AntipodeMissingError as e:
         print(f"FAIL no antipode: {e}")
+        return 1
+    except ArithmeticError as e:
+        print(f"FAIL {e}")
         return 1
     data = bio._load_json(args.r)
     bio.save_rmatrix(args.output, filled, _relref(bio.resolve_reference(args.r, data["bialgebra"]), args.output))

@@ -375,11 +375,11 @@ class _SweedlerOps:
         for x, kept in self.fold(idxs[:-1], dual, keep).items():
             for legs in (self.ddelta if dual else self.comul)[idxs[-1]]:
                 for y, c_y in mul.get((x, legs[1 - keep]), ()):
-                    c_step, row = f.mul(legs[2], c_y), acc.setdefault(y, {})
+                    c_step, row = legs[2] * c_y, acc.setdefault(y, {})
                     for ks, c in kept.items():
                         key = ks + (legs[keep],)
-                        row[key] = f.add(row.get(key, f.zero), f.mul(c, c_step))
-        acc = {y: {ks: c for ks, c in row.items() if not f.is_zero(c)} for y, row in acc.items()}
+                        row[key] = row.get(key, 0) + c * c_step
+        acc = {y: {ks: r for ks, c in row.items() if (r := f.reduce(c))} for y, row in acc.items()}
         return {y: row for y, row in acc.items() if row}
 
     def _pairing_core(self, coact, dual, sign):

@@ -59,7 +59,7 @@ def field_spec_json(f):
 
 
 def _parse_scalar(f, raw, where):
-    if f.kind == "Fp" and isinstance(raw, int) and not (0 <= raw < f.p):
+    if f.p is not None and isinstance(raw, int) and not (0 <= raw < f.p):
         warnings.warn(f"{where}: coefficient {raw} normalised modulo {f.p}")
     try:
         return f.parse(raw, where)
@@ -102,14 +102,13 @@ def _map_json(m):
     return cube(())
 
 
-def _basis_names(data, d, where):
-    """The optional basis names of a d-dimensional space: d distinct strings."""
-    names = data.get("basis")
+def _basis_names(names, d, where):
+    """The optional basis names of a d-dimensional space: None or d distinct strings."""
     if names is None:
         return None
     strings = isinstance(names, list) and all(isinstance(x, str) for x in names)
     if not (strings and len(set(names)) == len(names) == d):
-        raise SchemaError(f"{where}.basis: expected {d} distinct names")
+        raise SchemaError(f"{where}: expected {d} distinct names")
     return tuple(names)
 
 
@@ -159,7 +158,7 @@ def bialgebra_from_json(data, where="bialgebra"):
     d = data["dim"]
     if type(d) is not int or d < 1:
         raise SchemaError(f"{where}.dim: expected a positive integer")
-    space = Space(d, "H", _basis_names(data, d, where))
+    space = Space(d, "H", _basis_names(data.get("basis"), d, f"{where}.basis"))
     mu = _map_from_json(f, data["mul"], (space, space), (space,), f"{where}.mul")
     nu = _map_from_json(f, data["unit"], (), (space,), f"{where}.unit")
     delta = _map_from_json(f, data["comul"], (space,), (space, space), f"{where}.comul")
@@ -176,6 +175,24 @@ def save_bialgebra(path, b):
 
 def load_bialgebra(path):
     return bialgebra_from_json(_load_json(path), where=path)
+
+
+def load_group_table(path):
+    """The (table, names) of a group-table file: n rows of n ints, optionally n distinct names."""
+    data = _load_json(path)
+    if not isinstance(data, dict) or "table" not in data:
+        raise SchemaError(f"{path}: missing key 'table'")
+    table = data["table"]
+    if not isinstance(table, list):
+        raise SchemaError(f"{path}.table: expected a list of rows")
+    n = len(table)
+    for i, row in enumerate(table):
+        if not isinstance(row, list) or len(row) != n:
+            raise SchemaError(f"{path}.table[{i}]: expected a list of {n} integers")
+        for j, v in enumerate(row):
+            if type(v) is not int:
+                raise SchemaError(f"{path}.table[{i}][{j}]: expected an integer")
+    return table, _basis_names(data.get("names"), n, f"{path}.names")
 
 
 # -- YD modules --------------------------------------------------------------
@@ -204,7 +221,7 @@ def yd_module_from_json(data, base, where="yd-module"):
     dM = data["dim"]
     if type(dM) is not int or dM < 1:
         raise SchemaError(f"{where}.dim: expected a positive integer")
-    space = Space(dM, "M", _basis_names(data, dM, where))
+    space = Space(dM, "M", _basis_names(data.get("basis"), dM, f"{where}.basis"))
     lam = _map_from_json(f, data["action"], (base.space, space), (space,), f"{where}.action")
     delta = None
     if "coaction" in data:

@@ -160,15 +160,6 @@ class LinMap:
             )
         return LinMap(other.domain, self.codomain, self.matrix @ other.matrix)
 
-    def __add__(self, other):
-        return LinMap(self.domain, self.codomain, self.matrix + other.matrix)
-
-    def __sub__(self, other):
-        return LinMap(self.domain, self.codomain, self.matrix - other.matrix)
-
-    def __neg__(self):
-        return LinMap(self.domain, self.codomain, -self.matrix)
-
     def scale(self, a):
         return LinMap(self.domain, self.codomain, self.matrix.scale(a))
 
@@ -245,25 +236,15 @@ def embed_at(phi, i, context, field):
     return tensor_maps(parts)
 
 
-def _reversal(spaces, field):
-    n = len(spaces)
-    return permutation_map(spaces, tuple(range(n - 1, -1, -1)), field)
-
-
 def rainbow_dual(f):
     """Dual map under the order-reversing pairing.
 
-    Reverses factor order on both sides, then transposes: the result maps
-    Bq* (x) ... (x) B1* to Ap* (x) ... (x) A1*.
+    Reverses factor order on both sides and swaps them: the result maps
+    Bq* (x) ... (x) B1* to Ap* (x) ... (x) A1*, with G[rev(a), rev(b)] = F[b, a].
     """
-    field = f.field
-    rev_dom = _reversal(f.domain, field)  # A1..Ap -> Ap..A1
-    rev_cod = _reversal(f.codomain, field)  # B1..Bq -> Bq..B1
     dom = tuple(s.dual() for s in reversed(f.codomain))
     cod = tuple(s.dual() for s in reversed(f.domain))
-    # G[rev(a), rev(b)] = F[b, a]
-    matrix = rev_dom.matrix @ f.matrix.transpose() @ rev_cod.matrix.transpose()
-    return LinMap(dom, cod, matrix)
+    return from_terms(dom, cod, ((inp[::-1], out[::-1], v) for out, inp, v in f.terms()), f.field)
 
 
 def evaluation(v, field):

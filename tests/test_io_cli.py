@@ -3,18 +3,22 @@
 import hashlib
 import json
 import os
+import tempfile
+from fractions import Fraction
 from functools import reduce
 from operator import getitem
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from braidalg import io as bio
 from braidalg.cli import main
-from braidalg.hopf import check_bialgebra, cyclic_group_table, dual_bialgebra, group_algebra, s3_table
-from braidalg.linalg import GF
-from braidalg.rmatrix import unit_r_matrix
-from braidalg.systems import build_yd_system
-from braidalg.yd import YDModuleAlgebra, dual_yd, formal_unit_extend, regular_yd_group_algebra
+from braidalg.hopf import Bialgebra, check_bialgebra, cyclic_group_table, dual_bialgebra, group_algebra, s3_table
+from braidalg.linalg import GF, QQ
+from braidalg.rmatrix import RMatrix, unit_r_matrix
+from braidalg.systems import BraidedSystem, build_yd_system
+from braidalg.tensor import Space, from_terms
+from braidalg.yd import YDModule, YDModuleAlgebra, dual_yd, formal_unit_extend, regular_yd_group_algebra
 
 S3_TABLE, S3_NAMES = s3_table()
 Z2_TABLE, Z2_NAMES = cyclic_group_table(2)
@@ -80,9 +84,11 @@ def test_missing_keys_and_bad_field(tmp_path):
         "comul": [[[1]]],
         "counit": [1],
     }
-    path.write_text(json.dumps(full))
-    with pytest.raises(bio.SchemaError, match="prime"):
-        bio.load_bialgebra(path)
+    for p in (4, None, [5]):
+        full["field"]["p"] = p
+        path.write_text(json.dumps(full))
+        with pytest.raises(bio.SchemaError, match="prime"):
+            bio.load_bialgebra(path)
 
 
 def test_system_round_trip(tmp_path):
@@ -99,6 +105,101 @@ def test_system_round_trip(tmp_path):
     p2 = tmp_path / "sys2.json"
     bio.save_system(p2, loaded)
     assert p.read_bytes() == p2.read_bytes()
+
+
+# -- random files: save(load(file)) is byte-identical -----------------------------
+
+ROUND_TRIP_SETTINGS = settings(max_examples=40, derandomize=True, deadline=None)
+ROUND_TRIP_FIELDS = (QQ, GF(2), GF(5), GF(2**61 - 1))
+
+
+def raw_scalars(field):
+    """Exact values to reduce: over Q ints and fractions of either sign, over F_p unreduced ints."""
+    if field.p is None:
+        big = st.integers(-(10**20), 10**20)
+        return st.one_of(st.integers(-9, 9), big, st.builds(Fraction, big, st.integers(1, 10**20)))
+    return st.integers(-field.p, 2 * field.p)
+
+
+@st.composite
+def random_maps(draw, field, domain, codomain):
+    index = lambda spaces: st.tuples(*(st.integers(0, s.dim - 1) for s in spaces))
+    terms = draw(st.lists(st.tuples(index(codomain), index(domain), raw_scalars(field)), max_size=8))
+    return from_terms(domain, codomain, terms, field)
+
+
+@st.composite
+def random_bialgebras(draw, field):
+    d = draw(st.integers(1, 3))
+    h = Space(d, "H", draw(st.sampled_from([None, tuple(f"x{i}" for i in range(d))])))
+    shapes = [((h, h), (h,)), ((), (h,)), ((h,), (h, h)), ((h,), ())]
+    maps = [draw(random_maps(field, dom, cod)) for dom, cod in shapes]
+    return Bialgebra(h, *maps, draw(st.one_of(st.none(), random_maps(field, (h,), (h,)))))
+
+
+@st.composite
+def random_modules(draw, h):
+    f, m = h.field, Space(draw(st.integers(1, 3)), "M")
+    lam = draw(random_maps(f, (h.space, m), (m,)))
+    delta = draw(st.one_of(st.none(), random_maps(f, (m,), (m, h.space))))
+    if draw(st.booleans()):
+        mu, nu = draw(random_maps(f, (m, m), (m,))), draw(random_maps(f, (), (m,)))
+        return YDModuleAlgebra(h, m, lam, delta, mu=mu, nu=nu)
+    return YDModule(h, m, lam, delta)
+
+
+@st.composite
+def random_rmatrices(draw, h):
+    hh = (h.space, h.space)
+    inverse = draw(st.one_of(st.none(), random_maps(h.field, (), hh)))
+    return RMatrix(h, draw(random_maps(h.field, (), hh)), inverse)
+
+
+@st.composite
+def random_systems(draw, field):
+    comps = tuple(Space(draw(st.integers(1, 2)), f"V{t}") for t in range(draw(st.integers(1, 3))))
+    r = len(comps)
+    sigma = {
+        (i, j): draw(random_maps(field, (comps[i - 1], comps[j - 1]), (comps[j - 1], comps[i - 1])))
+        for i in range(1, r + 1)
+        for j in range(i, r + 1)
+    }
+    return BraidedSystem(comps, sigma, field)
+
+
+@pytest.mark.parametrize("kind", ["bialgebra", "module", "rmatrix", "system"])
+@ROUND_TRIP_SETTINGS
+@given(data=st.data())
+def test_saving_a_loaded_random_file_is_byte_identical(kind, data):
+    field = data.draw(st.sampled_from(ROUND_TRIP_FIELDS))
+    with tempfile.TemporaryDirectory() as tmp:
+        first, again = os.path.join(tmp, "first.json"), os.path.join(tmp, "again.json")
+        if kind == "system":
+            bio.save_system(first, data.draw(random_systems(field)))
+            bio.save_system(again, bio.load_system(first))
+        else:
+            h = data.draw(random_bialgebras(field))
+            bio.save_bialgebra(os.path.join(tmp, "h.json"), h)
+            if kind == "bialgebra":
+                bio.save_bialgebra(first, h)
+                bio.save_bialgebra(again, bio.load_bialgebra(first))
+            elif kind == "module":
+                bio.save_yd_module(first, data.draw(random_modules(h)), "h.json")
+                bio.save_yd_module(again, bio.load_yd_module(first), "h.json")
+            else:
+                bio.save_rmatrix(first, data.draw(random_rmatrices(h)), "h.json")
+                bio.save_rmatrix(again, bio.load_rmatrix(first), "h.json")
+        with open(first, "rb") as a, open(again, "rb") as b:
+            assert a.read() == b.read()
+
+
+@ROUND_TRIP_SETTINGS
+@given(st.sampled_from(ROUND_TRIP_FIELDS).flatmap(lambda f: st.tuples(st.just(f), raw_scalars(f))))
+def test_every_canonical_scalar_survives_to_json_and_parse(case):
+    field, raw = case
+    x = field.reduce(raw)
+    got = field.parse(json.loads(json.dumps(field.to_json(x))))
+    assert got == x and type(got) is type(x)
 
 
 LEGACY_SYSTEM = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "legacy_system_z2_f5.json")
@@ -282,6 +383,32 @@ def test_cli_gen_rejects_non_group(tmp_path):
     assert run("gen", "group-algebra", "--group", "table", table_file, "-o", str(tmp_path / "x.json")) == 2
 
 
+@pytest.mark.parametrize(
+    "data, location",
+    [
+        ({"table": 3}, ".table: expected a list of rows"),
+        ({"table": [[0, 1], 5]}, ".table[1]: expected a list of 2 integers"),
+        ({"table": [[0, 1], [1, "a"]]}, ".table[1][1]: expected an integer"),
+        ({"table": [[0, 1], [1, 1.0]]}, ".table[1][1]: expected an integer"),
+        ({"table": [[0, True], [True, 0]]}, ".table[0][1]: expected an integer"),
+        ({"table": [[0, 1], [1, 0]], "names": 5}, ".names: expected 2 distinct names"),
+        ({"table": [[0, 1], [1, 0]], "names": "ab"}, ".names: expected 2 distinct names"),
+        ({"table": [[0, 1], [1, 0]], "names": [1, 2]}, ".names: expected 2 distinct names"),
+        ({"table": [[0, 1], [1, 0]], "names": ["a", "a"]}, ".names: expected 2 distinct names"),
+        (3, ": missing key 'table'"),
+    ],
+    ids=["table-number", "row-number", "entry-string", "entry-float", "entry-bool",
+         "names-number", "names-string", "names-ints", "names-repeated", "file-number"],
+)
+def test_malformed_group_table_file_is_an_input_error(tmp_path, capsys, data, location):
+    table_file = tmp_path / "table.json"
+    table_file.write_text(json.dumps(data))
+    out = str(tmp_path / "h.json")
+    assert run("gen", "group-algebra", "--group", "table", str(table_file), "-o", out) == 2
+    assert f"table.json{location}" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 @pytest.mark.parametrize("what", ["regular-yd", "trivial-yd"])
 def test_cli_gen_module_takes_no_field(tmp_path, capsys, what):
     h = str(tmp_path / "z2.json")
@@ -389,6 +516,20 @@ def test_cli_rmatrix_inverse_fails_without_antipode(tmp_path, capsys):
         json.dump({"bialgebra": "mon.json", "vector": ["1", "0", "0", "0"]}, fh)
     assert run("rmatrix", "inverse", "--r", r, "-o", str(tmp_path / "out.json")) == 1
     assert "no antipode" in capsys.readouterr().out
+
+
+def test_cli_rmatrix_inverse_reports_a_failed_inverse_law(tmp_path, capsys):
+    # R = 1 (x) 1 + g (x) g on kZ/2 over F_5: (s (x) Id) o R is R itself, and R R = 2 R != 1 (x) 1
+    h, r = str(tmp_path / "z2.json"), str(tmp_path / "r.json")
+    assert run("gen", "group-algebra", "--group", "Z2", "--field", "Fp:5", "-o", h) == 0
+    with open(r, "w") as fh:
+        json.dump({"bialgebra": "z2.json", "vector": [1, 0, 0, 1]}, fh)
+    capsys.readouterr()
+    assert run("rmatrix", "inverse", "--r", r, "-o", str(tmp_path / "out.json")) == 1
+    out, err = capsys.readouterr()
+    assert out == "FAIL (s (x) Id) o R failed the two-sided inverse law\n"
+    assert "Traceback" not in err
+    assert not os.path.exists(tmp_path / "out.json")
 
 
 def test_cli_harness_precision(tmp_path, capsys):

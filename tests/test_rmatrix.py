@@ -146,15 +146,15 @@ def _module_morphisms(m, n):
                 # (F o lam_M)[out, (i,a)] = sum_b F[out,b] lamM[b, (i,a)]
                 for bb in range(dM):
                     v = m.lam.matrix.get(bb, i * dM + a)
-                    if not f.is_zero(v):
+                    if f.reduce(v):
                         key = (row, out * dM + bb)
-                        ent[key] = f.add(ent.get(key, f.zero), v)
+                        ent[key] = f.reduce(ent.get(key, f.zero) + v)
                 # -(lam_N o (Id (x) F))[out, (i,a)] = -sum_c lamN[out,(i,c)] F[c,a]
                 for c in range(dN):
                     v = n.lam.matrix.get(out, i * dN + c)
-                    if not f.is_zero(v):
+                    if f.reduce(v):
                         key = (row, c * dM + a)
-                        ent[key] = f.sub(ent.get(key, f.zero), v)
+                        ent[key] = f.reduce(ent.get(key, f.zero) - v)
     system = SparseMatrix(f, dH * dN * dM, dN * dM, ent)
     out = []
     for vec in kernel_basis(system):
@@ -162,7 +162,7 @@ def _module_morphisms(m, n):
         for r in range(dN):
             for c in range(dM):
                 v = vec[r * dM + c]
-                if not f.is_zero(v):
+                if f.reduce(v):
                     fm[(r, c)] = v
         out.append(LinMap((m.space,), (n.space,), SparseMatrix(f, dN, dM, fm)))
     return out

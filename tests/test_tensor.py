@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -33,24 +34,24 @@ def rand_map(rng, dom, cod, field=F5):
         for c in range(dom.dim):
             v = rng.randrange(5)
             if v:
-                ent[(r, c)] = field.from_int(v)
+                ent[(r, c)] = v
     return LinMap((dom,), (cod,), SparseMatrix(field, cod.dim, dom.dim, ent))
 
 
 @pytest.mark.parametrize("field", [QQ, F5], ids=["Q", "F5"])
 def test_from_terms_sums_repeated_terms_and_drops_cancelled_ones(field):
     V, W = Space(2, "V"), Space(3, "W")
-    half = field.inv(field.from_int(2))
+    half = Fraction(1, 2) if field.p is None else pow(2, -1, field.p)
     terms = [
         ((2,), (1, 0), half),
         ((2,), (1, 0), half),  # adds up to 1
-        ((0,), (0, 1), field.from_int(3)),
-        ((0,), (0, 1), field.neg(field.from_int(3))),  # cancels
-        ((1,), (1, 1), field.from_int(4)),
+        ((0,), (0, 1), 3),
+        ((0,), (0, 1), field.reduce(-3)),  # cancels
+        ((1,), (1, 1), 4),
     ]
     f = from_terms((V, V), (W,), terms, field)
-    assert f.matrix.entries == {(2, 2): field.one, (1, 3): field.from_int(4)}
-    assert sorted(f.terms()) == [((1,), (1, 1), field.from_int(4)), ((2,), (1, 0), field.one)]
+    assert f.matrix.entries == {(2, 2): field.one, (1, 3): 4}
+    assert sorted(f.terms()) == [((1,), (1, 1), 4), ((2,), (1, 0), field.one)]
     assert from_terms((V, V), (W,), terms[2:4], field).is_zero()
 
 
@@ -92,7 +93,7 @@ def test_compose_chain_and_tensor():
     V = Space(3, "V")
     idv = identity([V], QQ)
     assert compose_chain([idv, idv]) == idv
-    f = LinMap((V,), (V,), SparseMatrix.from_rows(QQ, [[QQ.from_int((i * j) % 3) for j in range(3)] for i in range(3)]))
+    f = LinMap((V,), (V,), SparseMatrix.from_rows(QQ, [[(i * j) % 3 for j in range(3)] for i in range(3)]))
     one = LinMap((), (), SparseMatrix.identity(QQ, 1))
     assert tensor_maps([f, one]).matrix == f.matrix
 
@@ -183,7 +184,7 @@ def test_rainbow_dual_pairing_oracle_on_two_factors():
     rng = random.Random(21)
     A1, A2, B1, B2 = Space(2, "A1"), Space(2, "A2"), Space(2, "B1"), Space(2, "B2")
     ent = {
-        (r, c): F5.from_int(rng.randrange(5))
+        (r, c): rng.randrange(5)
         for r in range(4)
         for c in range(4)
         if rng.randrange(3)
