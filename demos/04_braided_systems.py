@@ -12,8 +12,6 @@ from braidalg import (
     GF,
     build_yd_system,
     cyclic_group_table,
-    dual_action,
-    dual_bialgebra,
     flip,
     glue,
     group_algebra,
@@ -25,6 +23,7 @@ from braidalg import (
     s3_table,
     tensor_yd,
     verify_cybe,
+    yd_base,
 )
 
 # -- the system (H, M, H*) ------------------------------------------------------
@@ -58,8 +57,7 @@ print("monoid: sigma_{H,H*} rank", inv[(1, 2)]["rank"], "of", inv[(1, 2)]["size"
 Z2 = group_algebra(*cyclic_group_table(2), field=GF(5))
 rng = random.Random(1)
 alg = random_precision_data(Z2, 2, rng)
-Z2_dual = dual_bialgebra(Z2)
-_report, rows = precision_harness(alg, Z2_dual, dual_action(Z2, Z2_dual))
+_report, rows = precision_harness(alg, yd_base(Z2))
 print()
 for row in rows:
     print(f"row {row['row']:28s} cYBE={row['cybe']!s:5s} axiom={row['axiom']!s:5s}")

@@ -12,6 +12,7 @@ from .tensor import (
     DimensionMismatch,
     LinMap,
     Space,
+    apply_at,
     compose_chain,
     embed_at,
     evaluation,
@@ -72,6 +73,7 @@ from .systems import (
     sigma_ass,
     validate_uaa_system,
     verify_cybe,
+    yd_base,
 )
 from .homology import (
     GradedComplex,

@@ -19,11 +19,11 @@ from .rmatrix import AntipodeMissingError, antipode_inverse_r, check_r, yd_from_
 from .systems import (
     build_yd_system,
     check_braided_morphism,
-    dual_action,
     glue,
     precision_harness,
     random_precision_data,
     verify_cybe,
+    yd_base,
 )
 from .yd import YDModuleAlgebra, check_yd, dual_yd, regular_yd_group_algebra, unit_yd
 from .homology import coefficient_complex
@@ -155,7 +155,7 @@ def cmd_rmatrix(args):
             print(weak_rep)
             return 1
         out = yd_from_r(m, r)
-        data = bio._load_json(args.module)
+        data = bio._load_object(args.module)
         bio.save_yd_module(args.output, out, _relref(bio.resolve_reference(args.module, data["bialgebra"]), args.output))
         print(f"wrote {args.output}")
         return 0
@@ -169,7 +169,7 @@ def cmd_rmatrix(args):
     except ArithmeticError as e:
         print(f"FAIL {e}")
         return 1
-    data = bio._load_json(args.r)
+    data = bio._load_object(args.r)
     bio.save_rmatrix(args.output, filled, _relref(bio.resolve_reference(args.r, data["bialgebra"]), args.output))
     print(f"wrote {args.output}")
     return 0
@@ -233,15 +233,14 @@ def cmd_harness(args):
     if not rep_pre.passed:
         print(rep_pre)
         return 1
-    dual = dual_bialgebra(b)
-    lam_dual = dual_action(b, dual)
+    base = yd_base(b)
     rng = random.Random(args.seed)
     failures = 0
     counts = {}
     try:
         for trial in range(args.trials):
             alg = random_precision_data(b, args.dim, rng)
-            rep, rows = precision_harness(alg, dual, lam_dual)
+            rep, rows = precision_harness(alg, base)
             for row in rows:
                 held = (not row["side"]) or row["cybe"] == row["axiom"]
                 stats = counts.setdefault(row["row"], [0, 0, 0])

@@ -32,7 +32,7 @@ import math
 from .linalg import SparseMatrix, rank as matrix_rank
 from .report import AxiomReport
 from .systems import YDSystem, braid_factor
-from .tensor import LinMap, identity
+from .tensor import LinMap, apply_at
 from .yd import check_yd, unit_yd
 
 
@@ -266,14 +266,12 @@ def generic_differentials(s, zeta, xi, max_total_degree):
             sign = -1 if (i - 1) % 2 else 1
             # left differential: braid factor i to the front, apply zeta
             if not zeta[ki - 1].is_zero():
-                comp, ctx = braid_factor(s, types, i, front=True)
-                front = zeta[ki - 1].tensor(identity(ctx[1:], f))
-                add_block(d_blocks, deg, tgt, front.compose(comp).scale(sign).matrix)
+                comp = apply_at(zeta[ki - 1], 1, braid_factor(s, types, i, front=True))
+                add_block(d_blocks, deg, tgt, comp.scale(sign).matrix)
             # right differential: braid factor i to the back, apply xi
             if not xi[ki - 1].is_zero():
-                comp, ctx = braid_factor(s, types, i, front=False)
-                back = identity(ctx[:-1], f).tensor(xi[ki - 1])
-                add_block(dp_blocks, deg, tgt, back.compose(comp).scale(sign).matrix)
+                comp = apply_at(xi[ki - 1], len(types), braid_factor(s, types, i, front=False))
+                add_block(dp_blocks, deg, tgt, comp.scale(sign).matrix)
 
     cx = GradedComplex(f, dims, d_blocks, dp_blocks, max_total_degree, meta={"kind": "generic"})
     return _verify_or_raise(cx)

@@ -122,6 +122,14 @@ def _load_json(path):
         raise SchemaError(f"{path}: invalid JSON ({e})") from None
 
 
+def _load_object(path):
+    """The JSON object a file holds; any other top-level value is a schema error."""
+    data = _load_json(path)
+    if not isinstance(data, dict):
+        raise SchemaError(f"{path}: expected a JSON object")
+    return data
+
+
 def _dump_json(path, obj):
     with open(path, "w") as fh:
         fh.write(canonical_json(obj))
@@ -174,7 +182,7 @@ def save_bialgebra(path, b):
 
 
 def load_bialgebra(path):
-    return bialgebra_from_json(_load_json(path), where=path)
+    return bialgebra_from_json(_load_object(path), where=path)
 
 
 def load_group_table(path):
@@ -246,7 +254,7 @@ def resolve_reference(path, ref):
 
 def load_yd_module(path):
     """Load a module file together with its referenced base bialgebra."""
-    data = _load_json(path)
+    data = _load_object(path)
     if "bialgebra" not in data:
         raise SchemaError(f"{path}: missing key 'bialgebra'")
     base = load_bialgebra(resolve_reference(path, data["bialgebra"]))
@@ -285,7 +293,7 @@ def rmatrix_from_json(data, base, where="r-matrix"):
 
 
 def load_rmatrix(path):
-    data = _load_json(path)
+    data = _load_object(path)
     if "bialgebra" not in data:
         raise SchemaError(f"{path}: missing key 'bialgebra'")
     base = load_bialgebra(resolve_reference(path, data["bialgebra"]))
@@ -370,7 +378,7 @@ def system_from_json(data, where="braided-system"):
 
 
 def load_system(path):
-    return system_from_json(_load_json(path), where=path)
+    return system_from_json(_load_object(path), where=path)
 
 
 def save_system(path, s):
@@ -395,7 +403,7 @@ def maps_from_json(data, src, dst, where="maps"):
 
 
 def load_maps(path, src, dst):
-    return maps_from_json(_load_json(path), src, dst, where=path)
+    return maps_from_json(_load_object(path), src, dst, where=path)
 
 
 # -- homology reports -----------------------------------------------------------

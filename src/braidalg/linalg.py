@@ -113,6 +113,19 @@ def GF(p):
     return _gf_cache[p]
 
 
+def _canonical(p, values):
+    """{key: canonical value} of a dict of exact values, zeros dropped.
+
+    The one statement of a matrix entry's canonical form, ``Field.reduce``
+    over a whole dict (p is the field's ``p``): over F_p reduced into [0, p),
+    over Q an int when integral.  It is one comprehension per matrix rather
+    than a call per entry, because every product passes through it.
+    """
+    if p is not None:
+        return {k: r for k, v in values.items() if (r := v % p)}
+    return {k: v.numerator if type(v) is Fraction and v.denominator == 1 else v for k, v in values.items() if v}
+
+
 class SparseMatrix:
     """Immutable-by-convention sparse matrix over an exact field.
 
@@ -128,21 +141,27 @@ class SparseMatrix:
         self.field = field
         self.n_rows = n_rows
         self.n_cols = n_cols
-        self.entries = {}
-        if entries:
-            # Field.reduce, inlined: every product ends in this loop, and a call
-            # per entry measured 6-9 % slower end to end on the harness, cYBE
-            # and deep-homology benchmark workloads.
-            p = field.p
-            for (r, c), v in entries.items():
-                if not (0 <= r < n_rows and 0 <= c < n_cols):
-                    raise IndexError(f"entry ({r},{c}) out of bounds for {n_rows}x{n_cols}")
-                if p is not None:
-                    v %= p
-                elif type(v) is Fraction and v.denominator == 1:
-                    v = v.numerator
-                if v:
-                    self.entries[(r, c)] = v
+        for r, c in entries or ():
+            if not (0 <= r < n_rows and 0 <= c < n_cols):
+                raise IndexError(f"entry ({r},{c}) out of bounds for {n_rows}x{n_cols}")
+        self.entries = _canonical(field.p, entries) if entries else {}
+
+    @classmethod
+    def _from_sums(cls, field, n_rows, n_cols, sums):
+        """The constructor without its bounds check, for keys in bounds by construction.
+
+        ``sums`` holds exact values at keys that cannot leave the shape: sums
+        of products of entries of in-bounds matrices (``@``, ``kronecker``,
+        ``tensor.apply_at``) or the ones of an identity or a permutation.
+        Every producer of outside or hand-made entries goes through
+        ``__init__``.
+        """
+        m = cls.__new__(cls)
+        m.field = field
+        m.n_rows = n_rows
+        m.n_cols = n_cols
+        m.entries = _canonical(field.p, sums)
+        return m
 
     # -- constructors -------------------------------------------------
 
@@ -152,7 +171,7 @@ class SparseMatrix:
 
     @staticmethod
     def identity(field, n):
-        return SparseMatrix(field, n, n, {(i, i): field.one for i in range(n)})
+        return SparseMatrix._from_sums(field, n, n, {(i, i): field.one for i in range(n)})
 
     @staticmethod
     def from_rows(field, rows):
@@ -209,12 +228,11 @@ class SparseMatrix:
         by_row = {}
         for (j, k), v in other.entries.items():
             by_row.setdefault(j, []).append((k, v))
-        # Plain * and +: the constructor reduces mod p or canonicalises, and drops zeros.
         acc = {}
         for (i, j), a in self.entries.items():
             for k, b in by_row.get(j, ()):
                 acc[i, k] = acc.get((i, k), 0) + a * b
-        return SparseMatrix(self.field, self.n_rows, other.n_cols, acc)
+        return SparseMatrix._from_sums(self.field, self.n_rows, other.n_cols, acc)
 
     def transpose(self):
         return SparseMatrix(self.field, self.n_cols, self.n_rows, {(c, r): v for (r, c), v in self.entries.items()})
@@ -226,7 +244,7 @@ class SparseMatrix:
         for (i, j), a in self.entries.items():
             for (k, l), b in other.entries.items():
                 ent[i * rb + k, j * cb + l] = a * b
-        return SparseMatrix(self.field, self.n_rows * rb, self.n_cols * cb, ent)
+        return SparseMatrix._from_sums(self.field, self.n_rows * rb, self.n_cols * cb, ent)
 
     def _check_same_shape(self, other):
         if self.n_rows != other.n_rows or self.n_cols != other.n_cols or self.field != other.field:

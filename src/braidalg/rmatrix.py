@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from .hopf import Bialgebra, check_bialgebra, mu_on_tensor, mu_tensor_square, opposites, solve_antipode
 from .linalg import SparseMatrix
 from .report import AxiomReport
-from .tensor import LinMap, compose_chain, flip, identity
+from .tensor import LinMap, compose_chain, flip, identity, permutation_map
 from .yd import YDModule, _check_two_sided_inverse, yd_braiding
 
 
@@ -83,13 +83,13 @@ def check_r(r, level="weak"):
     rep.add("base_prerequisites", pre.passed, pre.first_failure().witness if not pre.passed else None)
 
     R = r.vector
-    c2 = id_H.tensor(flip(H, H, f)).tensor(id_H)
+    c2 = permutation_map((H, H, H, H), (0, 2, 1, 3), f)
     mu_op, delta_op = opposites(b)
     if level in ("weak", "strong"):
         rep.compare(
             "weak_1_delta_R",
             b.delta.tensor(id_H).compose(R),
-            compose_chain([id_H.tensor(id_H).tensor(b.mu), c2, R.tensor(R)]),
+            compose_chain([identity([H, H], f).tensor(b.mu), c2, R.tensor(R)]),
         )
         rep.compare("weak_2_eps_R", b.eps.tensor(id_H).compose(R), b.nu)
         mu2 = mu_tensor_square(b)
@@ -102,7 +102,7 @@ def check_r(r, level="weak"):
         rep.compare(
             "strong_1_R_delta",
             id_H.tensor(b.delta).compose(R),
-            compose_chain([mu_op.tensor(id_H).tensor(id_H), c2, R.tensor(R)]),
+            compose_chain([mu_op.tensor(identity([H, H], f)), c2, R.tensor(R)]),
         )
         rep.compare("strong_2_R_eps", id_H.tensor(b.eps).compose(R), b.nu)
     if level == "quantum_ybe":
@@ -147,26 +147,13 @@ def r_braiding(m, n, r):
     b = r.base
     f = b.field
     H, M, N = b.space, m.space, n.space
-    id_M, id_N, id_H = identity([M], f), identity([N], f), identity([H], f)
-    c = compose_chain(
-        [
-            flip(M, N, f),
-            m.lam.tensor(n.lam),
-            id_H.tensor(flip(H, M, f)).tensor(id_N),
-            r.vector.tensor(id_M).tensor(id_N),
-        ]
-    )
+    swap = permutation_map((H, H, M, N), (0, 2, 1, 3), f)
+    c = compose_chain([flip(M, N, f), m.lam.tensor(n.lam), swap, r.vector.tensor(identity([M, N], f))])
     yd_c, _ = yd_braiding(yd_from_r(m, r), yd_from_r(n, r), "standard")
     assert c.matrix == yd_c.matrix, "c_R disagrees with the induced YD braiding"
     c_inv = None
     if r.inverse is not None:
-        c_inv = compose_chain(
-            [
-                m.lam.tensor(n.lam),
-                id_H.tensor(flip(H, M, f)).tensor(id_N),
-                r.inverse.tensor(flip(N, M, f)),
-            ]
-        )
+        c_inv = compose_chain([m.lam.tensor(n.lam), swap, r.inverse.tensor(flip(N, M, f))])
         if not _check_two_sided_inverse(c, c_inv):
             c_inv = None
     return c, c_inv

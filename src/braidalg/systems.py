@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from .hopf import Bialgebra, check_bialgebra, dual_bialgebra
 from .linalg import inverse as matrix_inverse, rank as matrix_rank
 from .report import AxiomReport
-from .tensor import LinMap, Space, compose_chain, embed_at, evaluation, from_terms, identity
+from .tensor import LinMap, Space, apply_at, compose_chain, evaluation, from_terms, identity
 from .yd import YDModuleAlgebra, check_yd, ring_braiding, tensor_space
 
 
@@ -66,11 +66,9 @@ class BraidedSystem:
 def cybe_instance(s, i, j, k):
     """(lhs, rhs) of the colored YBE on V_i (x) V_j (x) V_k."""
     f = s.field
-    Vi, Vj, Vk = s.space(i), s.space(j), s.space(k)
-    id_i, id_j, id_k = identity([Vi], f), identity([Vj], f), identity([Vk], f)
     s_ij, s_ik, s_jk = s.sigma[(i, j)], s.sigma[(i, k)], s.sigma[(j, k)]
-    lhs = compose_chain([s_jk.tensor(id_i), id_j.tensor(s_ik), s_ij.tensor(id_k)])
-    rhs = compose_chain([id_k.tensor(s_ij), s_ik.tensor(id_j), id_i.tensor(s_jk)])
+    lhs = apply_at(s_jk, 1, apply_at(s_ik, 2, s_ij.tensor(identity([s.space(k)], f))))
+    rhs = apply_at(s_ij, 2, apply_at(s_ik, 1, identity([s.space(i)], f).tensor(s_jk)))
     return lhs, rhs
 
 
@@ -118,24 +116,48 @@ def dual_action(b, dual):
     return ev.tensor(identity([dual.space], f)).compose(identity([b.space], f).tensor(dual.delta))
 
 
-def yd_sigmas(h, dual, lam_dual, mods, variant):
-    """sigma_{i,j} of (H, M_1..M_r, H*) as in the module docstring.
+@dataclass(frozen=True)
+class YDBase:
+    """What the sigma table of (H, M_1..M_r, H*) takes from H alone.
 
-    ``dual`` is ``dual_bialgebra(h)`` and ``lam_dual`` is ``dual_action(h,
-    dual)``; both depend on h alone, so a caller building many systems over
-    one h builds them once.  ``mods`` are YD modules (variant "yd") or YD
-    module algebras (variant "ydalg"); no axioms are assumed.
+    ``dual`` is ``dual_bialgebra(h)``, ``lam_dual`` its H-action
+    ``dual_action(h, dual)``, and ``sigmas`` holds sigma_{H,H},
+    sigma_{H*,H*} and sigma_{H,H*}.  Built by ``yd_base``; a caller building
+    many systems over one h builds it once.
     """
+
+    h: Bialgebra
+    dual: Bialgebra
+    lam_dual: LinMap
+    sigmas: tuple
+
+
+def yd_base(h):
+    """The YDBase of h: H*, its H-action and the three braidings among H and H*."""
+    dual = dual_bialgebra(h)
+    lam_dual = dual_action(h, dual)
+    sigmas = (sigma_ass(h, "right"), sigma_ass(dual, "left"), ring_braiding(h.delta, lam_dual, h.field))
+    return YDBase(h, dual, lam_dual, sigmas)
+
+
+def yd_sigmas(base, mods, variant):
+    """sigma_{i,j} of (H, M_1..M_r, H*) as in the module docstring, for ``base = yd_base(h)``.
+
+    ``mods`` are YD modules (variant "yd") or YD module algebras (variant
+    "ydalg"); no axioms are assumed.
+    """
+    h = base.h
     f = h.field
     n = len(mods) + 2
     coaction = [h.delta] + [m.delta for m in mods]  # of components 1..n-1 (H coacts on itself via Delta)
-    action = [m.lam for m in mods] + [lam_dual]  # of components 2..n
-    sigma = {(1, 1): sigma_ass(h, "right"), (n, n): sigma_ass(dual, "left")}
+    action = [m.lam for m in mods] + [base.lam_dual]  # of components 2..n
+    sigma = dict(zip([(1, 1), (n, n), (1, n)], base.sigmas))
     for t, m in enumerate(mods, start=2):
         sigma[(t, t)] = identity([m.space, m.space], f) if variant == "yd" else sigma_ass(m, "left")
     for i in range(1, n):
         for j in range(i + 1, n + 1):
-            sigma[(i, j)] = ring_braiding(coaction[i - 1], action[j - 2], f)
+            if (i, j) != (1, n):
+                sigma[(i, j)] = ring_braiding(coaction[i - 1], action[j - 2], f)
     return sigma
 
 
@@ -169,10 +191,9 @@ def build_yd_system(h, mods, variant="yd", check=True):
     if variant == "ydalg" and not all(isinstance(m, YDModuleAlgebra) for m in mods):
         raise TypeError("variant 'ydalg' needs YDModuleAlgebra inputs")
 
-    dual = dual_bialgebra(h)
-    components = (h.space,) + tuple(m.space for m in mods) + (dual.space,)
-    sigma = yd_sigmas(h, dual, dual_action(h, dual), mods, variant)
-    sys = YDSystem(components, sigma, f, bialgebra=h, dual=dual)
+    base = yd_base(h)
+    components = (h.space,) + tuple(m.space for m in mods) + (base.dual.space,)
+    sys = YDSystem(components, yd_sigmas(base, mods, variant), f, bialgebra=h, dual=base.dual)
     if check:
         rep = verify_cybe(sys)
         if not rep.passed:
@@ -271,17 +292,14 @@ def braid_factor(s, types, i, front):
     """Braid factor i (1-based) of V_types[0] (x) V_types[1] (x) ... to the
     front (or to the back), one sigma per crossing.
 
-    Returns the composite map and the factor spaces of its codomain.
+    Returns the composite map; its codomain lists the braided factors.
     """
-    f = s.field
     types = list(types)
-    ctx = [s.space(t) for t in types]
-    comp = identity(ctx, f)
+    comp = identity([s.space(t) for t in types], s.field)
     for t in range(i - 1, 0, -1) if front else range(i, len(types)):
-        comp = embed_at(s.sigma[(types[t - 1], types[t])], t, ctx, f).compose(comp)
-        ctx[t - 1], ctx[t] = ctx[t], ctx[t - 1]
+        comp = apply_at(s.sigma[(types[t - 1], types[t])], t, comp)
         types[t - 1], types[t] = types[t], types[t - 1]
-    return comp, ctx
+    return comp
 
 
 def glue(s, lo, hi):
@@ -318,11 +336,11 @@ def glue(s, lo, hi):
     sigma[(block_idx, block_idx)] = identity([block, block], f)
     for a in range(1, lo):
         # V_a threads left-to-right through the block
-        comp, _ = braid_factor(s, [a] + span, 1, front=False)
+        comp = braid_factor(s, [a] + span, 1, front=False)
         sigma[(old_new[a], block_idx)] = LinMap((s.space(a), block), (block, s.space(a)), comp.matrix)
     for b in range(hi + 1, r + 1):
         # V_b threads right-to-left through the block
-        comp, _ = braid_factor(s, span + [b], len(span) + 1, front=True)
+        comp = braid_factor(s, span + [b], len(span) + 1, front=True)
         sigma[(block_idx, old_new[b])] = LinMap((block, s.space(b)), (s.space(b), block), comp.matrix)
 
     out = BraidedSystem(tuple(new_components), sigma, f)
@@ -355,7 +373,7 @@ _PRECISION_CHECKS = {
 }
 
 
-def precision_harness(alg, dual, lam_dual):
+def precision_harness(alg, base):
     """Row-by-row equivalence "cYBE instance <=> structure axiom".
 
     For each of the six rows the report carries three booleans: the side
@@ -364,10 +382,10 @@ def precision_harness(alg, dual, lam_dual):
     Whenever the side condition is met the last two are asserted equal.
     The cYBE instances are those of the system ``build_yd_system`` builds
     from the candidate YD module algebra ``alg`` with variant "ydalg";
-    ``dual`` and ``lam_dual`` are as in ``yd_sigmas`` for ``h = alg.base``.
+    ``base`` is ``yd_base(alg.base)``, built once for every candidate.
     """
     h = alg.base
-    sys = BraidedSystem((h.space, alg.space, dual.space), yd_sigmas(h, dual, lam_dual, [alg], "ydalg"), h.field)
+    sys = BraidedSystem((h.space, alg.space, base.dual.space), yd_sigmas(base, [alg], "ydalg"), h.field)
     axioms = check_yd(alg, "yd_algebra")
     passed = {c.name: c.passed for c in axioms.checks}
     rep = AxiomReport("precision harness (cYBE <=> axiom)")

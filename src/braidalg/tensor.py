@@ -18,6 +18,7 @@ Bq* (x) ... (x) B1* -> Ap* (x) ... (x) A1*.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from operator import mul
@@ -122,6 +123,15 @@ class LinMap:
         self.codomain = codomain
         self.matrix = matrix
 
+    @classmethod
+    def _of(cls, domain, codomain, matrix):
+        """A map whose matrix already fits the factor tuples (a product of maps that fit theirs)."""
+        f = cls.__new__(cls)
+        f.domain = domain
+        f.codomain = codomain
+        f.matrix = matrix
+        return f
+
     @property
     def field(self):
         return self.matrix.field
@@ -153,18 +163,18 @@ class LinMap:
 
     def compose(self, other):
         """self after other.  Factor-dimension products must match."""
-        if prod_dim(self.domain) != prod_dim(other.codomain):
+        if self.matrix.n_cols != other.matrix.n_rows:
             raise DimensionMismatch(
                 f"cannot compose: domain {[s.label for s in self.domain]} "
                 f"!= codomain {[s.label for s in other.codomain]} (dim products differ)"
             )
-        return LinMap(other.domain, self.codomain, self.matrix @ other.matrix)
+        return LinMap._of(other.domain, self.codomain, self.matrix @ other.matrix)
 
     def scale(self, a):
         return LinMap(self.domain, self.codomain, self.matrix.scale(a))
 
     def tensor(self, other):
-        return LinMap(
+        return LinMap._of(
             self.domain + other.domain,
             self.codomain + other.codomain,
             self.matrix.kronecker(other.matrix),
@@ -173,7 +183,7 @@ class LinMap:
 
 def identity(spaces, field):
     spaces = tuple(spaces)
-    return LinMap(spaces, spaces, SparseMatrix.identity(field, prod_dim(spaces)))
+    return LinMap._of(spaces, spaces, SparseMatrix.identity(field, prod_dim(spaces)))
 
 
 def compose_chain(maps):
@@ -201,23 +211,37 @@ def permutation_map(spaces, order, field):
     if sorted(order) != list(range(len(spaces))):
         raise ValueError(f"not a permutation: {order}")
     cod = tuple(spaces[t] for t in order)
-    # input factor order[t] carries output factor t's stride; columns are enumerated in index order
+    # input factor order[t] carries output factor t's stride; rows[col] is the image of column col
     weights = [0] * len(spaces)
     for t, w in zip(order, _strides(cod)):
         weights[t] = w
-    ent = {(sum(map(mul, x, weights)), col): field.one for col, x in enumerate(basis(spaces))}
-    total = prod_dim(spaces)
-    return LinMap(spaces, cod, SparseMatrix(field, total, total, ent))
+    rows = [0]
+    for s, w in zip(spaces, weights):
+        steps = range(0, w * s.dim, w)
+        rows = [r + x for r in rows for x in steps]
+    ent = {(r, col): field.one for col, r in enumerate(rows)}
+    return LinMap._of(spaces, cod, SparseMatrix._from_sums(field, len(rows), len(rows), ent))
 
 
+@functools.cache
 def flip(v, w, field):
-    """The symmetry c(v (x) w) = w (x) v."""
+    """The symmetry c(v (x) w) = w (x) v.
+
+    Built once per (v, w, field) and shared by every caller: nothing in the
+    package mutates a map's ``entries``, and the number of space pairs a
+    process meets bounds the cache.
+    """
     return permutation_map((v, w), (1, 0), field)
 
 
-def embed_at(phi, i, context, field):
-    """Id^(i-1) (x) phi (x) Id^(rest) on the given context (i is 1-based)."""
-    context = tuple(context)
+def apply_at(phi, i, m):
+    """(Id^(i-1) (x) phi (x) Id^(rest)) o m: phi acts on factors i.. of m's codomain (i is 1-based).
+
+    Computed on m's entries without building the Kronecker product: each
+    row index of m splits into (left, slot, right), and the slot's column of
+    phi replaces the slot.
+    """
+    context = m.codomain
     l = len(phi.domain)
     if i < 1 or i - 1 + l > len(context):
         raise DimensionMismatch(f"slot {i}..{i + l - 1} outside context of length {len(context)}")
@@ -227,13 +251,28 @@ def embed_at(phi, i, context, field):
             f"context factors {[s.label for s in slot]} do not match "
             f"map domain {[s.label for s in phi.domain]}"
         )
-    parts = []
-    if i > 1:
-        parts.append(identity(context[: i - 1], field))
-    parts.append(phi)
-    if i - 1 + l < len(context):
-        parts.append(identity(context[i - 1 + l :], field))
-    return tensor_maps(parts)
+    m.matrix._check_same_field(phi.matrix)
+    right = prod_dim(context[i - 1 + l :])
+    block, out_block = phi.matrix.n_cols * right, phi.matrix.n_rows * right
+    columns = {}
+    for (o, x), v in phi.matrix.entries.items():
+        columns.setdefault(x, []).append((o * right, v))
+    acc = {}
+    for (r, c), a in m.matrix.entries.items():
+        left, rest = divmod(r, block)
+        x, rest = divmod(rest, right)
+        base = left * out_block + rest
+        for o, b in columns.get(x, ()):
+            key = (base + o, c)
+            acc[key] = acc.get(key, 0) + a * b
+    codomain = context[: i - 1] + phi.codomain + context[i - 1 + l :]
+    matrix = SparseMatrix._from_sums(m.field, m.matrix.n_rows // block * out_block, m.matrix.n_cols, acc)
+    return LinMap._of(m.domain, codomain, matrix)
+
+
+def embed_at(phi, i, context, field):
+    """Id^(i-1) (x) phi (x) Id^(rest) on the given context (i is 1-based): apply_at on the identity."""
+    return apply_at(phi, i, identity(context, field))
 
 
 def rainbow_dual(f):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .hopf import Bialgebra, opposites
 from .linalg import SparseMatrix, inverse as matrix_inverse
 from .report import AxiomReport
-from .tensor import LinMap, Space, compose_chain, flip, from_terms, identity, rainbow_dual
+from .tensor import LinMap, Space, apply_at, compose_chain, flip, from_terms, identity, permutation_map, rainbow_dual
 
 
 @dataclass
@@ -83,7 +83,7 @@ def check_yd(m, level="yd"):
             [id_M.tensor(b.mu), m.delta.tensor(id_H), c_HM, id_H.tensor(m.lam), b.delta.tensor(id_M)]
         )
         rhs = compose_chain(
-            [m.lam.tensor(b.mu), id_H.tensor(c_HM).tensor(id_H), b.delta.tensor(m.delta)]
+            [m.lam.tensor(b.mu), permutation_map((H, H, M, H), (0, 2, 1, 3), f), b.delta.tensor(m.delta)]
         )
         rep.compare("yd_compatibility", lhs, rhs)
     if level == "yd_algebra":
@@ -95,7 +95,7 @@ def check_yd(m, level="yd"):
         rep.compare(
             "yd_alg_delta_mu",
             delta.compose(mu),
-            compose_chain([mu.tensor(b.mu), id_M.tensor(c_HM).tensor(id_H), delta.tensor(delta)]),
+            compose_chain([mu.tensor(b.mu), permutation_map((M, H, M, H), (0, 2, 1, 3), f), delta.tensor(delta)]),
         )
         # lam o (Id (x) mu) = mu o (lam (x) lam) o (Id (x) c (x) Id) o (Delta_op (x) Id (x) Id)
         _, delta_op = opposites(b)
@@ -103,7 +103,12 @@ def check_yd(m, level="yd"):
             "yd_alg_lam_mu",
             lam.compose(id_H.tensor(mu)),
             compose_chain(
-                [mu, lam.tensor(lam), id_H.tensor(c_HM).tensor(id_M), delta_op.tensor(id_M).tensor(id_M)]
+                [
+                    mu,
+                    lam.tensor(lam),
+                    permutation_map((H, H, M, M), (0, 2, 1, 3), f),
+                    delta_op.tensor(identity([M, M], f)),
+                ]
             ),
         )
         rep.compare("yd_alg_delta_nu", delta.compose(nu), nu.tensor(b.nu))
@@ -173,7 +178,7 @@ def ring_braiding(delta_x, lam_y, f):
     """c o (Id (x) lam_Y) o (delta_X (x) Id): X (x) Y -> Y (x) X."""
     X = delta_x.domain[0]
     Y = lam_y.codomain[0]
-    return compose_chain([flip(X, Y, f), identity([X], f).tensor(lam_y), delta_x.tensor(identity([Y], f))])
+    return flip(X, Y, f).compose(apply_at(lam_y, 2, delta_x.tensor(identity([Y], f))))
 
 
 def yd_braiding(m, n, variant="standard"):
@@ -238,16 +243,15 @@ def tensor_yd(m, n, variant="standard"):
     b = m.base
     f = m.field
     H, M, N = b.space, m.space, n.space
-    id_H = identity([H], f)
-    id_M, id_N = identity([M], f), identity([N], f)
+    id_MN = identity([M, N], f)
     mu_op, delta_op = opposites(b)
     comult = b.delta if variant == "standard" else delta_op
     mult = mu_op if variant == "standard" else b.mu
     lam = compose_chain(
-        [m.lam.tensor(n.lam), id_H.tensor(flip(H, M, f)).tensor(id_N), comult.tensor(id_M).tensor(id_N)]
+        [m.lam.tensor(n.lam), permutation_map((H, H, M, N), (0, 2, 1, 3), f), comult.tensor(id_MN)]
     )
     delta = compose_chain(
-        [id_M.tensor(id_N).tensor(mult), id_M.tensor(flip(H, N, f)).tensor(id_H), m.delta.tensor(n.delta)]
+        [id_MN.tensor(mult), permutation_map((M, H, N, H), (0, 2, 1, 3), f), m.delta.tensor(n.delta)]
     )
     MN = tensor_space(M, N)
     lam = LinMap((H, MN), (MN,), lam.matrix)

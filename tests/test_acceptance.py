@@ -38,6 +38,7 @@ from braidalg.systems import (
     random_precision_data,
     ring_braiding,
     verify_cybe,
+    yd_base,
 )
 from braidalg.tensor import LinMap, compose_chain, flip, identity
 from braidalg.yd import (
@@ -129,12 +130,11 @@ def test_acceptance_2_flip_perturbation_fails_the_mixed_instance():
 def test_acceptance_3_precision_equivalences():
     start = time.monotonic()
     b = group_algebra(Z2_TABLE, Z2_NAMES, field=GF(5))
-    dual = dual_bialgebra(b)
-    lam_dual = dual_action(b, dual)
+    base = yd_base(b)
     rng = random.Random(20240)
     ok = True
     for _trial in range(100):
-        _rep, rows = precision_harness(random_precision_data(b, 2, rng), dual, lam_dual)
+        _rep, rows = precision_harness(random_precision_data(b, 2, rng), base)
         for row in rows:
             ok &= row["side"] and (row["cybe"] == row["axiom"])
     elapsed = time.monotonic() - start

@@ -671,6 +671,16 @@ def test_sweedler_blocks_match_the_pinned_digests():
     assert [k for k in sorted(got) if got[k] != pinned[k]] == []
 
 
+def test_generic_differentials_are_pinned_on_z2():
+    """Both block families of the generic engine on (kZ2, regular M, kZ2*) over Q to total degree 5."""
+    b, m, _ = z2_setup()
+    s = build_yd_system(b, [m], "yd")
+    ch_h, ch_hs = eps_characters(s)
+    g = generic_differentials(s, ch_hs, ch_h, 5)
+    assert _block_digest(g.d_blocks) == "bcb9f0a5b47337bae6b3d346a86bebd78be7214ffd76767ddb5478e424f74cff"
+    assert _block_digest(g.dprime_blocks) == "8f42d683c904dd7482e89d98a6ba05121da0c5547c0340c61e71f54ddbd44f4f"
+
+
 # -- the comultiplication fold -----------------------------------------------------
 
 

@@ -439,6 +439,21 @@ def test_cli_missing_file_is_input_error(tmp_path, capsys):
     assert "input error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", [3, [1, 2], "text"], ids=["number", "list", "string"])
+@pytest.mark.parametrize(
+    "argv",
+    [("check", "hopf"), ("check", "yd"), ("check", "rmatrix", "--level", "weak"), ("verify", "cybe")],
+    ids=["hopf", "yd", "rmatrix", "cybe"],
+)
+def test_a_file_that_is_not_a_json_object_is_an_input_error(tmp_path, capsys, argv, value):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(value))
+    assert run(*argv, str(path)) == 2
+    err = capsys.readouterr().err
+    assert "bad.json: expected a JSON object" in err
+    assert "Traceback" not in err
+
+
 def test_cli_yd_pipeline_and_system(tmp_path):
     h = str(tmp_path / "z2.json")
     m = str(tmp_path / "m.json")
@@ -538,6 +553,44 @@ def test_cli_harness_precision(tmp_path, capsys):
     assert run("harness", "precision", "--hopf", h, "--dim", "2", "--trials", "5", "--seed", "3") == 0
     out = capsys.readouterr().out
     assert "0 equivalence violations" in out
+
+
+@pytest.mark.parametrize(
+    "group, dim, trials, seed, digest",
+    [
+        ("Z2", "2", "300", "1", "04938636328a916ea366a186ebae94e05eda75d635e4f8093fb1c160668b4e5b"),
+        ("Z2", "3", "100", "7", "3b670f1cfb02d780b375b35cdbcbc768839565351ded146f101484bc2defb7c2"),
+        ("S3", "2", "50", "99", "003bb792aab26ba0a354f846c0a1025e7b01d1b6a487da2ce80c8a2c5a019af5"),
+    ],
+)
+def test_cli_harness_precision_stdout_is_pinned(tmp_path, capsys, group, dim, trials, seed, digest):
+    """SHA-256 of the whole stdout over F_5: the per-row counts of true axioms pin every cYBE instance."""
+    h = str(tmp_path / "h.json")
+    assert run("gen", "group-algebra", "--group", group, "--field", "Fp:5", "-o", h) == 0
+    capsys.readouterr()
+    assert run("harness", "precision", "--hopf", h, "--dim", dim, "--trials", trials, "--seed", seed) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def test_cli_verify_cybe_and_glue_are_pinned_on_rank_four_s3(tmp_path, monkeypatch, capsys):
+    """(kS3, regular M, k, kS3*) over F_5: SHA-256 of the built file, of `verify cybe` stdout and of the
+    file `glue --lo 1 --hi 3` writes."""
+    monkeypatch.chdir(tmp_path)
+    assert run("gen", "group-algebra", "--group", "S3", "--field", "Fp:5", "-o", "s3.json") == 0
+    assert run("gen", "regular-yd", "--hopf", "s3.json", "-o", "reg.json") == 0
+    assert run("gen", "trivial-yd", "--hopf", "s3.json", "-o", "triv.json") == 0
+    build = ("build", "yd-system", "--hopf", "s3.json", "--mod", "reg.json", "--mod", "triv.json")
+    assert run(*build, "--variant", "yd", "-o", "sys.json") == 0
+    capsys.readouterr()
+    assert run("verify", "cybe", "sys.json") == 0
+    verify_out = capsys.readouterr().out.encode()
+    assert run("glue", "--system", "sys.json", "--lo", "1", "--hi", "3", "-o", "glued.json") == 0
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in ("sys.json", "glued.json")}
+    assert digests == {
+        "sys.json": "678e261d8f184837770346f26a86894a1faa81bbcf450b78da8ec6c69c96243b",
+        "glued.json": "4571174df719fd7f61339b1c76b2f5fe989e287b239d8cb6f66c84201f354203",
+    }
+    assert hashlib.sha256(verify_out).hexdigest() == "6a995956d9f112b249dc0e866351bfda406e2882d73adc75ed4a1691c9980a7b"
 
 
 def test_cli_harness_refuses_trials_below_one(tmp_path, capsys):

@@ -362,6 +362,40 @@ def test_every_stored_scalar_is_canonical_after_each_operation(case):
     assert_canonical(f, [v for row in a.rref_data()[0] for v in row.values()])
 
 
+def assert_as_constructed(m):
+    """m is what the validating constructor makes of its own entries, none of them zero."""
+    assert m == SparseMatrix(m.field, m.n_rows, m.n_cols, m.entries)
+    assert all(m.entries.values())
+    assert_canonical(m.field, m.entries.values())
+
+
+@PROPERTY_SETTINGS
+@given(canonical_cases())
+def test_products_are_built_as_the_constructor_builds_them(case):
+    """``@``, ``kronecker`` and ``identity`` skip the constructor's bounds check, not its canonical form."""
+    f, a, b, c, sq, x, s = case
+    for m in (a @ c, sq @ sq, a @ x, kronecker(a, c), kronecker(c, x), SparseMatrix.identity(f, a.n_rows)):
+        assert_as_constructed(m)
+
+
+@pytest.mark.parametrize(
+    "f, a, b, product",
+    [
+        # Fractions whose products and sums are integers
+        (QQ, [[Fraction(1, 2), Fraction(2, 3)]], [[Fraction(4, 1)], [Fraction(3, 2)]], [[3]]),
+        (QQ, [[Fraction(2, 3), Fraction(-2, 3)]], [[Fraction(3, 2)], [Fraction(3, 2)]], [[0]]),
+        # sums that cancel to 0 mod p
+        (GF(5), [[1, 2], [3, 4]], [[3, 1], [1, 2]], [[0, 0], [3, 1]]),
+        (GF(5), [[2, 3]], [[1], [1]], [[0]]),
+    ],
+)
+def test_products_reduce_integral_fractions_and_drop_cancelled_sums(f, a, b, product):
+    a, b = mat(f, a), mat(f, b)
+    assert a @ b == mat(f, product)
+    for m in (a @ b, kronecker(a, b), kronecker(b, a)):
+        assert_as_constructed(m)
+
+
 @PROPERTY_SETTINGS
 @given(q_scalars(), q_scalars())
 def test_rational_field_operations_return_canonical_scalars(a, b):

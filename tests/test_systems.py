@@ -22,6 +22,7 @@ from braidalg.systems import (
     sigma_ass,
     validate_uaa_system,
     verify_cybe,
+    yd_base,
 )
 from braidalg.tensor import LinMap, Space, compose_chain, flip, identity
 from braidalg.yd import (
@@ -335,8 +336,7 @@ def test_precision_harness_valid_inputs_all_rows_true():
     F = GF(5)
     b = group_algebra(Z2_TABLE, Z2_NAMES, field=F)
     ext = formal_unit_extend(regular_yd_group_algebra(Z2_TABLE, Z2_NAMES, field=F))
-    dual = dual_bialgebra(b)
-    rep, rows = precision_harness(ext, dual, dual_action(b, dual))
+    rep, rows = precision_harness(ext, yd_base(b))
     assert rep.passed
     assert all(r["side"] and r["cybe"] and r["axiom"] for r in rows)
 
@@ -360,8 +360,7 @@ def test_precision_harness_side_conditions_read_their_axioms(target, entry, fail
     m = getattr(ext, target)
     bump = SparseMatrix(F, m.matrix.n_rows, m.matrix.n_cols, {entry: F.one})
     alg = dataclasses.replace(ext, **{target: LinMap(m.domain, m.codomain, m.matrix + bump)})
-    dual = dual_bialgebra(b)
-    rep, rows = precision_harness(alg, dual, dual_action(b, dual))
+    rep, rows = precision_harness(alg, yd_base(b))
     assert {r["row"] for r in rows if not r["side"]} == failing
     assert all(rep[f"{name}_equivalence"].passed for name, _ in PRECISION_ROWS)
 
@@ -369,13 +368,12 @@ def test_precision_harness_side_conditions_read_their_axioms(target, entry, fail
 def test_precision_harness_random_equivalence():
     F = GF(5)
     b = group_algebra(Z2_TABLE, Z2_NAMES, field=F)
-    dual = dual_bialgebra(b)
-    lam_dual = dual_action(b, dual)
+    base = yd_base(b)
     rng = random.Random(42)
     seen_false = {name: False for name, _ in PRECISION_ROWS}
     seen_true = {name: False for name, _ in PRECISION_ROWS}
     for _ in range(30):
-        _rep, rows = precision_harness(random_precision_data(b, 2, rng), dual, lam_dual)
+        _rep, rows = precision_harness(random_precision_data(b, 2, rng), base)
         for r in rows:
             assert r["side"]
             assert r["cybe"] == r["axiom"]
@@ -383,7 +381,7 @@ def test_precision_harness_random_equivalence():
             seen_true[r["row"]] |= r["axiom"]
     # with dim 3 the associativity row also exercises its false branch
     for _ in range(10):
-        _rep, rows = precision_harness(random_precision_data(b, 3, rng), dual, lam_dual)
+        _rep, rows = precision_harness(random_precision_data(b, 3, rng), base)
         for r in rows:
             assert r["cybe"] == r["axiom"]
             seen_false[r["row"]] |= not r["axiom"]
@@ -401,8 +399,7 @@ def test_precision_harness_checks_the_system_build_yd_system_builds():
     cases = ((Z2_TABLE, Z2_NAMES, 2, 12), (Z2_TABLE, Z2_NAMES, 3, 6), (S3_TABLE, S3_NAMES, 2, 4))
     for table, names, dim, trials in cases:
         b = group_algebra(table, names, field=F)
-        dual = dual_bialgebra(b)
-        lam_dual = dual_action(b, dual)
+        base = yd_base(b)
         for trial in range(trials):
             alg = random_precision_data(b, dim, rng)
             if trial % 2:
@@ -411,7 +408,7 @@ def test_precision_harness_checks_the_system_build_yd_system_builds():
                 shape = (m.matrix.n_rows, m.matrix.n_cols)
                 bump = SparseMatrix(F, *shape, {(rng.randrange(shape[0]), rng.randrange(shape[1])): 1})
                 alg = dataclasses.replace(alg, **{target: LinMap(m.domain, m.codomain, m.matrix + bump)})
-            _rep, rows = precision_harness(alg, dual, lam_dual)
+            _rep, rows = precision_harness(alg, base)
             built = verify_cybe(build_yd_system(b, [alg], "ydalg", check=False))
             for r in rows:
                 assert r["cybe"] == built["cYBE({},{},{})".format(*r["triple"])].passed, (b.dim, dim, trial, r)

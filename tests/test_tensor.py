@@ -5,12 +5,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from braidalg.linalg import GF, QQ, SparseMatrix
 from braidalg.tensor import (
     DimensionMismatch,
     LinMap,
     Space,
+    apply_at,
     basis,
     compose_chain,
     decode,
@@ -158,6 +160,54 @@ def test_embed_errors():
         embed_at(f, 3, (V, V), QQ)
     with pytest.raises(DimensionMismatch):
         identity([V], QQ).compose(identity([W], QQ))
+
+
+@st.composite
+def apply_at_cases(draw):
+    """(phi, i, m): m's codomain is left (x) phi's domain (x) right, each part 0-2 factors of dim 1-3,
+    so phi may be nu-like (no domain factor) or eps-like (no codomain factor), and so may m."""
+    f = draw(st.sampled_from((QQ, F5)))
+    values = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3)) if f is QQ else st.integers(-10, 10)
+
+    def spaces(name):
+        return tuple(Space(draw(st.integers(1, 3)), f"{name}{t}") for t in range(draw(st.integers(0, 2))))
+
+    def linmap(dom, cod):
+        rows, cols = prod_dim(cod), prod_dim(dom)
+        cells = st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1))
+        return LinMap(dom, cod, SparseMatrix(f, rows, cols, draw(st.dictionaries(cells, values, max_size=12))))
+
+    left, slot, right = spaces("L"), spaces("A"), spaces("R")
+    phi = linmap(slot, spaces("B"))
+    return phi, len(left) + 1, linmap(spaces("D"), left + slot + right), left, right
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(apply_at_cases())
+def test_apply_at_is_the_identity_padded_map_composed_after(case):
+    phi, i, m, left, right = case
+    f = phi.field
+    got = apply_at(phi, i, m)
+    assert got == tensor_maps([identity(left, f), phi, identity(right, f)]).compose(m)
+    assert got.domain == m.domain and got.codomain == left + phi.codomain + right
+    assert all(got.matrix.entries.values())
+    assert got.matrix == SparseMatrix(f, got.matrix.n_rows, got.matrix.n_cols, got.matrix.entries)
+    ctx = left + phi.domain + right
+    assert embed_at(phi, i, ctx, f) == apply_at(phi, i, identity(ctx, f))
+
+
+def test_apply_at_errors():
+    V, W = Space(2, "V"), Space(3, "W")
+    phi = identity([V], QQ)
+    for i, ctx in ((1, (W, W)), (2, (V, W)), (0, (V, V)), (3, (V, V))):
+        with pytest.raises(DimensionMismatch):
+            apply_at(phi, i, identity(ctx, QQ))
+    nu = LinMap((), (V,), SparseMatrix(QQ, 2, 1, {(0, 0): 1}))
+    with pytest.raises(DimensionMismatch):
+        apply_at(nu, 4, identity((V, V), QQ))
+    assert apply_at(nu, 3, identity((V, V), QQ)).codomain == (V, V, V)
+    with pytest.raises(ValueError, match="field mismatch"):
+        apply_at(phi, 1, identity((V,), F5))
 
 
 def test_rainbow_dual_identity_and_involution():

@@ -238,13 +238,12 @@ def test_random_valid_module_comodule_yd_iff_braiding_instance():
     """For valid module+comodule data, the YD axiom holds exactly when the
     mixed braiding instance on H (x) M (x) H* does (cross-validated with
     the precision harness)."""
-    from braidalg.systems import BraidedSystem, cybe_instance, dual_action, yd_sigmas
+    from braidalg.systems import BraidedSystem, cybe_instance, yd_base, yd_sigmas
     from braidalg.yd import YDModuleAlgebra
 
     F = GF(5)
     b = group_algebra(Z2_TABLE, Z2_NAMES, field=F)
-    dual = dual_bialgebra(b)
-    lam_dual = dual_action(b, dual)
+    base = yd_base(b)
     rng = random.Random(77)
     dim = 2
     hits = {True: 0, False: 0}
@@ -276,8 +275,8 @@ def test_random_valid_module_comodule_yd_iff_braiding_instance():
         assert rep["action_associativity"].passed and rep["coaction_coassociativity"].passed
         mu = LinMap((M, M), (M,), SparseMatrix(F, dim, dim * dim))
         nu = LinMap((), (M,), SparseMatrix(F, dim, 1, {(0, 0): F.one}))
-        sigma = yd_sigmas(b, dual, lam_dual, [YDModuleAlgebra(b, M, lam, delta, mu=mu, nu=nu)], "ydalg")
-        sys = BraidedSystem((b.space, M, dual.space), sigma, F)
+        sigma = yd_sigmas(base, [YDModuleAlgebra(b, M, lam, delta, mu=mu, nu=nu)], "ydalg")
+        sys = BraidedSystem((b.space, M, base.dual.space), sigma, F)
         lhs, rhs = cybe_instance(sys, 1, 2, 3)
         assert rep.passed == (lhs.matrix == rhs.matrix)
         hits[rep.passed] += 1
