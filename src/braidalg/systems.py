@@ -27,9 +27,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .hopf import Bialgebra, check_bialgebra, dual_bialgebra
-from .linalg import inverse as matrix_inverse, rank as matrix_rank
+from .linalg import SparseMatrix, inverse as matrix_inverse, rank as matrix_rank
 from .report import AxiomReport
-from .tensor import LinMap, Space, apply_at, compose_chain, evaluation, from_terms, identity
+from .tensor import DimensionMismatch, LinMap, Space, apply_at, compose_chain, evaluation, from_terms, identity
 from .yd import YDModuleAlgebra, check_yd, ring_braiding, tensor_space
 
 
@@ -63,20 +63,71 @@ class BraidedSystem:
         return f"BraidedSystem({labels})"
 
 
+def _column_tables(s, pairs):
+    """{(i, j): sigma_{i,j} of s as a column table {(a, b): [(b', a', v), ...]} on basis indices}.
+
+    Checks what a product with each sigma_{i,j} would: its factor dims are
+    those of V_i (x) V_j -> V_j (x) V_i, and its field is the system's.
+    """
+    tables = {}
+    for i, j in pairs:
+        sig, vi, vj = s.sigma[(i, j)], s.space(i), s.space(j)
+        if [x.dim for x in sig.domain] != [vi.dim, vj.dim] or [x.dim for x in sig.codomain] != [vj.dim, vi.dim]:
+            raise DimensionMismatch(f"sigma({i},{j}) does not map {vi.label}(x){vj.label} to {vj.label}(x){vi.label}")
+        if sig.field != s.field:
+            raise ValueError(f"field mismatch: {s.field!r} and {sig.field!r}")
+        table = tables[i, j] = {}
+        for (r, c), v in sig.matrix.entries.items():
+            table.setdefault(divmod(c, vj.dim), []).append((*divmod(r, vi.dim), v))
+    return tables
+
+
+def _cybe_sides(s, tables, i, j, k):
+    """cybe_instance on column tables holding sigma_{i,j}, sigma_{i,k} and sigma_{j,k}.
+
+    Both sides are evaluated on basis tuples: each domain column (a, b, c)
+    goes through the three braidings' tables, and the products are summed
+    straight into the entries of V_i (x) V_j (x) V_k -> V_k (x) V_j (x) V_i.
+    """
+    t_ij, t_ik, t_jk = tables[i, j], tables[i, k], tables[j, k]
+    di, dj, dk = s.space(i).dim, s.space(j).dim, s.space(k).dim
+    lhs, rhs = {}, {}
+    # lhs: s_ij on (a, b), then s_ik on (a', c), then s_jk on (b', c')
+    for (a, b), first in t_ij.items():
+        for c in range(dk):
+            col = (a * dj + b) * dk + c
+            for b1, a1, u in first:
+                for c1, a2, v in t_ik.get((a1, c), ()):
+                    uv = u * v
+                    for c2, b2, w in t_jk.get((b1, c1), ()):
+                        key = ((c2 * dj + b2) * di + a2, col)
+                        lhs[key] = lhs.get(key, 0) + uv * w
+    # rhs: s_jk on (b, c), then s_ik on (a, c'), then s_ij on (a', b')
+    for (b, c), first in t_jk.items():
+        for a in range(di):
+            col = (a * dj + b) * dk + c
+            for c1, b1, u in first:
+                for c2, a1, v in t_ik.get((a, c1), ()):
+                    uv = u * v
+                    for b2, a2, w in t_ij.get((a1, b1), ()):
+                        key = ((c2 * dj + b2) * di + a2, col)
+                        rhs[key] = rhs.get(key, 0) + uv * w
+    dom = (s.space(i), s.space(j), s.space(k))
+    n = di * dj * dk
+    return tuple(LinMap._of(dom, dom[::-1], SparseMatrix._from_sums(s.field, n, n, side)) for side in (lhs, rhs))
+
+
 def cybe_instance(s, i, j, k):
     """(lhs, rhs) of the colored YBE on V_i (x) V_j (x) V_k."""
-    f = s.field
-    s_ij, s_ik, s_jk = s.sigma[(i, j)], s.sigma[(i, k)], s.sigma[(j, k)]
-    lhs = apply_at(s_jk, 1, apply_at(s_ik, 2, s_ij.tensor(identity([s.space(k)], f))))
-    rhs = apply_at(s_ij, 2, apply_at(s_ik, 1, identity([s.space(i)], f).tensor(s_jk)))
-    return lhs, rhs
+    return _cybe_sides(s, _column_tables(s, [(i, j), (i, k), (j, k)]), i, j, k)
 
 
 def verify_cybe(s):
     """One exact check per triple i <= j <= k; witness on first failure."""
     rep = AxiomReport(f"cYBE for {s!r}")
+    tables = _column_tables(s, s.sigma)
     for i, j, k in s.triples():
-        lhs, rhs = cybe_instance(s, i, j, k)
+        lhs, rhs = _cybe_sides(s, tables, i, j, k)
         rep.compare(f"cYBE({i},{j},{k})", lhs, rhs)
     return rep
 
@@ -386,13 +437,14 @@ def precision_harness(alg, base):
     """
     h = alg.base
     sys = BraidedSystem((h.space, alg.space, base.dual.space), yd_sigmas(base, [alg], "ydalg"), h.field)
+    tables = _column_tables(sys, sys.sigma)
     axioms = check_yd(alg, "yd_algebra")
     passed = {c.name: c.passed for c in axioms.checks}
     rep = AxiomReport("precision harness (cYBE <=> axiom)")
     rows = []
     for name, triple in PRECISION_ROWS:
         axiom, side = _PRECISION_CHECKS[name]
-        lhs, rhs = cybe_instance(sys, *triple)
+        lhs, rhs = _cybe_sides(sys, tables, *triple)
         cybe_ok = lhs.matrix == rhs.matrix
         side_ok = all(passed[c] for c in side)
         ax_ok = passed[axiom]

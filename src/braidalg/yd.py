@@ -12,6 +12,7 @@ delta(m) = m_(0) (x) m_(1).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .hopf import Bialgebra, opposites
@@ -49,6 +50,46 @@ class YDModuleAlgebra(YDModule):
     nu: LinMap
 
 
+@functools.cache
+def _fixed_maps(mu, nu, delta, eps, H, M):
+    """The maps of check_yd's module, comodule and YD checks that depend only
+    on H's structure maps and M's space.
+
+    (id_H, id_M, mu (x) id_M, nu (x) id_M, id_M (x) Delta, id_M (x) eps,
+    id_M (x) mu, Delta (x) id_M, c_{H,M}, the middle swap of H H M H).
+    Keyed by value (a LinMap hashes by its matrix) and shared like
+    ``tensor.flip``: nothing in the package mutates a map's ``entries``, and
+    the (bialgebra, module space) pairs a process checks bound the cache.
+    """
+    f = mu.field
+    id_H, id_M = identity([H], f), identity([M], f)
+    return (
+        id_H,
+        id_M,
+        mu.tensor(id_M),
+        nu.tensor(id_M),
+        id_M.tensor(delta),
+        id_M.tensor(eps),
+        id_M.tensor(mu),
+        delta.tensor(id_M),
+        flip(H, M, f),
+        permutation_map((H, H, M, H), (0, 2, 1, 3), f),
+    )
+
+
+@functools.cache
+def _fixed_algebra_maps(delta, H, M):
+    """The same for the YD-algebra checks: the middle swaps of M H M H and
+    H H M M, and Delta_op (x) id_{M (x) M} with Delta_op = c_{H,H} o Delta."""
+    f = delta.field
+    delta_op = flip(H, H, f).compose(delta)
+    return (
+        permutation_map((M, H, M, H), (0, 2, 1, 3), f),
+        permutation_map((H, H, M, M), (0, 2, 1, 3), f),
+        delta_op.tensor(identity([M, M], f)),
+    )
+
+
 def check_yd(m, level="yd"):
     """Exact verification of module / comodule / YD / YD-algebra axioms."""
     if level not in ("module", "comodule", "yd", "yd_algebra"):
@@ -56,38 +97,30 @@ def check_yd(m, level="yd"):
     if level == "yd_algebra" and not isinstance(m, YDModuleAlgebra):
         raise TypeError("yd_algebra level needs a YDModuleAlgebra")
     b = m.base
-    f = m.field
-    H, M = b.space, m.space
-    id_H = identity([H], f)
-    id_M = identity([M], f)
-    rep = AxiomReport(f"{level} axioms for {M.label}")
+    id_H, id_M, mu_M, nu_M, M_delta, M_eps, M_mu, delta_M, c_HM, swap_HHMH = _fixed_maps(
+        b.mu, b.nu, b.delta, b.eps, b.space, m.space
+    )
+    lam, delta = m.lam, m.delta
+    rep = AxiomReport(f"{level} axioms for {m.space.label}")
 
     if level in ("module", "yd", "yd_algebra"):
-        lam = m.lam
-        rep.compare("action_associativity", lam.compose(b.mu.tensor(id_M)), lam.compose(id_H.tensor(lam)))
-        rep.compare("action_unit", lam.compose(b.nu.tensor(id_M)), id_M)
+        H_lam = id_H.tensor(lam)
+        rep.compare("action_associativity", lam.compose(mu_M), lam.compose(H_lam))
+        rep.compare("action_unit", lam.compose(nu_M), id_M)
     if level in ("comodule", "yd", "yd_algebra"):
-        delta = m.delta
         if delta is None:
             rep.add("coaction_present", False)
             return rep
-        rep.compare(
-            "coaction_coassociativity",
-            delta.tensor(id_H).compose(delta),
-            id_M.tensor(b.delta).compose(delta),
-        )
-        rep.compare("coaction_counit", id_M.tensor(b.eps).compose(delta), id_M)
+        delta_H = delta.tensor(id_H)
+        rep.compare("coaction_coassociativity", delta_H.compose(delta), M_delta.compose(delta))
+        rep.compare("coaction_counit", M_eps.compose(delta), id_M)
     if level in ("yd", "yd_algebra"):
-        c_HM = flip(H, M, f)
-        lhs = compose_chain(
-            [id_M.tensor(b.mu), m.delta.tensor(id_H), c_HM, id_H.tensor(m.lam), b.delta.tensor(id_M)]
-        )
-        rhs = compose_chain(
-            [m.lam.tensor(b.mu), permutation_map((H, H, M, H), (0, 2, 1, 3), f), b.delta.tensor(m.delta)]
-        )
+        lhs = compose_chain([M_mu, delta_H, c_HM, H_lam, delta_M])
+        rhs = compose_chain([lam.tensor(b.mu), swap_HHMH, b.delta.tensor(delta)])
         rep.compare("yd_compatibility", lhs, rhs)
     if level == "yd_algebra":
         mu, nu = m.mu, m.nu
+        swap_MHMH, swap_HHMM, delta_op_MM = _fixed_algebra_maps(b.delta, b.space, m.space)
         rep.compare("uaa_associativity", mu.compose(mu.tensor(id_M)), mu.compose(id_M.tensor(mu)))
         rep.compare("uaa_unit_left", mu.compose(nu.tensor(id_M)), id_M)
         rep.compare("uaa_unit_right", mu.compose(id_M.tensor(nu)), id_M)
@@ -95,21 +128,13 @@ def check_yd(m, level="yd"):
         rep.compare(
             "yd_alg_delta_mu",
             delta.compose(mu),
-            compose_chain([mu.tensor(b.mu), permutation_map((M, H, M, H), (0, 2, 1, 3), f), delta.tensor(delta)]),
+            compose_chain([mu.tensor(b.mu), swap_MHMH, delta.tensor(delta)]),
         )
         # lam o (Id (x) mu) = mu o (lam (x) lam) o (Id (x) c (x) Id) o (Delta_op (x) Id (x) Id)
-        _, delta_op = opposites(b)
         rep.compare(
             "yd_alg_lam_mu",
             lam.compose(id_H.tensor(mu)),
-            compose_chain(
-                [
-                    mu,
-                    lam.tensor(lam),
-                    permutation_map((H, H, M, M), (0, 2, 1, 3), f),
-                    delta_op.tensor(identity([M, M], f)),
-                ]
-            ),
+            compose_chain([mu, lam.tensor(lam), swap_HHMM, delta_op_MM]),
         )
         rep.compare("yd_alg_delta_nu", delta.compose(nu), nu.tensor(b.nu))
         rep.compare("yd_alg_lam_nu", lam.compose(id_H.tensor(nu)), b.eps.tensor(nu))

@@ -593,6 +593,24 @@ def test_cli_verify_cybe_and_glue_are_pinned_on_rank_four_s3(tmp_path, monkeypat
     assert hashlib.sha256(verify_out).hexdigest() == "6a995956d9f112b249dc0e866351bfda406e2882d73adc75ed4a1691c9980a7b"
 
 
+def test_cli_verify_cybe_failure_is_pinned_on_perturbed_s3(tmp_path, monkeypatch, capsys):
+    """(kS3, regular M, kS3*) over F_5 with sigma_{H,M} replaced by the flip: exit 1, and SHA-256 of the
+    whole stdout, which carries every failing instance's first-failure witness."""
+    monkeypatch.chdir(tmp_path)
+    assert run("gen", "group-algebra", "--group", "S3", "--field", "Fp:5", "-o", "s3.json") == 0
+    assert run("gen", "regular-yd", "--hopf", "s3.json", "-o", "reg.json") == 0
+    assert run("build", "yd-system", "--hopf", "s3.json", "--mod", "reg.json", "--variant", "yd", "-o", "sys.json") == 0
+    data = json.loads((tmp_path / "sys.json").read_text())
+    data["sigma"]["1,2"] = {"entries": sorted([b * 6 + a, a * 6 + b, 1] for a in range(6) for b in range(6))}
+    (tmp_path / "pert.json").write_text(json.dumps(data))
+    capsys.readouterr()
+    assert run("verify", "cybe", "pert.json") == 1
+    out = capsys.readouterr().out
+    assert "FAIL cYBE(1,2,3) @ input basis (2, 1, 3) / output basis (0, 1, 2): lhs=0 rhs=1\n" in out
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "5a903e20caa06abbcec406e46f2e2998a8eecda65a9e7b22c1c7419741d3923a"
+
+
 def test_cli_harness_refuses_trials_below_one(tmp_path, capsys):
     h = str(tmp_path / "z2.json")
     assert run("gen", "group-algebra", "--group", "Z2", "--field", "Fp:5", "-o", h) == 0

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -13,6 +14,7 @@ from braidalg.systems import (
     PRECISION_ROWS,
     build_yd_system,
     check_braided_morphism,
+    cybe_instance,
     dual_action,
     glue,
     invertibility_report,
@@ -24,7 +26,18 @@ from braidalg.systems import (
     verify_cybe,
     yd_base,
 )
-from braidalg.tensor import LinMap, Space, compose_chain, flip, identity
+from braidalg.report import AxiomReport
+from braidalg.tensor import (
+    DimensionMismatch,
+    LinMap,
+    Space,
+    apply_at,
+    basis,
+    compose_chain,
+    flip,
+    from_terms,
+    identity,
+)
 from braidalg.yd import (
     check_yd,
     formal_unit_extend,
@@ -100,6 +113,76 @@ def test_flip_perturbation_detected_on_s3():
     rep = verify_cybe(pert)
     bad = rep["cYBE(1,2,3)"]
     assert not bad.passed and bad.witness is not None
+
+
+def _padded_instance(s, i, j, k):
+    """The colored YBE sides as products of padded maps: the oracle for cybe_instance."""
+    f = s.field
+    s_ij, s_ik, s_jk = s.sigma[(i, j)], s.sigma[(i, k)], s.sigma[(j, k)]
+    lhs = apply_at(s_jk, 1, apply_at(s_ik, 2, s_ij.tensor(identity([s.space(k)], f))))
+    rhs = apply_at(s_ij, 2, apply_at(s_ik, 1, identity([s.space(i)], f).tensor(s_jk)))
+    return lhs, rhs
+
+
+def _random_system(rng, field, rank):
+    """Components of dims 1..3 and sparse random braidings (scalars with non-trivial denominators over Q)."""
+    comps = tuple(Space(rng.randint(1, 3), f"V{t}") for t in range(1, rank + 1))
+
+    def scalar():
+        if field.p is None:
+            return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        return rng.randrange(field.p)
+
+    sigma = {}
+    for i in range(1, rank + 1):
+        for j in range(i, rank + 1):
+            vi, vj = comps[i - 1], comps[j - 1]
+            pairs = [(out, inp) for out in basis((vj, vi)) for inp in basis((vi, vj))]
+            terms = [(out, inp, scalar()) for out, inp in pairs if rng.random() < 0.4]
+            sigma[(i, j)] = from_terms((vi, vj), (vj, vi), terms, field)
+    return BraidedSystem(comps, sigma, field)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=["Q", "F5"])
+def test_cybe_instance_matches_the_padded_products(field):
+    """On every triple i <= j <= k of random systems (mostly failing cYBE) and of YD systems (passing),
+    cybe_instance gives the matrices and factor dims of the padded-product formula, and verify_cybe the
+    same report, witnesses included."""
+    rng = random.Random(2024)
+    b = group_algebra(Z2_TABLE, Z2_NAMES, field=field)
+    systems = [_random_system(rng, field, rng.randint(2, 4)) for _ in range(12)]
+    systems += [build_yd_system(b, [m], "yd") for m in (unit_yd(b), regular_yd_group_algebra(b))]
+    seen = set()
+    for s in systems:
+        oracle = AxiomReport(f"cYBE for {s!r}")
+        for i, j, k in s.triples():
+            got, want = cybe_instance(s, i, j, k), _padded_instance(s, i, j, k)
+            for g, w in zip(got, want):
+                assert g.matrix == w.matrix
+                assert [v.dim for v in g.domain] == [v.dim for v in w.domain]
+                assert [v.dim for v in g.codomain] == [v.dim for v in w.codomain]
+            seen.add(oracle.compare(f"cYBE({i},{j},{k})", *want))
+        assert str(verify_cybe(s)) == str(oracle)
+    assert seen == {True, False}
+
+
+def test_cybe_instance_keeps_shape_and_field_checks():
+    """A braiding of the wrong factor dims raises DimensionMismatch, one over another field ValueError."""
+    V, W = Space(2, "V"), Space(3, "W")
+    good = {(1, 1): identity([V, V], QQ), (1, 2): flip(V, W, QQ), (2, 2): identity([W, W], QQ)}
+    s = BraidedSystem((V, W), good, QQ)
+    assert verify_cybe(s).passed
+    wrong_dims = s.with_sigma(1, 2, identity([V, V], QQ))
+    other_field = s.with_sigma(1, 2, flip(V, W, GF(5)))
+    for triple in ((1, 1, 2), (1, 2, 2)):
+        with pytest.raises(DimensionMismatch):
+            cybe_instance(wrong_dims, *triple)
+        with pytest.raises(ValueError, match="field mismatch"):
+            cybe_instance(other_field, *triple)
+    with pytest.raises(DimensionMismatch):
+        verify_cybe(wrong_dims)
+    with pytest.raises(ValueError, match="field mismatch"):
+        verify_cybe(other_field)
 
 
 def test_braided_morphism_identity_family():

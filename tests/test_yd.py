@@ -1,5 +1,6 @@
 """Yetter-Drinfel'd modules: axioms, braidings, tensor products and duals."""
 
+import dataclasses
 import itertools
 import random
 
@@ -10,6 +11,8 @@ from braidalg.linalg import GF, QQ, SparseMatrix, inverse as matrix_inverse
 from braidalg.tensor import LinMap, Space, compose_chain, flip, identity
 from braidalg.yd import (
     YDModule,
+    _fixed_algebra_maps,
+    _fixed_maps,
     change_of_basis,
     check_yd,
     dual_yd,
@@ -163,6 +166,31 @@ def test_braiding_hexagons_on_tensor_products():
         idv = identity([v.space], QQ)
         rhs2 = compose_chain([c_vx.tensor(idw), idv.tensor(c_wx)])
         assert lhs2.matrix == rhs2.matrix
+
+
+def test_check_yd_verdicts_do_not_depend_on_earlier_calls():
+    """One module space over bases with equal spaces but a different mu or Delta: every level's report,
+    witnesses included, is the same in either call order as with nothing built before it."""
+    b = group_algebra(Z2_TABLE, Z2_NAMES, field=GF(5))
+    m = formal_unit_extend(regular_yd_group_algebra(b))
+    bases = [b, dataclasses.replace(b, mu=b.mu.scale(2)), dataclasses.replace(b, delta=b.delta.scale(2))]
+    levels = ("module", "comodule", "yd", "yd_algebra")
+
+    def reports(base):
+        return [str(check_yd(dataclasses.replace(m, base=base), level)) for level in levels]
+
+    def clear():
+        _fixed_maps.cache_clear()
+        _fixed_algebra_maps.cache_clear()
+
+    fresh = []
+    for base in bases:
+        clear()
+        fresh.append(reports(base))
+    assert fresh[0] != fresh[1] and fresh[0] != fresh[2] and fresh[1] != fresh[2]
+    for order in ([0, 1, 2], [2, 1, 0]):
+        clear()
+        assert [reports(bases[t]) for t in order + order] == [fresh[t] for t in order + order]
 
 
 def test_formal_unit_extension():
