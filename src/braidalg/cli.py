@@ -242,12 +242,11 @@ def cmd_harness(args):
             alg = random_precision_data(b, args.dim, rng)
             rep, rows = precision_harness(alg, base)
             for row in rows:
-                held = (not row["side"]) or row["cybe"] == row["axiom"]
                 stats = counts.setdefault(row["row"], [0, 0, 0])
                 stats[0] += int(row["axiom"])
-                stats[1] += int(held)
+                stats[1] += int(row["equivalence"])
                 stats[2] += 1
-                if not held:
+                if not row["equivalence"]:
                     failures += 1
                     print(f"FAIL trial {trial} row {row['row']}: cYBE={row['cybe']} axiom={row['axiom']}")
     except ValueError as e:

@@ -20,10 +20,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .hopf import Bialgebra, check_bialgebra, mu_on_tensor, mu_tensor_square, opposites, solve_antipode
+from .hopf import Bialgebra, check_bialgebra, mu_tensor_square, on_tensor, opposites, solve_antipode
 from .linalg import SparseMatrix
 from .report import AxiomReport
-from .tensor import LinMap, compose_chain, flip, identity, permutation_map
+from .tensor import LinMap, compose_chain, flip, identity
 from .yd import YDModule, _check_two_sided_inverse, yd_braiding
 
 
@@ -83,14 +83,10 @@ def check_r(r, level="weak"):
     rep.add("base_prerequisites", pre.passed, pre.first_failure().witness if not pre.passed else None)
 
     R = r.vector
-    c2 = permutation_map((H, H, H, H), (0, 2, 1, 3), f)
+    id_HH = identity([H, H], f)
     mu_op, delta_op = opposites(b)
     if level in ("weak", "strong"):
-        rep.compare(
-            "weak_1_delta_R",
-            b.delta.tensor(id_H).compose(R),
-            compose_chain([identity([H, H], f).tensor(b.mu), c2, R.tensor(R)]),
-        )
+        rep.compare("weak_1_delta_R", b.delta.tensor(id_H).compose(R), on_tensor(id_HH, b.mu, R.tensor(R)))
         rep.compare("weak_2_eps_R", b.eps.tensor(id_H).compose(R), b.nu)
         mu2 = mu_tensor_square(b)
         rep.compare(
@@ -99,11 +95,7 @@ def check_r(r, level="weak"):
             mu2.compose(delta_op.tensor(R)),
         )
     if level == "strong":
-        rep.compare(
-            "strong_1_R_delta",
-            id_H.tensor(b.delta).compose(R),
-            compose_chain([mu_op.tensor(identity([H, H], f)), c2, R.tensor(R)]),
-        )
+        rep.compare("strong_1_R_delta", id_H.tensor(b.delta).compose(R), on_tensor(mu_op, id_HH, R.tensor(R)))
         rep.compare("strong_2_R_eps", id_H.tensor(b.eps).compose(R), b.nu)
     if level == "quantum_ybe":
         # R12 = R (x) nu, R23 = nu (x) R, R13 = (Id (x) c) o R12; * is the
@@ -111,7 +103,7 @@ def check_r(r, level="weak"):
         r12 = R.tensor(b.nu)
         r23 = b.nu.tensor(R)
         r13 = id_H.tensor(flip(H, H, f)).compose(r12)
-        mu3 = mu_on_tensor(mu_tensor_square(b), b.mu)
+        mu3 = on_tensor(mu_tensor_square(b), b.mu)
 
         def star(x, y):
             return mu3.compose(x.tensor(y))
@@ -146,14 +138,13 @@ def r_braiding(m, n, r):
     """
     b = r.base
     f = b.field
-    H, M, N = b.space, m.space, n.space
-    swap = permutation_map((H, H, M, N), (0, 2, 1, 3), f)
-    c = compose_chain([flip(M, N, f), m.lam.tensor(n.lam), swap, r.vector.tensor(identity([M, N], f))])
+    M, N = m.space, n.space
+    c = flip(M, N, f).compose(on_tensor(m.lam, n.lam, r.vector.tensor(identity([M, N], f))))
     yd_c, _ = yd_braiding(yd_from_r(m, r), yd_from_r(n, r), "standard")
     assert c.matrix == yd_c.matrix, "c_R disagrees with the induced YD braiding"
     c_inv = None
     if r.inverse is not None:
-        c_inv = compose_chain([m.lam.tensor(n.lam), swap, r.inverse.tensor(flip(N, M, f))])
+        c_inv = on_tensor(m.lam, n.lam, r.inverse.tensor(flip(N, M, f)))
         if not _check_two_sided_inverse(c, c_inv):
             c_inv = None
     return c, c_inv

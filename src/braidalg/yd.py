@@ -15,10 +15,10 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .hopf import Bialgebra, opposites
+from .hopf import Bialgebra, on_tensor, opposites
 from .linalg import SparseMatrix, inverse as matrix_inverse
 from .report import AxiomReport
-from .tensor import LinMap, Space, apply_at, compose_chain, flip, from_terms, identity, permutation_map, rainbow_dual
+from .tensor import LinMap, Space, apply_at, compose_chain, flip, from_terms, identity, rainbow_dual
 
 
 @dataclass
@@ -52,14 +52,14 @@ class YDModuleAlgebra(YDModule):
 
 @functools.cache
 def _fixed_maps(mu, nu, delta, eps, H, M):
-    """The maps of check_yd's module, comodule and YD checks that depend only
-    on H's structure maps and M's space.
+    """The maps of check_yd that depend only on H's structure maps and M's space.
 
     (id_H, id_M, mu (x) id_M, nu (x) id_M, id_M (x) Delta, id_M (x) eps,
-    id_M (x) mu, Delta (x) id_M, c_{H,M}, the middle swap of H H M H).
-    Keyed by value (a LinMap hashes by its matrix) and shared like
-    ``tensor.flip``: nothing in the package mutates a map's ``entries``, and
-    the (bialgebra, module space) pairs a process checks bound the cache.
+    id_M (x) mu, Delta (x) id_M, c_{H,M}, Delta_op (x) id_{M (x) M}) with
+    Delta_op = c_{H,H} o Delta.  Keyed by value (a LinMap hashes by its
+    matrix) and shared like ``tensor.flip``: nothing in the package mutates
+    a map's ``entries``, and the (bialgebra, module space) pairs a process
+    checks bound the cache.
     """
     f = mu.field
     id_H, id_M = identity([H], f), identity([M], f)
@@ -73,20 +73,7 @@ def _fixed_maps(mu, nu, delta, eps, H, M):
         id_M.tensor(mu),
         delta.tensor(id_M),
         flip(H, M, f),
-        permutation_map((H, H, M, H), (0, 2, 1, 3), f),
-    )
-
-
-@functools.cache
-def _fixed_algebra_maps(delta, H, M):
-    """The same for the YD-algebra checks: the middle swaps of M H M H and
-    H H M M, and Delta_op (x) id_{M (x) M} with Delta_op = c_{H,H} o Delta."""
-    f = delta.field
-    delta_op = flip(H, H, f).compose(delta)
-    return (
-        permutation_map((M, H, M, H), (0, 2, 1, 3), f),
-        permutation_map((H, H, M, M), (0, 2, 1, 3), f),
-        delta_op.tensor(identity([M, M], f)),
+        flip(H, H, f).compose(delta).tensor(identity([M, M], f)),
     )
 
 
@@ -97,7 +84,7 @@ def check_yd(m, level="yd"):
     if level == "yd_algebra" and not isinstance(m, YDModuleAlgebra):
         raise TypeError("yd_algebra level needs a YDModuleAlgebra")
     b = m.base
-    id_H, id_M, mu_M, nu_M, M_delta, M_eps, M_mu, delta_M, c_HM, swap_HHMH = _fixed_maps(
+    id_H, id_M, mu_M, nu_M, M_delta, M_eps, M_mu, delta_M, c_HM, delta_op_MM = _fixed_maps(
         b.mu, b.nu, b.delta, b.eps, b.space, m.space
     )
     lam, delta = m.lam, m.delta
@@ -116,26 +103,16 @@ def check_yd(m, level="yd"):
         rep.compare("coaction_counit", M_eps.compose(delta), id_M)
     if level in ("yd", "yd_algebra"):
         lhs = compose_chain([M_mu, delta_H, c_HM, H_lam, delta_M])
-        rhs = compose_chain([lam.tensor(b.mu), swap_HHMH, b.delta.tensor(delta)])
-        rep.compare("yd_compatibility", lhs, rhs)
+        rep.compare("yd_compatibility", lhs, on_tensor(lam, b.mu, b.delta.tensor(delta)))
     if level == "yd_algebra":
         mu, nu = m.mu, m.nu
-        swap_MHMH, swap_HHMM, delta_op_MM = _fixed_algebra_maps(b.delta, b.space, m.space)
         rep.compare("uaa_associativity", mu.compose(mu.tensor(id_M)), mu.compose(id_M.tensor(mu)))
         rep.compare("uaa_unit_left", mu.compose(nu.tensor(id_M)), id_M)
         rep.compare("uaa_unit_right", mu.compose(id_M.tensor(nu)), id_M)
         # delta o mu = (mu (x) mu_H) o (Id (x) c (x) Id) o (delta (x) delta)
-        rep.compare(
-            "yd_alg_delta_mu",
-            delta.compose(mu),
-            compose_chain([mu.tensor(b.mu), swap_MHMH, delta.tensor(delta)]),
-        )
+        rep.compare("yd_alg_delta_mu", delta.compose(mu), on_tensor(mu, b.mu, delta.tensor(delta)))
         # lam o (Id (x) mu) = mu o (lam (x) lam) o (Id (x) c (x) Id) o (Delta_op (x) Id (x) Id)
-        rep.compare(
-            "yd_alg_lam_mu",
-            lam.compose(id_H.tensor(mu)),
-            compose_chain([mu, lam.tensor(lam), swap_HHMM, delta_op_MM]),
-        )
+        rep.compare("yd_alg_lam_mu", lam.compose(id_H.tensor(mu)), mu.compose(on_tensor(lam, lam, delta_op_MM)))
         rep.compare("yd_alg_delta_nu", delta.compose(nu), nu.tensor(b.nu))
         rep.compare("yd_alg_lam_nu", lam.compose(id_H.tensor(nu)), b.eps.tensor(nu))
     return rep
@@ -272,12 +249,8 @@ def tensor_yd(m, n, variant="standard"):
     mu_op, delta_op = opposites(b)
     comult = b.delta if variant == "standard" else delta_op
     mult = mu_op if variant == "standard" else b.mu
-    lam = compose_chain(
-        [m.lam.tensor(n.lam), permutation_map((H, H, M, N), (0, 2, 1, 3), f), comult.tensor(id_MN)]
-    )
-    delta = compose_chain(
-        [id_MN.tensor(mult), permutation_map((M, H, N, H), (0, 2, 1, 3), f), m.delta.tensor(n.delta)]
-    )
+    lam = on_tensor(m.lam, n.lam, comult.tensor(id_MN))
+    delta = on_tensor(id_MN, mult, m.delta.tensor(n.delta))
     MN = tensor_space(M, N)
     lam = LinMap((H, MN), (MN,), lam.matrix)
     delta = LinMap((MN,), (MN, H), delta.matrix)

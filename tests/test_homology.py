@@ -26,7 +26,15 @@ from braidalg.homology import (
     yd_bidifferential,
     zero_character_map,
 )
-from braidalg.hopf import Bialgebra, check_bialgebra, cyclic_group_table, dual_bialgebra, group_algebra, s3_table
+from braidalg.hopf import (
+    Bialgebra,
+    check_bialgebra,
+    cyclic_group_table,
+    dual_bialgebra,
+    group_algebra,
+    s3_table,
+    stock_group_table,
+)
 from braidalg.linalg import GF, QQ, SparseMatrix, inverse as minverse
 from braidalg.systems import BraidedSystem, build_yd_system, sigma_ass
 from braidalg.tensor import LinMap, Space, identity
@@ -756,8 +764,9 @@ def test_fold_equals_the_full_expansion(base, field):
         ("S3", GF(2), 4, [1, 1, 1, 1]),
         ("S3", QQ, 4, [1, 0, 0, 0]),
         ("Z3", GF(3), 5, [1, 1, 1, 1, 1]),
+        ("D4", GF(2), 4, [1, 2, 3, 4]),
     ],
-    ids=["S3-F3", "S3-F2", "S3-Q", "Z3-F3"],
+    ids=["S3-F3", "S3-F2", "S3-Q", "Z3-F3", "D4-F2"],
 )
 def test_line_four_on_the_unit_module_is_group_homology(group, field, top, dims):
     """Line 4 with the total differential on M = N = k gives H_n(G; k).
@@ -767,9 +776,12 @@ def test_line_four_on_the_unit_module_is_group_homology(group, field, top, dims)
     degree (the periodic resolution of a cyclic group, II.3); by transfer
     and stable elements (III.10) H*(S3; F_3) is the part of H*(Z3; F_3)
     fixed by Z2, which acts by -1 in degrees 1 and 2 and by +1 in degree 3,
-    H*(S3; F_2) = H*(Z2; F_2), and H^n(S3; Q) = 0 for n > 0.
+    H*(S3; F_2) = H*(Z2; F_2), and H^n(S3; Q) = 0 for n > 0.  For the
+    dihedral group of order 8, H*(D_8; F_2) = F_2[x, y, w]/(xy) with x, y
+    in degree 1 and w in degree 2 (A. Adem and R. J. Milgram, Cohomology of
+    Finite Groups, Grundlehren 309), whose Poincare series is 1/(1 - t)^2.
     """
-    table, names = s3_table() if group == "S3" else cyclic_group_table(3)
+    table, names = stock_group_table(group)
     h = group_algebra(table, names, field=field)
     u = unit_yd(h)
     res = homology_dims(coefficient_complex(h, u, u, 4, top), "total")

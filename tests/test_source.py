@@ -1,0 +1,32 @@
+"""Checks on the package source itself."""
+
+import ast
+import pathlib
+
+import braidalg
+
+SRC = pathlib.Path(braidalg.__file__).parent
+
+
+def unused_imports(source):
+    """Names a module imports (``__future__`` aside) that no expression of it reads."""
+    tree = ast.parse(source)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+            imported |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+    # an attribute chain a.b.c starts with the Name a
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - used)
+
+
+def test_unused_imports_finds_stale_names():
+    source = "from __future__ import annotations\nimport os.path\nfrom .tensor import flip, identity as ident\nident(os)\n"
+    assert unused_imports(source) == ["flip"]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # __init__.py imports to re-export
+    found = {p.name: unused_imports(p.read_text()) for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"}
+    assert len(found) >= 10
+    assert not {name: names for name, names in found.items() if names}

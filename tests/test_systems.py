@@ -445,7 +445,7 @@ def test_precision_harness_side_conditions_read_their_axioms(target, entry, fail
     alg = dataclasses.replace(ext, **{target: LinMap(m.domain, m.codomain, m.matrix + bump)})
     rep, rows = precision_harness(alg, yd_base(b))
     assert {r["row"] for r in rows if not r["side"]} == failing
-    assert all(rep[f"{name}_equivalence"].passed for name, _ in PRECISION_ROWS)
+    assert all(rep[f"{name}_equivalence"].passed for name, *_ in PRECISION_ROWS)
 
 
 def test_precision_harness_random_equivalence():
@@ -453,8 +453,8 @@ def test_precision_harness_random_equivalence():
     b = group_algebra(Z2_TABLE, Z2_NAMES, field=F)
     base = yd_base(b)
     rng = random.Random(42)
-    seen_false = {name: False for name, _ in PRECISION_ROWS}
-    seen_true = {name: False for name, _ in PRECISION_ROWS}
+    seen_false = {name: False for name, *_ in PRECISION_ROWS}
+    seen_true = {name: False for name, *_ in PRECISION_ROWS}
     for _ in range(30):
         _rep, rows = precision_harness(random_precision_data(b, 2, rng), base)
         for r in rows:

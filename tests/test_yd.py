@@ -8,10 +8,11 @@ import pytest
 
 from braidalg.hopf import cyclic_group_table, dual_bialgebra, group_algebra, s3_table
 from braidalg.linalg import GF, QQ, SparseMatrix, inverse as matrix_inverse
+from braidalg.systems import random_precision_data
 from braidalg.tensor import LinMap, Space, compose_chain, flip, identity
 from braidalg.yd import (
     YDModule,
-    _fixed_algebra_maps,
+    YDModuleAlgebra,
     _fixed_maps,
     change_of_basis,
     check_yd,
@@ -181,7 +182,6 @@ def test_check_yd_verdicts_do_not_depend_on_earlier_calls():
 
     def clear():
         _fixed_maps.cache_clear()
-        _fixed_algebra_maps.cache_clear()
 
     fresh = []
     for base in bases:
@@ -207,6 +207,34 @@ def test_formal_unit_extension():
         for b in range(1, 3):
             col = a * 3 + b
             assert all(c != col for (_r, c) in ext.mu.matrix.entries)
+
+
+def test_yd_algebra_axioms_are_mu_and_delta_as_maps_out_of_the_twisted_tensor_product():
+    """lam o (Id (x) mu) = mu o lam_{M (x) M} and delta o mu = (mu (x) Id) o delta_{M (x) M}, with
+    M (x) M the module tensor_yd(alg, alg, "twisted") builds, are the checker's two YD-algebra axioms."""
+    F5 = GF(5)
+    rng = random.Random(16)
+    seen = set()
+    for table, names in ((Z2_TABLE, Z2_NAMES), (S3_TABLE, S3_NAMES)):
+        b = group_algebra(table, names, field=F5)
+        reg = regular_yd_group_algebra(b)
+        M = reg.space
+        # kG with its own product is a YD module algebra for the adjoint action and grading
+        kg = YDModuleAlgebra(
+            b, M, reg.lam, reg.delta, mu=LinMap((M, M), (M,), b.mu.matrix), nu=LinMap((), (M,), b.nu.matrix)
+        )
+        algs = [kg, formal_unit_extend(unit_yd(b)), formal_unit_extend(reg)]
+        algs += [random_precision_data(b, dim, rng) for dim in (1, 2, 3) for _ in range(16)]
+        id_H = identity([b.space], F5)
+        for alg in algs:
+            rep = check_yd(alg, "yd_algebra")
+            tw = tensor_yd(alg, alg, "twisted")
+            lam_mu = alg.lam.compose(id_H.tensor(alg.mu)).matrix == alg.mu.compose(tw.lam).matrix
+            delta_mu = alg.delta.compose(alg.mu).matrix == alg.mu.tensor(id_H).compose(tw.delta).matrix
+            assert rep["yd_alg_lam_mu"].passed == lam_mu
+            assert rep["yd_alg_delta_mu"].passed == delta_mu
+            seen |= {("lam", lam_mu), ("delta", delta_mu)}
+    assert len(seen) == 4
 
 
 def test_dual_yd():
