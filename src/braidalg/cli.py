@@ -7,7 +7,6 @@ witness is printed), 2 = input/schema error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import random
 import sys
@@ -15,7 +14,6 @@ import sys
 from . import io as bio
 from .hopf import check_bialgebra, dual_bialgebra, group_algebra, stock_group_table
 from .linalg import GF, QQ
-from .rmatrix import AntipodeMissingError, antipode_inverse_r, check_r, yd_from_r
 from .systems import (
     build_yd_system,
     check_braided_morphism,
@@ -26,7 +24,6 @@ from .systems import (
     yd_base,
 )
 from .yd import YDModuleAlgebra, check_yd, dual_yd, regular_yd_group_algebra, unit_yd
-from .homology import coefficient_complex
 
 
 class InputError(Exception):
@@ -106,6 +103,8 @@ def cmd_check(args):
                 raise InputError(f"{path}: no multiplication data (not a module algebra)")
             rep = check_yd(m, "yd_algebra" if args.what == "yd-algebra" else "yd")
         else:  # rmatrix
+            from .rmatrix import check_r
+
             r = bio.load_rmatrix(path)
             level = {"weak": "weak", "strong": "strong", "quantum": "quantum_ybe"}[args.level]
             rep = check_r(r, level)
@@ -141,6 +140,8 @@ def cmd_dual(args):
 
 
 def cmd_rmatrix(args):
+    from .rmatrix import AntipodeMissingError, antipode_inverse_r, check_r, yd_from_r
+
     if args.what == "coaction":
         m = bio.load_yd_module(args.module)
         r = bio.load_rmatrix(args.r)
@@ -185,7 +186,8 @@ def cmd_build(args):
         m = bio.load_yd_module(path)
         if not m.base.same_structure(b):
             raise InputError(f"{path}: module base differs from {args.hopf}")
-        mods.append(dataclasses.replace(m, base=b))
+        m.base = b
+        mods.append(m)
     try:
         sys_ = build_yd_system(b, mods, args.variant)
     except (ValueError, TypeError) as e:
@@ -261,6 +263,8 @@ def cmd_harness(args):
 
 
 def cmd_homology(args):
+    from .homology import coefficient_complex
+
     if args.max_degree < 1:
         raise InputError(f"--max-degree must be at least 1, got {args.max_degree}")
     b = bio.load_bialgebra(args.hopf)

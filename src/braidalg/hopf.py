@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 
 from .linalg import QQ, SparseMatrix
 from .report import AxiomReport
@@ -33,22 +32,25 @@ from .tensor import (
 )
 
 
-@dataclass
 class UAA:
     """A unital associative algebra presented by its two structure maps."""
 
-    space: Space
-    mu: LinMap
-    nu: LinMap
+    def __init__(self, space, mu, nu):
+        self.space = space
+        self.mu = mu
+        self.nu = nu
 
 
-@dataclass
 class Bialgebra(UAA):
     """A UAA with a compatible comultiplication and counit, and optionally an antipode."""
 
-    delta: LinMap
-    eps: LinMap
-    antipode: LinMap | None = None
+    def __init__(self, space, mu, nu, delta, eps, antipode=None):
+        self.space = space
+        self.mu = mu
+        self.nu = nu
+        self.delta = delta
+        self.eps = eps
+        self.antipode = antipode
 
     @property
     def field(self):

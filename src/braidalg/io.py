@@ -22,14 +22,11 @@ from __future__ import annotations
 import json
 import os
 import warnings
-from functools import reduce
-from operator import getitem
 
 from .hopf import Bialgebra
 from .linalg import GF, QQ, FieldError, SparseMatrix
-from .rmatrix import RMatrix
 from .systems import BraidedSystem
-from .tensor import LinMap, Space, basis, from_terms
+from .tensor import LinMap, Space, from_cube
 from .yd import YDModule, YDModuleAlgebra
 
 
@@ -67,13 +64,52 @@ def _parse_scalar(f, raw, where):
         raise SchemaError(str(e)) from None
 
 
-def _parse_cube(f, data, shape, where):
-    """Parse a nested list of scalars with the given shape."""
-    if len(shape) == 0:
-        return _parse_scalar(f, data, where)
+def _flatten(data, shape, out):
+    """Append the leaves of a nested list to ``out`` depth first; None, or the
+    index path of the first list whose length is not the shape's."""
     if not isinstance(data, list) or len(data) != shape[0]:
-        raise SchemaError(f"{where}: expected a list of length {shape[0]}")
-    return [_parse_cube(f, x, shape[1:], f"{where}[{i}]") for i, x in enumerate(data)]
+        return ()
+    if len(shape) == 1:
+        out.extend(data)
+        return None
+    for i, x in enumerate(data):
+        bad = _flatten(x, shape[1:], out)
+        if bad is not None:
+            return (i, *bad)
+    return None
+
+
+def _parse_cube(f, data, shape, where):
+    """The scalars of a nested list of the given shape, flattened row-major.
+
+    Each distinct int or string is parsed once, and a location is spelled out
+    only for a scalar that fails or warns; the errors and warnings are those
+    of a depth-first walk parsing each scalar in turn, in the same order.
+    """
+    leaves = []
+    bad = _flatten(data, shape, leaves)
+    parsed, out = {}, []
+    for k, raw in enumerate(leaves):
+        if (type(raw) is int or type(raw) is str) and raw in parsed:
+            out.append(parsed[raw])
+            continue
+        try:
+            v = f.parse(raw)
+            quiet = f.p is None or type(raw) is not int or 0 <= raw < f.p
+        except FieldError:
+            quiet = False
+        if quiet:
+            parsed[raw] = v
+        else:  # warn or raise, located
+            index = []
+            for n in reversed(shape):
+                k, i = divmod(k, n)
+                index.append(f"[{i}]")
+            v = _parse_scalar(f, raw, where + "".join(reversed(index)))
+        out.append(v)
+    if bad is not None:
+        raise SchemaError(f"{where}{''.join(f'[{i}]' for i in bad)}: expected a list of length {shape[len(bad)]}")
+    return out
 
 
 # A map A1 (x) ... (x) Ap -> B1 (x) ... (x) Bq is stored as the cube
@@ -83,10 +119,11 @@ def _parse_cube(f, data, shape, where):
 
 
 def _map_from_json(f, raw, domain, codomain, where):
-    cube = _parse_cube(f, raw, [s.dim for s in domain + codomain], where)
-    p = len(domain)
-    terms = ((t[p:], t[:p], reduce(getitem, t, cube)) for t in basis(domain + codomain))
-    return from_terms(domain, codomain, terms, f)
+    return from_cube(domain, codomain, _parse_cube(f, raw, [s.dim for s in domain + codomain], where), f)
+
+
+def _rows(cube, n):
+    return [cube[i : i + n] for i in range(0, len(cube), n)]
 
 
 def _map_json(m):
@@ -281,6 +318,8 @@ def rmatrix_to_json(r, bialgebra_path):
 
 
 def rmatrix_from_json(data, base, where="r-matrix"):
+    from .rmatrix import RMatrix
+
     if "vector" not in data:
         raise SchemaError(f"{where}: missing key 'vector'")
     f = base.field
@@ -366,7 +405,7 @@ def system_from_json(data, where="braided-system"):
         n = comps[i - 1].dim * comps[j - 1].dim
         loc = f"{where}.sigma[{key}]"
         if isinstance(raw, list):
-            matrix = SparseMatrix.from_rows(f, _parse_cube(f, raw, (n, n), loc))
+            matrix = SparseMatrix.from_rows(f, _rows(_parse_cube(f, raw, (n, n), loc), n))
         else:
             matrix = SparseMatrix(f, n, n, _parse_entries(f, raw, n, loc))
         sigma[(i, j)] = LinMap((comps[i - 1], comps[j - 1]), (comps[j - 1], comps[i - 1]), matrix)
@@ -398,7 +437,7 @@ def maps_from_json(data, src, dst, where="maps"):
     for t, rows in enumerate(data["maps"], start=1):
         dsrc, ddst = src.space(t).dim, dst.space(t).dim
         cube = _parse_cube(f, rows, (ddst, dsrc), f"{where}.maps[{t - 1}]")
-        out.append(LinMap((src.space(t),), (dst.space(t),), SparseMatrix.from_rows(f, cube)))
+        out.append(LinMap((src.space(t),), (dst.space(t),), SparseMatrix.from_rows(f, _rows(cube, dsrc))))
     return out
 
 

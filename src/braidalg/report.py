@@ -2,19 +2,20 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .tensor import decode
 
 
-@dataclass(frozen=True)
 class Witness:
     """First basis tuple where two maps differ, with both entries."""
 
-    domain_index: tuple
-    codomain_index: tuple
-    lhs: str
-    rhs: str
+    def __init__(self, domain_index, codomain_index, lhs, rhs):
+        self.domain_index = domain_index
+        self.codomain_index = codomain_index
+        self.lhs = lhs
+        self.rhs = rhs
+
+    def __eq__(self, other):
+        return other.__class__ is Witness and vars(self) == vars(other)
 
     def __str__(self):
         return (
@@ -23,11 +24,14 @@ class Witness:
         )
 
 
-@dataclass
 class CheckResult:
-    name: str
-    passed: bool
-    witness: Witness | None = None
+    def __init__(self, name, passed, witness=None):
+        self.name = name
+        self.passed = passed
+        self.witness = witness
+
+    def __eq__(self, other):
+        return other.__class__ is CheckResult and vars(self) == vars(other)
 
     def __str__(self):
         if self.passed:

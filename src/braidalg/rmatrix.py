@@ -18,24 +18,22 @@ level intentionally does not require the bialgebra compatibility itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .hopf import Bialgebra, check_bialgebra, mu_tensor_square, on_tensor, opposites, solve_antipode
+from .hopf import check_bialgebra, mu_tensor_square, on_tensor, opposites, solve_antipode
 from .linalg import SparseMatrix
 from .report import AxiomReport
 from .tensor import LinMap, compose_chain, flip, identity
-from .yd import YDModule, _check_two_sided_inverse, yd_braiding
+from .yd import YDModule, _check_two_sided_inverse, standard_braiding
 
 
 class AntipodeMissingError(ValueError):
     pass
 
 
-@dataclass
 class RMatrix:
-    base: Bialgebra
-    vector: LinMap  # k -> H (x) H
-    inverse: LinMap | None = None
+    def __init__(self, base, vector, inverse=None):
+        self.base = base
+        self.vector = vector  # k -> H (x) H
+        self.inverse = inverse
 
     @property
     def field(self):
@@ -132,15 +130,20 @@ def yd_from_r(module, r):
 def r_braiding(m, n, r):
     """c_R: M (x) N -> N (x) M from the R-matrix, plus a verified inverse.
 
-    The composite is checked entrywise against the YD braiding of the
-    induced YD modules (they coincide by construction of delta_R); a
-    mismatch would be an internal error, hence the assert.
+    The composite is checked entrywise against the standard braiding
+    m (x) n |-> n_(0) (x) n_(1).m of N's induced coaction delta_R (they
+    coincide by construction of delta_R); a mismatch would be an internal
+    error, hence the assert.  Only the forward maps are compared: for an R
+    that is not an R-matrix the induced modules are not YD modules, so no
+    antipode-built inverse is asked of them.
     """
     b = r.base
     f = b.field
     M, N = m.space, n.space
     c = flip(M, N, f).compose(on_tensor(m.lam, n.lam, r.vector.tensor(identity([M, N], f))))
-    yd_c, _ = yd_braiding(yd_from_r(m, r), yd_from_r(n, r), "standard")
+    if not m.base.same_structure(b):
+        raise ValueError("module and R-matrix live over different bialgebras")
+    yd_c = standard_braiding(m.lam, coaction_from_r(n, r), f)
     assert c.matrix == yd_c.matrix, "c_R disagrees with the induced YD braiding"
     c_inv = None
     if r.inverse is not None:

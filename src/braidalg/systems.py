@@ -24,22 +24,20 @@ where H is a comodule over itself via Delta and H* is an H-module via
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .hopf import Bialgebra, check_bialgebra, dual_bialgebra
+from .hopf import check_bialgebra, dual_bialgebra
 from .linalg import SparseMatrix, inverse as matrix_inverse, rank as matrix_rank
 from .report import AxiomReport
 from .tensor import DimensionMismatch, LinMap, Space, apply_at, compose_chain, evaluation, from_terms, identity
 from .yd import YDModuleAlgebra, check_yd, ring_braiding, tensor_space
 
 
-@dataclass
 class BraidedSystem:
     """Ordered components plus sigma_{i,j} for 1 <= i <= j <= rank."""
 
-    components: tuple
-    sigma: dict
-    field: object
+    def __init__(self, components, sigma, field):
+        self.components = components
+        self.sigma = sigma
+        self.field = field
 
     @property
     def rank(self):
@@ -167,7 +165,6 @@ def dual_action(b, dual):
     return ev.tensor(identity([dual.space], f)).compose(identity([b.space], f).tensor(dual.delta))
 
 
-@dataclass(frozen=True)
 class YDBase:
     """What the sigma table of (H, M_1..M_r, H*) takes from H alone.
 
@@ -177,10 +174,11 @@ class YDBase:
     many systems over one h builds it once.
     """
 
-    h: Bialgebra
-    dual: Bialgebra
-    lam_dual: LinMap
-    sigmas: tuple
+    def __init__(self, h, dual, lam_dual, sigmas):
+        self.h = h
+        self.dual = dual
+        self.lam_dual = lam_dual
+        self.sigmas = sigmas
 
 
 def yd_base(h):
@@ -212,12 +210,15 @@ def yd_sigmas(base, mods, variant):
     return sigma
 
 
-@dataclass(repr=False)
 class YDSystem(BraidedSystem):
     """Braided system produced by build_yd_system, keeping H and H*."""
 
-    bialgebra: Bialgebra = None
-    dual: Bialgebra = None
+    def __init__(self, components, sigma, field, bialgebra=None, dual=None):
+        self.components = components
+        self.sigma = sigma
+        self.field = field
+        self.bialgebra = bialgebra
+        self.dual = dual
 
 
 def build_yd_system(h, mods, variant="yd", check=True):

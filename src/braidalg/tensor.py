@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from operator import mul
 
 from .linalg import SparseMatrix
@@ -30,20 +29,33 @@ class DimensionMismatch(ValueError):
     """Composition/embedding attempted between incompatible factor lists."""
 
 
-@dataclass(frozen=True)
 class Space:
-    dim: int
-    label: str
-    basis_names: tuple | None = None
+    """An immutable space, equal to another of the same dim, label and basis names."""
 
-    def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError(f"space {self.label!r} needs dim >= 1")
-        if self.basis_names is not None:
-            if len(self.basis_names) != self.dim:
-                raise ValueError(f"{self.label!r}: {len(self.basis_names)} names for dim {self.dim}")
-            if len(set(self.basis_names)) != self.dim:
-                raise ValueError(f"{self.label!r}: basis names not distinct")
+    def __init__(self, dim, label, basis_names=None):
+        if dim < 1:
+            raise ValueError(f"space {label!r} needs dim >= 1")
+        if basis_names is not None:
+            if len(basis_names) != dim:
+                raise ValueError(f"{label!r}: {len(basis_names)} names for dim {dim}")
+            if len(set(basis_names)) != dim:
+                raise ValueError(f"{label!r}: basis names not distinct")
+        init = object.__setattr__
+        init(self, "dim", dim)
+        init(self, "label", label)
+        init(self, "basis_names", basis_names)
+        init(self, "_hash", hash((dim, label, basis_names)))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Space is immutable: cannot set {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not Space:
+            return NotImplemented
+        return self is other or (self.dim, self.label, self.basis_names) == (other.dim, other.label, other.basis_names)
+
+    def __hash__(self):
+        return self._hash
 
     def dual(self):
         names = None
@@ -104,6 +116,15 @@ def from_terms(domain, codomain, terms, field):
         key = (sum(map(mul, out, rows)), sum(map(mul, inp, cols)))
         ent[key] = ent.get(key, 0) + v
     return LinMap(domain, codomain, SparseMatrix(field, prod_dim(codomain), prod_dim(domain), ent))
+
+
+def from_cube(domain, codomain, cube, field):
+    """The map whose cube [a1]..[ap][b1]..[bq] (the coefficient of output tuple b
+    in the image of input tuple a), flattened row-major, is ``cube``."""
+    domain, codomain = tuple(domain), tuple(codomain)
+    n = prod_dim(codomain)
+    ent = {(k % n, k // n): v for k, v in enumerate(cube) if v}
+    return LinMap(domain, codomain, SparseMatrix(field, n, prod_dim(domain), ent))
 
 
 class LinMap:

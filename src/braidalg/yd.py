@@ -13,7 +13,6 @@ delta(m) = m_(0) (x) m_(1).
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 from .hopf import Bialgebra, on_tensor, opposites
 from .linalg import SparseMatrix, inverse as matrix_inverse
@@ -21,14 +20,14 @@ from .report import AxiomReport
 from .tensor import LinMap, Space, apply_at, compose_chain, flip, from_terms, identity, rainbow_dual
 
 
-@dataclass
 class YDModule:
     """Candidate YD module; delta may be None for a plain H-module."""
 
-    base: Bialgebra
-    space: Space
-    lam: LinMap
-    delta: LinMap | None = None
+    def __init__(self, base, space, lam, delta=None):
+        self.base = base
+        self.space = space
+        self.lam = lam
+        self.delta = delta
 
     @property
     def field(self):
@@ -42,12 +41,16 @@ class YDModule:
         return f"YDModule({self.space.label}, dim={self.dim} over {self.base.space.label})"
 
 
-@dataclass(kw_only=True, repr=False)
 class YDModuleAlgebra(YDModule):
     """A YD module with a compatible unital multiplication mu: M (x) M -> M, nu: k -> M."""
 
-    mu: LinMap
-    nu: LinMap
+    def __init__(self, base, space, lam, delta=None, *, mu, nu):
+        self.base = base
+        self.space = space
+        self.lam = lam
+        self.delta = delta
+        self.mu = mu
+        self.nu = nu
 
 
 @functools.cache
@@ -183,6 +186,13 @@ def ring_braiding(delta_x, lam_y, f):
     return flip(X, Y, f).compose(apply_at(lam_y, 2, delta_x.tensor(identity([Y], f))))
 
 
+def standard_braiding(lam_x, delta_y, f):
+    """(Id (x) lam_X) o (delta_Y (x) Id) o c: X (x) Y -> Y (x) X, x (x) y |-> y_(0) (x) y_(1).x."""
+    X = lam_x.codomain[0]
+    Y = delta_y.domain[0]
+    return compose_chain([identity([Y], f).tensor(lam_x), delta_y.tensor(identity([X], f)), flip(X, Y, f)])
+
+
 def yd_braiding(m, n, variant="standard"):
     """The YD braiding c_{M,N}: M (x) N -> N (x) M, plus a verified inverse.
 
@@ -201,7 +211,7 @@ def yd_braiding(m, n, variant="standard"):
     M, N = m.space, n.space
     id_M, id_N = identity([M], f), identity([N], f)
     if variant == "standard":
-        c = compose_chain([id_N.tensor(m.lam), n.delta.tensor(id_M), flip(M, N, f)])
+        c = standard_braiding(m.lam, n.delta, f)
     else:
         c = ring_braiding(m.delta, n.lam, f)
     c_inv = None

@@ -9,12 +9,12 @@ family, next to the matrices ``tensor_yd`` (both variants) and
 ``Id (x) c (x) Id`` of these checks were routed through ``hopf.on_tensor``.
 """
 
-import dataclasses
 import hashlib
 import random
 from fractions import Fraction
 
 from braidalg.hopf import (
+    Bialgebra,
     check_bialgebra,
     cyclic_group_table,
     dual_bialgebra,
@@ -26,6 +26,7 @@ from braidalg.linalg import GF, QQ
 from braidalg.rmatrix import RMatrix, check_r, r_braiding, unit_r_matrix
 from braidalg.systems import random_precision_data
 from braidalg.yd import (
+    YDModule,
     YDModuleAlgebra,
     check_yd,
     dual_yd,
@@ -56,10 +57,17 @@ def _perturbed(b):
     """b itself, then b with mu, Delta or eps scaled by 2."""
     return [
         ("", b),
-        ("mu*2", dataclasses.replace(b, mu=b.mu.scale(2))),
-        ("delta*2", dataclasses.replace(b, delta=b.delta.scale(2))),
-        ("eps*2", dataclasses.replace(b, eps=b.eps.scale(2))),
+        ("mu*2", Bialgebra(b.space, b.mu.scale(2), b.nu, b.delta, b.eps, b.antipode)),
+        ("delta*2", Bialgebra(b.space, b.mu, b.nu, b.delta.scale(2), b.eps, b.antipode)),
+        ("eps*2", Bialgebra(b.space, b.mu, b.nu, b.delta, b.eps.scale(2), b.antipode)),
     ]
+
+
+def _rebased(m, base):
+    """m, with the same maps, over another base."""
+    if isinstance(m, YDModuleAlgebra):
+        return YDModuleAlgebra(base, m.space, m.lam, m.delta, mu=m.mu, nu=m.nu)
+    return YDModule(base, m.space, m.lam, m.delta)
 
 
 def _show(lm):
@@ -93,7 +101,7 @@ def _yd_texts(bases):
     for name, mods in _yd_modules(bases).items():
         for t, m in enumerate(mods):
             for tag, pb in _perturbed(m.base):
-                pm = dataclasses.replace(m, base=pb)
+                pm = _rebased(m, pb)
                 for level in ("module", "comodule", "yd", "yd_algebra"):
                     if level == "yd_algebra" and not isinstance(m, YDModuleAlgebra):
                         continue
@@ -150,10 +158,11 @@ def _tensor_yd_texts(bases):
 def _r_braiding_texts(bases):
     rs = _r_matrices(bases)
     cases = [(r, left_regular_module(r.base)) for r in rs["unit"] + rs["radford"]]
-    # a random R induces no YD module, so the base drops its antipode: yd_braiding
-    # would otherwise reject the antipode-built inverse of the induced braiding
+    # the base drops its antipode, as when the digest was recorded; c_R does not
+    # depend on it (tests/test_rmatrix.py)
     rng = random.Random(11)
-    kz2 = dataclasses.replace(bases["kZ2/F5"], antipode=None)
+    b = bases["kZ2/F5"]
+    kz2 = Bialgebra(b.space, b.mu, b.nu, b.delta, b.eps)
     cases += [
         (RMatrix(kz2, r.vector, r.inverse), random_precision_data(kz2, 2, rng)) for r in rs["random kZ2/F5"]
     ]

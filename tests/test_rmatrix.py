@@ -1,10 +1,11 @@
 """Weak/strong R-matrices, the induced coaction and the R-braiding."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
-from braidalg.hopf import cyclic_group_table, dual_bialgebra, group_algebra, monoid_algebra, s3_table
+from braidalg.hopf import Bialgebra, cyclic_group_table, dual_bialgebra, group_algebra, monoid_algebra, s3_table
 from braidalg.linalg import GF, QQ, SparseMatrix, kernel_basis
 from braidalg.rmatrix import (
     AntipodeMissingError,
@@ -17,6 +18,7 @@ from braidalg.rmatrix import (
     verify_r_inverse,
     yd_from_r,
 )
+from braidalg.systems import random_precision_data
 from braidalg.tensor import LinMap, compose_chain, flip, identity
 from braidalg.yd import YDModule, check_yd, left_regular_module, tensor_yd
 
@@ -98,6 +100,30 @@ def test_r_braiding_unit_r_is_flip_and_matches_yd():
     c, c_inv = r_braiding(mod, mod, r)  # asserts c_R == c_YD internally
     assert c.matrix == flip(mod.space, mod.space, QQ).matrix
     assert c_inv is not None
+
+
+def test_r_braiding_does_not_depend_on_the_antipode():
+    """Radford's R on the regular module, and 20 random R, not weak R-matrices, on random data, whose
+    induced modules are not YD modules (kZ/2 over F_5): c_R and its verified inverse are the same
+    maps with and without the base's antipode."""
+    F = GF(5)
+    b = group_algebra(Z2_TABLE, Z2_NAMES, field=F)
+    bare = Bialgebra(b.space, b.mu, b.nu, b.delta, b.eps)
+    rng = random.Random(2)
+    radford = [3, 3, 3, 2]  # (1 (x) 1 + 1 (x) g + g (x) 1 - g (x) g) / 2, its own inverse
+    cases = [(radford, radford)] + [([rng.randrange(5) for _ in range(4)] for _ in range(2)) for _ in range(20)]
+    non_weak = inverses = 0
+    for vector, inverse in cases:
+        m = left_regular_module(b) if vector is radford else random_precision_data(b, 2, rng)
+        out = []
+        for base in (b, bare):
+            r = RMatrix.from_coefficients(base, vector, inverse)
+            c, c_inv = r_braiding(YDModule(base, m.space, m.lam), YDModule(base, m.space, m.lam), r)
+            out.append((c.matrix, None if c_inv is None else c_inv.matrix))
+        assert out[0] == out[1]
+        non_weak += not check_r(r, "weak").passed
+        inverses += out[0][1] is not None
+    assert non_weak == 20 and inverses >= 1, (non_weak, inverses)
 
 
 def test_r_braiding_ybe_for_kZ3():

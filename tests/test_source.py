@@ -26,7 +26,27 @@ def test_unused_imports_finds_stale_names():
 
 
 def test_no_module_imports_a_name_it_never_uses():
-    # __init__.py imports to re-export
-    found = {p.name: unused_imports(p.read_text()) for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"}
-    assert len(found) >= 10
+    found = {p.name: unused_imports(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+    assert len(found) >= 11
     assert not {name: names for name, names in found.items() if names}
+
+
+def absolute_imports(source):
+    """The top-level packages a module's absolute imports name, at any depth of the module."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            out |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            out.add(node.module.split(".")[0])
+    return out
+
+
+def test_absolute_imports_sees_nested_and_from_imports():
+    source = "from .x import y\nfrom dataclasses import dataclass\ndef f():\n    import os.path\n"
+    assert absolute_imports(source) == {"dataclasses", "os"}
+
+
+def test_no_module_imports_dataclasses():
+    # importing it costs every process inspect, ast, dis and tokenize, and each class an exec'd __init__
+    assert not [p.name for p in sorted(SRC.glob("*.py")) if "dataclasses" in absolute_imports(p.read_text())]
