@@ -24,7 +24,7 @@ _EXPORTS = {
     "rmatrix": "AntipodeMissingError RMatrix antipode_inverse_r check_r coaction_from_r r_braiding unit_r_matrix "
     "verify_r_inverse yd_from_r",
     "systems": "BraidedSystem YDSystem build_yd_system check_braided_morphism dual_action glue invertibility_report "
-    "precision_harness random_precision_data sigma_ass validate_uaa_system verify_cybe yd_base",
+    "precision_harness random_precision_data sigma_ass validate_uaa_system verify_cybe yd_base yd_system",
     "homology": "GradedComplex check_character eps_characters generic_differentials homology_dims "
     "pi_commutation_suite coefficient_complex verify_bicomplex yd_bidifferential",
 }

@@ -143,7 +143,7 @@ def cmd_rmatrix(args):
     from .rmatrix import AntipodeMissingError, antipode_inverse_r, check_r, yd_from_r
 
     if args.what == "coaction":
-        m = bio.load_yd_module(args.module)
+        m, base_path = bio.load_with_base(args.module, bio.yd_module_from_json)
         r = bio.load_rmatrix(args.r)
         if not m.base.same_structure(r.base):
             raise InputError("module and R-matrix reference different bialgebras")
@@ -156,12 +156,11 @@ def cmd_rmatrix(args):
             print(weak_rep)
             return 1
         out = yd_from_r(m, r)
-        data = bio._load_object(args.module)
-        bio.save_yd_module(args.output, out, _relref(bio.resolve_reference(args.module, data["bialgebra"]), args.output))
+        bio.save_yd_module(args.output, out, _relref(base_path, args.output))
         print(f"wrote {args.output}")
         return 0
     # inverse
-    r = bio.load_rmatrix(args.r)
+    r, base_path = bio.load_with_base(args.r, bio.rmatrix_from_json)
     try:
         filled = antipode_inverse_r(r)
     except AntipodeMissingError as e:
@@ -170,8 +169,7 @@ def cmd_rmatrix(args):
     except ArithmeticError as e:
         print(f"FAIL {e}")
         return 1
-    data = bio._load_object(args.r)
-    bio.save_rmatrix(args.output, filled, _relref(bio.resolve_reference(args.r, data["bialgebra"]), args.output))
+    bio.save_rmatrix(args.output, filled, _relref(base_path, args.output))
     print(f"wrote {args.output}")
     return 0
 

@@ -89,15 +89,16 @@ class GradedComplex:
     The blocks are fixed at construction: ``rank`` remembers each assembled
     rank, and ``bicomplex_report`` holds the ``verify_bicomplex`` report of
     a complex built by one of the constructors below (None otherwise).
+    ``line`` is the bidifferential line of a ``coefficient_complex``.
     """
 
-    def __init__(self, field, dims, d_blocks, dprime_blocks, max_total, meta=None):
+    def __init__(self, field, dims, d_blocks, dprime_blocks, max_total, line=None):
         self.field = field
         self.dims = dict(dims)
         self.d_blocks = dict(d_blocks)
         self.dprime_blocks = dict(dprime_blocks)
         self.max_total = max_total
-        self.meta = meta or {}
+        self.line = line
         self.bicomplex_report = None
         self._ranks = {}
 
@@ -165,8 +166,8 @@ def verify_bicomplex(c):
     return rep
 
 
-def _verify_or_raise(c, rep=None):
-    rep = c.bicomplex_report = verify_bicomplex(c) if rep is None else rep
+def _verify_or_raise(c):
+    rep = c.bicomplex_report = verify_bicomplex(c)
     if not rep.passed:
         raise AssertionError(f"bidifferential identities fail: {rep.first_failure().name}")
     return c
@@ -273,8 +274,7 @@ def generic_differentials(s, zeta, xi, max_total_degree):
                 comp = apply_at(xi[ki - 1], len(types), braid_factor(s, types, i, front=False))
                 add_block(dp_blocks, deg, tgt, comp.scale(sign).matrix)
 
-    cx = GradedComplex(f, dims, d_blocks, dp_blocks, max_total_degree, meta={"kind": "generic"})
-    return _verify_or_raise(cx)
+    return _verify_or_raise(GradedComplex(f, dims, d_blocks, dp_blocks, max_total_degree))
 
 
 # -- hand-coded Sweedler differentials ---------------------------------------
@@ -484,7 +484,7 @@ def _bidegrees(max_total):
     return [(n, m) for n in range(max_total + 1) for m in range(max_total + 1 - n)]
 
 
-def yd_bidifferential(h, m, max_total_degree, check_inputs=True):
+def yd_bidifferential(h, m, max_total_degree):
     """The explicit Sweedler bidifferential on T(H) (x) M (x) T(H*).
 
     It is line 2 with N = k, its differentials swapped and negated: d
@@ -494,45 +494,21 @@ def yd_bidifferential(h, m, max_total_degree, check_inputs=True):
         d  = (-1)^(n+1) (d_cob + contraction of l_1)
         d' = (-1)^(n+1) (contraction of h_n) - d_bar.
     """
-    if check_inputs:
-        rep = check_yd(m, "yd")
-        if not rep.passed:
-            raise ValueError(f"module fails YD axioms: {rep.first_failure()}")
-    line2 = coefficient_complex(h, m, unit_yd(h), 2, max_total_degree, check_inputs=False)
-    d_blocks = {key: -mat for key, mat in line2.dprime_blocks.items()}
-    dp_blocks = {key: -mat for key, mat in line2.d_blocks.items()}
-    cx = GradedComplex(
-        h.field, line2.dims, d_blocks, dp_blocks, max_total_degree, meta={"kind": "yd_bidifferential"}
-    )
-    # the swapped, negated identities are line 2's: d^2 and d'^2 trade places
-    passed = {c.name: c.passed for c in line2.bicomplex_report.checks}
-    swap = {"d_squared": "d_prime_squared", "d_prime_squared": "d_squared"}
-    rep = AxiomReport(line2.bicomplex_report.title)
-    for name in passed:
-        kind, k = name.split("@")
-        rep.add(name, passed[f"{swap.get(kind, kind)}@{k}"])
-    return _verify_or_raise(cx, rep)
+    rep = check_yd(m, "yd")
+    if not rep.passed:
+        raise ValueError(f"module fails YD axioms: {rep.first_failure()}")
+    dims, line_d, line_dp = _line_blocks(h, m, unit_yd(h), 2, max_total_degree)
+    d_blocks = {key: -mat for key, mat in line_dp.items()}
+    dp_blocks = {key: -mat for key, mat in line_d.items()}
+    return _verify_or_raise(GradedComplex(h.field, dims, d_blocks, dp_blocks, max_total_degree))
 
 
 COMPLEX_LINES = (1, 2, 3, 4)
 
 
-def coefficient_complex(h, m, n_mod, line, max_total_degree, check_inputs=True):
-    """One of the four bidifferential structures on T(H) (x) M (x) T(H*) (x) N*.
-
-    d is the left column (lowers n), d' the right column (lowers m); the
-    four contractions enter with the printed signs, taken at the source
-    component.
-    """
-    if line not in COMPLEX_LINES:
-        raise ValueError(f"line must be 1..4, got {line!r}")
-    if check_inputs:
-        for mod, tag in ((m, "M"), (n_mod, "N")):
-            rep = check_yd(mod, "yd")
-            if not rep.passed:
-                raise ValueError(f"module {tag} fails YD axioms: {rep.first_failure()}")
+def _line_blocks(h, m, n_mod, line, max_total_degree):
+    """(dims, d blocks, d' blocks) of ``coefficient_complex``, with no check of its inputs or result."""
     ops = _SweedlerOps(h, m, n_mod)
-    f = h.field
     dims = {deg: math.prod(ops.comp_dims(*deg)) for deg in _bidegrees(max_total_degree)}
     d_blocks, dp_blocks = {}, {}
     for (n, mm) in _bidegrees(max_total_degree):
@@ -552,10 +528,24 @@ def coefficient_complex(h, m, n_mod, line, max_total_degree, check_inputs=True):
             if line in (3, 4):
                 pieces += ops.pihs(n, mm, sgn_nm)
             dp_blocks[((n, mm), (n, mm - 1))] = ops.block((n, mm), (n, mm - 1), pieces)
-    cx = GradedComplex(
-        f, dims, d_blocks, dp_blocks, max_total_degree, meta={"kind": "coefficient", "line": line}
-    )
-    return _verify_or_raise(cx)
+    return dims, d_blocks, dp_blocks
+
+
+def coefficient_complex(h, m, n_mod, line, max_total_degree):
+    """One of the four bidifferential structures on T(H) (x) M (x) T(H*) (x) N*.
+
+    d is the left column (lowers n), d' the right column (lowers m); the
+    four contractions enter with the printed signs, taken at the source
+    component.
+    """
+    if line not in COMPLEX_LINES:
+        raise ValueError(f"line must be 1..4, got {line!r}")
+    for mod, tag in ((m, "M"), (n_mod, "N")):
+        rep = check_yd(mod, "yd")
+        if not rep.passed:
+            raise ValueError(f"module {tag} fails YD axioms: {rep.first_failure()}")
+    blocks = _line_blocks(h, m, n_mod, line, max_total_degree)
+    return _verify_or_raise(GradedComplex(h.field, *blocks, max_total_degree, line=line))
 
 
 def pi_maps(h, m, n_mod, max_total_degree):

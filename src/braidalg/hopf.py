@@ -45,9 +45,7 @@ class Bialgebra(UAA):
     """A UAA with a compatible comultiplication and counit, and optionally an antipode."""
 
     def __init__(self, space, mu, nu, delta, eps, antipode=None):
-        self.space = space
-        self.mu = mu
-        self.nu = nu
+        super().__init__(space, mu, nu)
         self.delta = delta
         self.eps = eps
         self.antipode = antipode

@@ -55,13 +55,34 @@ def field_spec_json(f):
     return {"kind": "Fp", "p": f.p}
 
 
-def _parse_scalar(f, raw, where):
-    if f.p is not None and isinstance(raw, int) and not (0 <= raw < f.p):
-        warnings.warn(f"{where}: coefficient {raw} normalised modulo {f.p}")
-    try:
-        return f.parse(raw, where)
-    except FieldError as e:
-        raise SchemaError(str(e)) from None
+def _scalar_reader(f):
+    """read(raw, locate): the scalar over f that raw stores, each distinct int or string parsed once.
+
+    ``locate()`` spells out raw's location; it is called only for a value
+    that warns (an F_p int outside 0..p-1) or fails, and every occurrence of
+    such a value warns or fails again.
+    """
+    parsed = {}
+
+    def read(raw, locate):
+        if (type(raw) is int or type(raw) is str) and raw in parsed:
+            return parsed[raw]
+        try:
+            v = f.parse(raw)
+            if f.p is None or type(raw) is not int or 0 <= raw < f.p:
+                parsed[raw] = v
+                return v
+        except FieldError:
+            pass
+        where = locate()
+        if f.p is not None and isinstance(raw, int) and not (0 <= raw < f.p):
+            warnings.warn(f"{where}: coefficient {raw} normalised modulo {f.p}")
+        try:
+            return f.parse(raw, where)
+        except FieldError as e:
+            raise SchemaError(str(e)) from None
+
+    return read
 
 
 def _flatten(data, shape, out):
@@ -82,31 +103,22 @@ def _flatten(data, shape, out):
 def _parse_cube(f, data, shape, where):
     """The scalars of a nested list of the given shape, flattened row-major.
 
-    Each distinct int or string is parsed once, and a location is spelled out
-    only for a scalar that fails or warns; the errors and warnings are those
-    of a depth-first walk parsing each scalar in turn, in the same order.
+    The scalars go through one ``_scalar_reader``; the errors and warnings
+    are those of a depth-first walk parsing each scalar in turn, in the
+    same order.
     """
     leaves = []
     bad = _flatten(data, shape, leaves)
-    parsed, out = {}, []
-    for k, raw in enumerate(leaves):
-        if (type(raw) is int or type(raw) is str) and raw in parsed:
-            out.append(parsed[raw])
-            continue
-        try:
-            v = f.parse(raw)
-            quiet = f.p is None or type(raw) is not int or 0 <= raw < f.p
-        except FieldError:
-            quiet = False
-        if quiet:
-            parsed[raw] = v
-        else:  # warn or raise, located
-            index = []
-            for n in reversed(shape):
-                k, i = divmod(k, n)
-                index.append(f"[{i}]")
-            v = _parse_scalar(f, raw, where + "".join(reversed(index)))
-        out.append(v)
+
+    def locate(k):
+        index = []
+        for n in reversed(shape):
+            k, i = divmod(k, n)
+            index.append(f"[{i}]")
+        return where + "".join(reversed(index))
+
+    read = _scalar_reader(f)
+    out = [read(raw, lambda: locate(k)) for k, raw in enumerate(leaves)]
     if bad is not None:
         raise SchemaError(f"{where}{''.join(f'[{i}]' for i in bad)}: expected a list of length {shape[len(bad)]}")
     return out
@@ -289,13 +301,22 @@ def resolve_reference(path, ref):
     return os.path.normpath(os.path.join(os.path.dirname(os.path.abspath(path)), ref))
 
 
-def load_yd_module(path):
-    """Load a module file together with its referenced base bialgebra."""
+def load_with_base(path, from_json):
+    """(the object of a file that names its base bialgebra, the base's path).
+
+    The object is ``from_json(data, base, where=path)``, ``base`` being the
+    bialgebra loaded from the resolved path.
+    """
     data = _load_object(path)
     if "bialgebra" not in data:
         raise SchemaError(f"{path}: missing key 'bialgebra'")
-    base = load_bialgebra(resolve_reference(path, data["bialgebra"]))
-    return yd_module_from_json(data, base, where=path)
+    base_path = resolve_reference(path, data["bialgebra"])
+    return from_json(data, load_bialgebra(base_path), where=path), base_path
+
+
+def load_yd_module(path):
+    """Load a module file together with its referenced base bialgebra."""
+    return load_with_base(path, yd_module_from_json)[0]
 
 
 def save_yd_module(path, m, bialgebra_path):
@@ -332,11 +353,7 @@ def rmatrix_from_json(data, base, where="r-matrix"):
 
 
 def load_rmatrix(path):
-    data = _load_object(path)
-    if "bialgebra" not in data:
-        raise SchemaError(f"{path}: missing key 'bialgebra'")
-    base = load_bialgebra(resolve_reference(path, data["bialgebra"]))
-    return rmatrix_from_json(data, base, where=path)
+    return load_with_base(path, rmatrix_from_json)[0]
 
 
 def save_rmatrix(path, r, bialgebra_path):
@@ -363,14 +380,13 @@ def _parse_entries(f, raw, n, where):
     """The {(row, col): scalar} of a sparse n x n sigma, every entry schema-checked."""
     if not isinstance(raw, dict) or not isinstance(raw.get("entries"), list):
         raise SchemaError(f"{where}: expected dense rows or an object with a list 'entries'")
-    ent = {}
+    ent, read = {}, _scalar_reader(f)
     for t, e in enumerate(raw["entries"]):
-        loc = f"{where}.entries[{t}]"
         if not (isinstance(e, list) and len(e) == 3 and all(type(x) is int and 0 <= x < n for x in e[:2])):
-            raise SchemaError(f"{loc}: expected [row, col, scalar] with int row and col in [0, {n})")
+            raise SchemaError(f"{where}.entries[{t}]: expected [row, col, scalar] with int row and col in [0, {n})")
         if (e[0], e[1]) in ent:
-            raise SchemaError(f"{loc}: duplicate entry ({e[0]}, {e[1]})")
-        ent[e[0], e[1]] = _parse_scalar(f, e[2], loc)
+            raise SchemaError(f"{where}.entries[{t}]: duplicate entry ({e[0]}, {e[1]})")
+        ent[e[0], e[1]] = read(e[2], lambda: f"{where}.entries[{t}]")
     return ent
 
 
@@ -468,7 +484,7 @@ def homology_report(cx, which="d", cohomology=False):
             }
         )
     return {
-        "line": cx.meta.get("line"),
+        "line": cx.line,
         "truncation": cx.max_total,
         "which": which,
         "cohomology": bool(cohomology),

@@ -189,11 +189,20 @@ def yd_base(h):
     return YDBase(h, dual, lam_dual, sigmas)
 
 
-def yd_sigmas(base, mods, variant):
-    """sigma_{i,j} of (H, M_1..M_r, H*) as in the module docstring, for ``base = yd_base(h)``.
+class YDSystem(BraidedSystem):
+    """Braided system (H, M_1..M_r, H*), keeping H and H*."""
+
+    def __init__(self, components, sigma, field, bialgebra, dual):
+        super().__init__(components, sigma, field)
+        self.bialgebra = bialgebra
+        self.dual = dual
+
+
+def yd_system(base, mods, variant):
+    """The system (H, M_1..M_r, H*) with sigma_{i,j} as in the module docstring, for ``base = yd_base(h)``.
 
     ``mods`` are YD modules (variant "yd") or YD module algebras (variant
-    "ydalg"); no axioms are assumed.
+    "ydalg"); no axioms are assumed and nothing is checked.
     """
     h = base.h
     f = h.field
@@ -207,49 +216,33 @@ def yd_sigmas(base, mods, variant):
         for j in range(i + 1, n + 1):
             if (i, j) != (1, n):
                 sigma[(i, j)] = ring_braiding(coaction[i - 1], action[j - 2], f)
-    return sigma
+    components = (h.space,) + tuple(m.space for m in mods) + (base.dual.space,)
+    return YDSystem(components, sigma, f, h, base.dual)
 
 
-class YDSystem(BraidedSystem):
-    """Braided system produced by build_yd_system, keeping H and H*."""
-
-    def __init__(self, components, sigma, field, bialgebra=None, dual=None):
-        self.components = components
-        self.sigma = sigma
-        self.field = field
-        self.bialgebra = bialgebra
-        self.dual = dual
-
-
-def build_yd_system(h, mods, variant="yd", check=True):
+def build_yd_system(h, mods, variant="yd"):
     """The rank r+2 braided system (H, M_1..M_r, H*).
 
     variant "yd" takes plain YD modules and uses identity diagonals on them;
     variant "ydalg" takes YD module algebras and uses their associativity
-    braidings.  Inputs are validated first; the assembled system is
+    braidings.  Inputs are validated first; the assembled ``yd_system`` is
     cYBE-verified before being returned.
     """
     if variant not in ("yd", "ydalg"):
         raise ValueError(f"unknown variant {variant!r}")
-    f = h.field
-    if check:
-        rep = check_bialgebra(h, "bialgebra")
-        if not rep.passed:
-            raise ValueError(f"base bialgebra fails axioms: {rep.first_failure()}")
-        for m in mods:
-            mrep = check_yd(m, "yd_algebra" if variant == "ydalg" else "yd")
-            if not mrep.passed:
-                raise ValueError(f"module fails axioms: {mrep.first_failure()}")
+    rep = check_bialgebra(h, "bialgebra")
+    if not rep.passed:
+        raise ValueError(f"base bialgebra fails axioms: {rep.first_failure()}")
+    for m in mods:
+        mrep = check_yd(m, "yd_algebra" if variant == "ydalg" else "yd")
+        if not mrep.passed:
+            raise ValueError(f"module fails axioms: {mrep.first_failure()}")
     if variant == "ydalg" and not all(isinstance(m, YDModuleAlgebra) for m in mods):
         raise TypeError("variant 'ydalg' needs YDModuleAlgebra inputs")
-
-    base = yd_base(h)
-    components = (h.space,) + tuple(m.space for m in mods) + (base.dual.space,)
-    sys = YDSystem(components, yd_sigmas(base, mods, variant), f, bialgebra=h, dual=base.dual)
-    if check:
-        rep = verify_cybe(sys)
-        if not rep.passed:
-            raise AssertionError(f"constructed system fails cYBE: {rep.first_failure()}")
+    sys = yd_system(yd_base(h), mods, variant)
+    rep = verify_cybe(sys)
+    if not rep.passed:
+        raise AssertionError(f"constructed system fails cYBE: {rep.first_failure()}")
     return sys
 
 
@@ -424,12 +417,12 @@ def precision_harness(alg, base):
     conditions are read from one ``check_yd(alg, "yd_algebra")`` report.
     The row's equivalence holds when the side condition fails or the last
     two agree; each row dict carries it as ``"equivalence"``.
-    The cYBE instances are those of the system ``build_yd_system`` builds
-    from the candidate YD module algebra ``alg`` with variant "ydalg";
-    ``base`` is ``yd_base(alg.base)``, built once for every candidate.
+    The cYBE instances are those of ``yd_system(base, [alg], "ydalg")``,
+    the system ``build_yd_system`` builds and checks from the candidate YD
+    module algebra ``alg``; ``base`` is ``yd_base(alg.base)``, built once
+    for every candidate.
     """
-    h = alg.base
-    sys = BraidedSystem((h.space, alg.space, base.dual.space), yd_sigmas(base, [alg], "ydalg"), h.field)
+    sys = yd_system(base, [alg], "ydalg")
     tables = _column_tables(sys, sys.sigma)
     axioms = check_yd(alg, "yd_algebra")
     passed = {c.name: c.passed for c in axioms.checks}

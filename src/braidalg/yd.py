@@ -45,10 +45,7 @@ class YDModuleAlgebra(YDModule):
     """A YD module with a compatible unital multiplication mu: M (x) M -> M, nu: k -> M."""
 
     def __init__(self, base, space, lam, delta=None, *, mu, nu):
-        self.base = base
-        self.space = space
-        self.lam = lam
-        self.delta = delta
+        super().__init__(base, space, lam, delta)
         self.mu = mu
         self.nu = nu
 

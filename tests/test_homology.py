@@ -161,7 +161,7 @@ def test_yd_bidifferential_verifies_once_and_keeps_the_fresh_report(monkeypatch)
     real_verify = homology.verify_bicomplex
     monkeypatch.setattr(homology, "verify_bicomplex", lambda c: calls.append(c) or real_verify(c))
     cx = yd_bidifferential(b, m, 4)
-    assert len(calls) == 1 and calls[0] is not cx
+    assert calls == [cx]
     fresh = real_verify(cx)
     assert cx.bicomplex_report.title == fresh.title
     assert cx.bicomplex_report.checks == fresh.checks
@@ -174,20 +174,27 @@ def _swap_acting_module(b, reg):
     return YDModule(b, reg.space, lam, reg.delta)
 
 
-def test_yd_bidifferential_report_swaps_the_failing_identities(monkeypatch):
-    b, m, _ = z2_setup()
+def _swapped(dims, d_blocks, dp_blocks, top):
+    """The complex with line 2's blocks swapped and negated, as yd_bidifferential builds it."""
+    neg = [{key: -mat for key, mat in blocks.items()} for blocks in (dp_blocks, d_blocks)]
+    return GradedComplex(QQ, dims, *neg, top)
+
+
+def test_yd_bidifferential_report_swaps_the_failing_identities():
+    b, m, triv = z2_setup()
+    ycx = yd_bidifferential(b, m, 3)
+    swapped = _swapped(*homology._line_blocks(b, m, triv, 2, 3), 3)
+    assert (ycx.d_blocks, ycx.dprime_blocks) == (swapped.d_blocks, swapped.dprime_blocks)
     bad = _swap_acting_module(b, m)
+    with pytest.raises(ValueError, match="module fails YD axioms"):
+        yd_bidifferential(b, bad, 3)
+    blocks = homology._line_blocks(b, bad, triv, 2, 3)
     with pytest.raises(AssertionError, match="bidifferential identities fail: d_squared@2"):
-        yd_bidifferential(b, bad, 3, check_inputs=False)
-    real_verify = homology.verify_bicomplex
-
-    def keep(c, rep=None):
-        c.bicomplex_report = real_verify(c) if rep is None else rep
-        return c
-
-    monkeypatch.setattr(homology, "_verify_or_raise", keep)
-    cx = yd_bidifferential(b, bad, 3, check_inputs=False)
-    fresh = real_verify(cx)
+        homology._verify_or_raise(GradedComplex(QQ, *blocks, 3))
+    cx = _swapped(*blocks, 3)
+    with pytest.raises(AssertionError, match="bidifferential identities fail: d_prime_squared@2"):
+        homology._verify_or_raise(cx)
+    fresh = verify_bicomplex(cx)
     assert not fresh["d_prime_squared@2"].passed and fresh["d_squared@2"].passed
     assert cx.bicomplex_report.checks == fresh.checks
 

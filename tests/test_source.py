@@ -50,3 +50,36 @@ def test_absolute_imports_sees_nested_and_from_imports():
 def test_no_module_imports_dataclasses():
     # importing it costs every process inspect, ast, dis and tokenize, and each class an exec'd __init__
     assert not [p.name for p in sorted(SRC.glob("*.py")) if "dataclasses" in absolute_imports(p.read_text())]
+
+
+def private_module_reads(source):
+    """``alias._name`` reads of a module bound by ``import m`` or ``from pkg import m``, dunders aside."""
+    tree = ast.parse(source)
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module is None:  # from . import io
+            modules |= {alias.asname or alias.name for alias in node.names}
+    return sorted(
+        f"{node.value.id}.{node.attr}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in modules
+        and node.attr.startswith("_")
+        and not node.attr.endswith("__")
+    )
+
+
+def test_private_module_reads_skips_class_helpers_and_dunders():
+    source = (
+        "import os\nfrom . import io as bio\nfrom .linalg import SparseMatrix\n"
+        "bio._load_object(os.__name__)\nSparseMatrix._from_sums()\nos._exit\n"
+    )
+    assert private_module_reads(source) == ["bio._load_object", "os._exit"]
+
+
+def test_no_module_reads_a_private_name_of_a_module_it_imported():
+    found = {p.name: private_module_reads(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+    assert not {name: reads for name, reads in found.items() if reads}

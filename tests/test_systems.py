@@ -24,6 +24,7 @@ from braidalg.systems import (
     validate_uaa_system,
     verify_cybe,
     yd_base,
+    yd_system,
 )
 from braidalg.report import AxiomReport
 from braidalg.tensor import (
@@ -480,8 +481,9 @@ def test_precision_harness_random_equivalence():
 
 def test_precision_harness_checks_the_system_build_yd_system_builds():
     """Each row's cybe flag equals the same triple's cYBE check on the
-    "ydalg" system build_yd_system builds from the same data; the data
-    fails axioms, and every other trial a side condition may fail too."""
+    "ydalg" system yd_system assembles from the same data, the one
+    build_yd_system checks and returns; the data fails axioms, and every
+    other trial a side condition may fail too."""
     F = GF(5)
     rng = random.Random(13)
     seen = set()
@@ -498,7 +500,7 @@ def test_precision_harness_checks_the_system_build_yd_system_builds():
                 bump = SparseMatrix(F, *shape, {(rng.randrange(shape[0]), rng.randrange(shape[1])): 1})
                 alg = _with_map(alg, target, LinMap(m.domain, m.codomain, m.matrix + bump))
             _rep, rows = precision_harness(alg, base)
-            built = verify_cybe(build_yd_system(b, [alg], "ydalg", check=False))
+            built = verify_cybe(yd_system(base, [alg], "ydalg"))
             for r in rows:
                 assert r["cybe"] == built["cYBE({},{},{})".format(*r["triple"])].passed, (b.dim, dim, trial, r)
                 seen.add((r["cybe"], r["side"]))
@@ -624,7 +626,7 @@ def test_hhstar_system_encodes_the_bialgebra_axiom():
     assert check_bialgebra(h, "algebra").passed
     assert check_bialgebra(h, "coalgebra").passed
     assert not check_bialgebra(h, "bialgebra")["bialg_delta_mu"].passed
-    s = build_yd_system(h, [], "yd", check=False)
+    s = yd_system(yd_base(h), [], "yd")
     rep = verify_cybe(s)
     assert rep["cYBE(1,1,1)"].passed
     assert rep["cYBE(2,2,2)"].passed

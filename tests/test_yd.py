@@ -298,7 +298,7 @@ def test_random_valid_module_comodule_yd_iff_braiding_instance():
     """For valid module+comodule data, the YD axiom holds exactly when the
     mixed braiding instance on H (x) M (x) H* does (cross-validated with
     the precision harness)."""
-    from braidalg.systems import BraidedSystem, cybe_instance, yd_base, yd_sigmas
+    from braidalg.systems import cybe_instance, yd_base, yd_system
     from braidalg.yd import YDModuleAlgebra
 
     F = GF(5)
@@ -335,8 +335,7 @@ def test_random_valid_module_comodule_yd_iff_braiding_instance():
         assert rep["action_associativity"].passed and rep["coaction_coassociativity"].passed
         mu = LinMap((M, M), (M,), SparseMatrix(F, dim, dim * dim))
         nu = LinMap((), (M,), SparseMatrix(F, dim, 1, {(0, 0): F.one}))
-        sigma = yd_sigmas(base, [YDModuleAlgebra(b, M, lam, delta, mu=mu, nu=nu)], "ydalg")
-        sys = BraidedSystem((b.space, M, base.dual.space), sigma, F)
+        sys = yd_system(base, [YDModuleAlgebra(b, M, lam, delta, mu=mu, nu=nu)], "ydalg")
         lhs, rhs = cybe_instance(sys, 1, 2, 3)
         assert rep.passed == (lhs.matrix == rhs.matrix)
         hits[rep.passed] += 1
