@@ -179,9 +179,10 @@ def cmd_rmatrix(args):
 
 def cmd_build(args):
     b = bio.load_bialgebra(args.hopf)
+    bases = {os.path.abspath(args.hopf): b}  # a module naming this file reuses it
     mods = []
     for path in args.mod or []:
-        m = bio.load_yd_module(path)
+        m = bio.load_yd_module(path, bases)
         if not m.base.same_structure(b):
             raise InputError(f"{path}: module base differs from {args.hopf}")
         m.base = b
@@ -266,8 +267,9 @@ def cmd_homology(args):
     if args.max_degree < 1:
         raise InputError(f"--max-degree must be at least 1, got {args.max_degree}")
     b = bio.load_bialgebra(args.hopf)
-    m = bio.load_yd_module(args.mod)
-    n = bio.load_yd_module(args.coeff)
+    bases = {os.path.abspath(args.hopf): b}  # a module naming this file reuses it
+    m = bio.load_yd_module(args.mod, bases)
+    n = bio.load_yd_module(args.coeff, bases)
     for mod, path in ((m, args.mod), (n, args.coeff)):
         if not mod.base.same_structure(b):
             raise InputError(f"{path}: module base differs from {args.hopf}")

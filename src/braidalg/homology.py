@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 
 from .linalg import SparseMatrix, rank as matrix_rank
 from .report import AxiomReport
@@ -86,10 +87,12 @@ class GradedComplex:
 
     ``dims`` maps a degree tuple to the component dimension; blocks map
     (src, dst) degree pairs to matrices.  Total degree is the tuple sum.
-    The blocks are fixed at construction: ``rank`` remembers each assembled
-    rank, and ``bicomplex_report`` holds the ``verify_bicomplex`` report of
-    a complex built by one of the constructors below (None otherwise).
-    ``line`` is the bidifferential line of a ``coefficient_complex``.
+    ``by_source[which]`` lists each source's (dst, block) pairs, keeping the
+    blocks between components of ``dims`` that lower the total degree by one.
+    The blocks are fixed at construction: ``rank`` remembers each rank, and
+    ``bicomplex_report`` holds the ``verify_bicomplex`` report of a complex
+    built by one of the constructors below (None otherwise).  ``line`` is
+    the bidifferential line of a ``coefficient_complex``.
     """
 
     def __init__(self, field, dims, d_blocks, dprime_blocks, max_total, line=None):
@@ -101,6 +104,11 @@ class GradedComplex:
         self.line = line
         self.bicomplex_report = None
         self._ranks = {}
+        self.by_source = {"d": {}, "d_prime": {}}
+        for which, blocks in (("d", self.d_blocks), ("d_prime", self.dprime_blocks)):
+            for (src, dst), mat in blocks.items():
+                if src in self.dims and dst in self.dims and sum(dst) == sum(src) - 1:
+                    self.by_source[which].setdefault(src, []).append((dst, mat))
 
     def degrees_at(self, k):
         return sorted(deg for deg in self.dims if sum(deg) == k)
@@ -115,55 +123,76 @@ class GradedComplex:
             return SparseMatrix.zeros(self.field, self.dims.get(dst, 0), self.dims[src])
         return mat
 
+    def _blocks_at(self, which, k):
+        """[(src, dst, block)] of d or d_prime out of the components of total degree k."""
+        return [(src, dst, mat) for src in self.degrees_at(k) for dst, mat in self.by_source[which].get(src, ())]
+
     def assemble(self, which, k):
         """The total-degree matrix C_k -> C_{k-1} for which in d|d_prime|total."""
         if which == "total":
-            a = self.assemble("d", k)
-            b = self.assemble("d_prime", k)
-            return a + b
-        srcs = self.degrees_at(k)
-        dsts = self.degrees_at(k - 1)
-        col_off, off = {}, 0
-        for deg in srcs:
-            col_off[deg] = off
-            off += self.dims[deg]
-        n_cols = off
-        row_off, off = {}, 0
-        for deg in dsts:
-            row_off[deg] = off
-            off += self.dims[deg]
-        n_rows = off
-        blocks = self.d_blocks if which == "d" else self.dprime_blocks
+            return self.assemble("d", k) + self.assemble("d_prime", k)
+        col_off, row_off = (_offsets(self.dims, self.degrees_at(j)) for j in (k, k - 1))
         ent = {}
-        for (src, dst), mat in blocks.items():
-            if src in col_off and dst in row_off:
-                ro, co = row_off[dst], col_off[src]
-                for (r, c), v in mat.entries.items():
-                    ent[(ro + r, co + c)] = v
-        return SparseMatrix(self.field, n_rows, n_cols, ent)
+        for src, dst, mat in self._blocks_at(which, k):
+            ro, co = row_off[dst], col_off[src]
+            for (r, c), v in mat.entries.items():
+                ent[(ro + r, co + c)] = v
+        return SparseMatrix(self.field, self.chain_dim(k - 1), self.chain_dim(k), ent)
 
     def rank(self, which, k):
-        """rank of assemble(which, k), computed at most once; 0 outside 1..max_total."""
+        """rank of assemble(which, k), computed at most once; 0 outside 1..max_total.
+
+        Blocks of d or d' that pair sources and targets one to one assemble
+        to their direct sum, so they are ranked one by one instead.
+        """
         if not 1 <= k <= self.max_total:
             return 0
         key = (which, k)
         if key not in self._ranks:
-            self._ranks[key] = matrix_rank(self.assemble(which, k))
+            blocks = self._blocks_at(which, k) if which != "total" else None
+            if blocks is not None and len({s for s, _, _ in blocks}) == len({t for _, t, _ in blocks}) == len(blocks):
+                self._ranks[key] = sum(matrix_rank(mat) for _, _, mat in blocks)
+            else:
+                self._ranks[key] = matrix_rank(self.assemble(which, k))
         return self._ranks[key]
 
 
+def _offsets(dims, degs):
+    """{degree: offset of its component in the direct sum over degs, in order}."""
+    out, off = {}, 0
+    for deg in degs:
+        out[deg] = off
+        off += dims[deg]
+    return out
+
+
 def verify_bicomplex(c):
-    """d^2 = 0, d'^2 = 0, dd' + d'd = 0 at every composable truncation degree."""
+    """d^2 = 0, d'^2 = 0, dd' + d'd = 0 at every composable truncation degree.
+
+    Checked on the blocks: an identity holds at total degree k when, for
+    every source of degree k and every target, the products of blocks
+    summed over the middle degree vanish.
+    """
     rep = AxiomReport("bidifferential identities")
     for k in range(2, c.max_total + 1):
-        d_k = c.assemble("d", k)
-        d_k1 = c.assemble("d", k - 1)
-        dp_k = c.assemble("d_prime", k)
-        dp_k1 = c.assemble("d_prime", k - 1)
-        rep.add(f"d_squared@{k}", (d_k1 @ d_k).is_zero())
-        rep.add(f"d_prime_squared@{k}", (dp_k1 @ dp_k).is_zero())
-        rep.add(f"anticommute@{k}", (d_k1 @ dp_k + dp_k1 @ d_k).is_zero())
+        rep.add(f"d_squared@{k}", _composites_vanish(c, k, ("d", "d")))
+        rep.add(f"d_prime_squared@{k}", _composites_vanish(c, k, ("d_prime", "d_prime")))
+        rep.add(f"anticommute@{k}", _composites_vanish(c, k, ("d_prime", "d"), ("d", "d_prime")))
     return rep
+
+
+def _composites_vanish(c, k, *pairs):
+    """Whether the sum over (first, second) in pairs of second o first is zero on total degree k."""
+    for src in c.degrees_at(k):
+        sums = {}
+        for first, second in pairs:
+            for mid, a in c.by_source[first].get(src, ()):
+                for dst, b in c.by_source[second].get(mid, ()):
+                    prod = b @ a
+                    sums[dst] = sums[dst] + prod if dst in sums else prod
+        if not all(s.is_zero() for s in sums.values()):
+            return False
+    return True
 
 
 def _verify_or_raise(c):
@@ -451,23 +480,32 @@ def _assemble(f, src_dims, dst_dims, pieces):
     """The matrix src_dims -> dst_dims of a sum of pieces (reads, writes, core), see _SweedlerOps.
 
     Each core runs once per value of the factors it reads, and its entries
-    are tiled over the pass-through offsets.  Plain + and * accumulate; the
-    constructor reduces, canonicalises and drops zeros.
+    are tiled over the (row, col) offsets of the pass-through factors.
+    Plain + and * accumulate; the constructor reduces, canonicalises and
+    drops zeros.
     """
     src_stride, dst_stride = ([math.prod(ds[p + 1 :]) for p in range(len(ds))] for ds in (src_dims, dst_dims))
     ent = {}
     for reads, writes, core in pieces:
+        col_strides, row_strides = [src_stride[p] for p in reads], [dst_stride[q] for q in writes]
         core_ent = {}
         for vals in itertools.product(*[range(src_dims[p]) for p in reads]):
-            col = sum(v * src_stride[p] for v, p in zip(vals, reads))
+            col = sum(map(operator.mul, vals, col_strides))
             for outs, c in core(vals):
-                key = (sum(o * dst_stride[q] for o, q in zip(outs, writes)), col)
+                key = (sum(map(operator.mul, outs, row_strides)), col)
                 core_ent[key] = core_ent.get(key, 0) + c
+        # pass-through factors keep their order: the i-th one not read lands on the i-th one not written
         passed = [p for p in range(len(src_dims)) if p not in reads]
         kept = [q for q in range(len(dst_dims)) if q not in writes]
-        for vals in itertools.product(*[range(src_dims[p]) for p in passed]):
-            ro = sum(v * dst_stride[q] for v, q in zip(vals, kept))
-            co = sum(v * src_stride[p] for v, p in zip(vals, passed))
+        offsets = [(0, 0)]
+        for p, q in zip(passed, kept):
+            steps = [(v * dst_stride[q], v * src_stride[p]) for v in range(src_dims[p])]
+            offsets = [(ro + dr, co + dc) for ro, co in offsets for dr, dc in steps]
+        if not ent:
+            # within one piece the tiles are disjoint
+            ent = {(ro + r, co + c): v for ro, co in offsets for (r, c), v in core_ent.items()}
+            continue
+        for ro, co in offsets:
             for (r, c), v in core_ent.items():
                 key = (ro + r, co + c)
                 ent[key] = ent.get(key, 0) + v

@@ -301,22 +301,26 @@ def resolve_reference(path, ref):
     return os.path.normpath(os.path.join(os.path.dirname(os.path.abspath(path)), ref))
 
 
-def load_with_base(path, from_json):
+def load_with_base(path, from_json, bases=None):
     """(the object of a file that names its base bialgebra, the base's path).
 
-    The object is ``from_json(data, base, where=path)``, ``base`` being the
-    bialgebra loaded from the resolved path.
+    The object is ``from_json(data, base, where=path)``.  ``base`` is
+    ``bases[resolved path]`` when ``bases`` (resolved path -> Bialgebra)
+    holds it, and otherwise the bialgebra loaded from the resolved path.
     """
     data = _load_object(path)
     if "bialgebra" not in data:
         raise SchemaError(f"{path}: missing key 'bialgebra'")
     base_path = resolve_reference(path, data["bialgebra"])
-    return from_json(data, load_bialgebra(base_path), where=path), base_path
+    base = (bases or {}).get(base_path)
+    if base is None:
+        base = load_bialgebra(base_path)
+    return from_json(data, base, where=path), base_path
 
 
-def load_yd_module(path):
-    """Load a module file together with its referenced base bialgebra."""
-    return load_with_base(path, yd_module_from_json)[0]
+def load_yd_module(path, bases=None):
+    """Load a module file together with its referenced base bialgebra (see ``load_with_base``)."""
+    return load_with_base(path, yd_module_from_json, bases)[0]
 
 
 def save_yd_module(path, m, bialgebra_path):

@@ -12,7 +12,9 @@ JSON of all six ``homology_report`` variants (``which`` x ``cohomology``).
   system (H, M_regular, H*).
 
 The digests were recorded before the constructors shared one block
-builder and lost their check flags.
+builder and lost their check flags.  A second test checks that the ranks
+d and d' take from their blocks equal the ranks of the assembled
+total-degree matrices.
 """
 
 import hashlib
@@ -28,7 +30,7 @@ from braidalg.homology import (
     yd_bidifferential,
 )
 from braidalg.hopf import cyclic_group_table, group_algebra, s3_table
-from braidalg.linalg import GF, QQ
+from braidalg.linalg import GF, QQ, rank
 from braidalg.systems import build_yd_system
 from braidalg.yd import regular_yd_group_algebra, unit_yd
 
@@ -82,3 +84,11 @@ def test_complex_digest(name, family):
     cxs = _complexes(name, family)
     digest = hashlib.sha256("\n\n".join(_text(cx) for cx in cxs).encode()).hexdigest()
     assert digest == PINS[name, family]
+
+
+@pytest.mark.parametrize("name, family", sorted(PINS))
+def test_block_ranks_equal_the_assembled_ranks(name, family):
+    for cx in _complexes(name, family):
+        for which in ("d", "d_prime"):
+            for k in range(1, cx.max_total + 1):
+                assert cx.rank(which, k) == rank(cx.assemble(which, k))

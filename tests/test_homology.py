@@ -35,7 +35,7 @@ from braidalg.hopf import (
     s3_table,
     stock_group_table,
 )
-from braidalg.linalg import GF, QQ, SparseMatrix, inverse as minverse
+from braidalg.linalg import GF, QQ, SparseMatrix, inverse as minverse, rank as matrix_rank
 from braidalg.systems import BraidedSystem, build_yd_system, sigma_ass
 from braidalg.tensor import LinMap, Space, identity
 from braidalg.yd import YDModule, change_of_basis, dual_yd, regular_yd_group_algebra, unit_yd
@@ -315,8 +315,11 @@ def test_homology_report_ranks_each_matrix_once_and_reuses_the_bicomplex_check(m
     monkeypatch.setattr(homology, "matrix_rank", lambda a: ranked.append(a) or real_rank(a))
     monkeypatch.setattr(homology, "verify_bicomplex", lambda c: pytest.fail("complex verified again"))
     reports = [bio.homology_report(cx, w, coh) for w in ("d", "d_prime", "total") for coh in (False, True)]
-    # three families at total degrees 1..3, each assembled and ranked once
-    assert len(ranked) == 9
+    # every d and d' block ranked once, then the total matrix at each degree 1..3
+    blocks = list(cx.d_blocks.values()) + list(cx.dprime_blocks.values())
+    assert len(blocks) == 12
+    assert sorted(map(id, ranked[:12])) == sorted(map(id, blocks))
+    assert ranked[12:] == [cx.assemble("total", k) for k in (1, 2, 3)]
     for rep in reports:
         assert all(rep["identities"].values())
         for row in rep["degrees"][1:]:
@@ -334,6 +337,108 @@ def test_homology_report_checks_a_complex_that_was_never_verified():
     bad = GradedComplex(cx.field, cx.dims, cx.d_blocks, flipped, cx.max_total)
     assert bad.bicomplex_report is None
     assert bio.homology_report(bad)["identities"]["anticommute"] is False
+
+
+def _assembled(c, blocks, k):
+    """The total-degree matrix C_k -> C_{k-1} of a block dict, placed by scanning every block."""
+    offsets = []
+    for j in (k, k - 1):
+        off, table = 0, {}
+        for deg in sorted(d for d in c.dims if sum(d) == j):
+            table[deg], off = off, off + c.dims[deg]
+        offsets.append((table, off))
+    (col_off, n_cols), (row_off, n_rows) = offsets
+    ent = {}
+    for (src, dst), mat in blocks.items():
+        if src in col_off and dst in row_off:
+            for (r, col), v in mat.entries.items():
+                ent[(row_off[dst] + r, col_off[src] + col)] = v
+    return SparseMatrix(c.field, n_rows, n_cols, ent)
+
+
+def assembled_bicomplex_checks(c):
+    """The identities as products of assembled total-degree matrices, the definition verify_bicomplex had."""
+    checks = []
+    for k in range(2, c.max_total + 1):
+        d_k, d_k1 = _assembled(c, c.d_blocks, k), _assembled(c, c.d_blocks, k - 1)
+        dp_k, dp_k1 = _assembled(c, c.dprime_blocks, k), _assembled(c, c.dprime_blocks, k - 1)
+        checks.append((f"d_squared@{k}", (d_k1 @ d_k).is_zero()))
+        checks.append((f"d_prime_squared@{k}", (dp_k1 @ dp_k).is_zero()))
+        checks.append((f"anticommute@{k}", (d_k1 @ dp_k + dp_k1 @ d_k).is_zero()))
+    return checks
+
+
+def _perturbations(c):
+    """c with one entry of one block moved, for every block and both families."""
+    for which in ("d", "d_prime"):
+        blocks = c.d_blocks if which == "d" else c.dprime_blocks
+        for key, mat in blocks.items():
+            ent = dict(mat.entries)
+            ent[(0, 0)] = ent.get((0, 0), 0) + 1
+            moved = {**blocks, key: SparseMatrix(c.field, mat.n_rows, mat.n_cols, ent)}
+            pair = (moved, c.dprime_blocks) if which == "d" else (c.d_blocks, moved)
+            yield GradedComplex(c.field, c.dims, *pair, c.max_total)
+
+
+def _middle_degree_cancellation(sign):
+    """(1,1) reaches (0,0) through (0,1) and (1,0); the two products cancel only when sign is -1."""
+    dims = {(0, 0): 1, (1, 0): 1, (0, 1): 1, (1, 1): 1}
+    one, signed = SparseMatrix(QQ, 1, 1, {(0, 0): 1}), SparseMatrix(QQ, 1, 1, {(0, 0): sign})
+    d_only = {((1, 1), (0, 1)): one, ((1, 1), (1, 0)): one, ((0, 1), (0, 0)): one, ((1, 0), (0, 0)): signed}
+    split_d = {((1, 1), (0, 1)): one, ((1, 0), (0, 0)): signed}
+    split_dp = {((1, 1), (1, 0)): one, ((0, 1), (0, 0)): one}
+    return [GradedComplex(QQ, dims, d_only, {}, 2), GradedComplex(QQ, dims, split_d, split_dp, 2)]
+
+
+def test_block_wise_verdicts_match_the_assembled_products():
+    b, m, triv = z2_setup(GF(5))
+    complexes = [coefficient_complex(b, m, triv, line, 4) for line in COMPLEX_LINES]
+    s = build_yd_system(b, [m], "yd")
+    ch_h, ch_hs = eps_characters(s)
+    complexes.append(generic_differentials(s, ch_hs, ch_h, 3))
+    cases = [p for c in complexes for p in _perturbations(c)]
+    cases += _middle_degree_cancellation(-1) + _middle_degree_cancellation(1)
+    failing = 0
+    for c in complexes + cases:
+        got = [(check.name, check.passed) for check in verify_bicomplex(c).checks]
+        assert got == assembled_bicomplex_checks(c)
+        failing += not all(passed for _, passed in got)
+    assert failing >= len(cases) // 2
+    # each product on its own is nonzero: only the sum over the middle degree vanishes
+    for c in _middle_degree_cancellation(-1):
+        assert verify_bicomplex(c).passed
+    for c in _middle_degree_cancellation(1):
+        assert not verify_bicomplex(c).passed
+
+
+def _two_target_complex(top):
+    """A generic complex whose sources have several targets: sigma_Ass on (A, A) with eps on both."""
+    b = kZ2()
+    A = b.space
+    sigma = sigma_ass(b, "left")
+    s = BraidedSystem((A, A), {(1, 1): sigma, (1, 2): sigma, (2, 2): sigma}, QQ)
+    eps_char = (LinMap((A,), (), b.eps.matrix),) * 2
+    return generic_differentials(s, eps_char, eps_char, top)
+
+
+def test_d_and_d_prime_are_ranked_by_blocks_without_assembling(monkeypatch):
+    b, m, triv = z2_setup(GF(5))
+    real_assemble = GradedComplex.assemble
+    monkeypatch.setattr(GradedComplex, "assemble", lambda *a: pytest.fail("total-degree matrix assembled"))
+    cx = coefficient_complex(b, m, triv, 4, 4)
+    for which in ("d", "d_prime"):
+        assert bio.homology_report(cx, which)["euler"]["identity_holds"]
+    assembled = []
+    monkeypatch.setattr(GradedComplex, "assemble", lambda *a: assembled.append(a[1:]) or real_assemble(*a))
+    bio.homology_report(cx, "total")
+    assert ("total", 4) in assembled
+    assembled.clear()
+    g = _two_target_complex(3)
+    assert len(g.by_source["d"][(1, 1)]) == 2
+    rep = bio.homology_report(g, "d")
+    assert ("d", 2) in assembled
+    for row in rep["degrees"]:
+        assert row["rank_d"] == matrix_rank(real_assemble(g, "d", row["degree"]))
 
 
 def test_zero_differentials_pass_and_give_chain_dims():

@@ -685,6 +685,29 @@ def test_cli_build_rejects_mismatched_base(tmp_path, capsys):
     assert run("build", "yd-system", "--hopf", h3, "--mod", m, "--variant", "yd", "-o", str(tmp_path / "s.json")) == 2
 
 
+def test_cli_parses_the_hopf_file_once_and_checks_every_other_base(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    run("gen", "group-algebra", "--group", "Z2", "-o", "z2.json")
+    run("gen", "group-algebra", "--group", "Z2", "-o", "z2_copy.json")
+    run("gen", "group-algebra", "--group", "Z3", "-o", "z3.json")
+    run("gen", "regular-yd", "--hopf", "z2.json", "-o", "m.json")
+    run("gen", "trivial-yd", "--hopf", "z2_copy.json", "-o", "t.json")
+    run("gen", "trivial-yd", "--hopf", "z3.json", "-o", "t3.json")
+    loads = []
+    real_load = bio.load_bialgebra
+    monkeypatch.setattr(bio, "load_bialgebra", lambda path: loads.append(os.path.basename(path)) or real_load(path))
+    build = ("build", "yd-system", "--hopf", "z2.json", "--variant", "yd", "-o", "s.json")
+    assert run(*build, "--mod", "m.json", "--mod", "m.json") == 0
+    assert loads == ["z2.json"]
+    loads.clear()
+    argv = ("homology", "--hopf", "z2.json", "--mod", "m.json", "--line", "4", "--max-degree", "2", "-o", "r.json")
+    assert run(*argv, "--coeff", "t.json") == 0
+    assert loads == ["z2.json", "z2_copy.json"]
+    capsys.readouterr()
+    assert run(*argv, "--coeff", "t3.json") == 2
+    assert "t3.json: module base differs from z2.json" in capsys.readouterr().err
+
+
 def test_gen_outputs_reverify(tmp_path):
     for group in ("Z2", "Z3", "S3", "D4"):
         h = str(tmp_path / f"{group}.json")
