@@ -19,7 +19,7 @@ _EXPORTS = {
     "tensor_maps",
     "hopf": "Bialgebra UAA check_bialgebra cyclic_group_table d4_table dual_bialgebra group_algebra monoid_algebra "
     "mu_tensor_square opposites s3_table solve_antipode stock_group_table",
-    "yd": "YDModule YDModuleAlgebra change_of_basis check_yd dual_yd formal_unit_extend left_regular_module "
+    "yd": "YDModule YDModuleAlgebra adjoint_yd change_of_basis check_yd dual_yd formal_unit_extend left_regular_module "
     "regular_yd_group_algebra tensor_yd unit_yd yd_braiding",
     "rmatrix": "AntipodeMissingError RMatrix antipode_inverse_r check_r coaction_from_r r_braiding unit_r_matrix "
     "verify_r_inverse yd_from_r",

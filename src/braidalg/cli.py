@@ -23,7 +23,7 @@ from .systems import (
     verify_cybe,
     yd_base,
 )
-from .yd import YDModuleAlgebra, check_yd, dual_yd, regular_yd_group_algebra, unit_yd
+from .yd import YDModuleAlgebra, adjoint_yd, check_yd, dual_yd, unit_yd
 
 
 class InputError(Exception):
@@ -78,9 +78,9 @@ def cmd_gen(args):
     b = bio.load_bialgebra(args.hopf)
     if args.what == "regular-yd":
         try:
-            m = regular_yd_group_algebra(b)
+            m = adjoint_yd(b)
         except ValueError as e:
-            raise InputError(f"{args.hopf} is not a group algebra: {e}") from None
+            raise InputError(f"{args.hopf}: {e}") from None
     else:
         m = unit_yd(b)
     bio.save_yd_module(args.output, m, _relref(args.hopf, args.output))
@@ -144,7 +144,7 @@ def cmd_rmatrix(args):
 
     if args.what == "coaction":
         m, base_path = bio.load_with_base(args.module, bio.yd_module_from_json)
-        r = bio.load_rmatrix(args.r)
+        r = bio.load_rmatrix(args.r, {base_path: m.base})
         if not m.base.same_structure(r.base):
             raise InputError("module and R-matrix reference different bialgebras")
         mod_rep = check_yd(m, "module")

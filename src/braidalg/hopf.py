@@ -263,37 +263,6 @@ def monoid_algebra(table, names=None, field=QQ):
     return Bialgebra(*_grouplike_bialgebra(table, e, field, names), antipode=None)
 
 
-def group_table_from_bialgebra(b):
-    """Recover a group table from a group-algebra-shaped bialgebra.
-
-    Requires every basis vector grouplike (Delta(e_i) = e_i (x) e_i,
-    eps(e_i) = 1), basis products landing on single basis vectors, and
-    two-sided inverses.
-    """
-    f = b.field
-    d = b.dim
-    delta = {(out, inp): v for out, inp, v in b.delta.terms()}
-    for i in range(d):
-        if delta.get(((i, i), (i,))) != f.one:
-            raise ValueError(f"basis vector {i} is not grouplike")
-        if b.eps.matrix.get(0, i) != f.one:
-            raise ValueError(f"eps(e_{i}) != 1")
-    if len(delta) != d:
-        raise ValueError("comultiplication is not grouplike on the basis")
-    products = {}
-    for out, inp, v in b.mu.terms():
-        products.setdefault(inp, []).append((out[0], v))
-    table = [[None] * d for _ in range(d)]
-    for i in range(d):
-        for j in range(d):
-            col = products.get((i, j), [])
-            if len(col) != 1 or col[0][1] != f.one:
-                raise ValueError(f"product e_{i} e_{j} is not a basis vector")
-            table[i][j] = col[0][0]
-    _validate_table(table, need_inverses=True)
-    return table
-
-
 # -- stock tables ---------------------------------------------------------
 
 

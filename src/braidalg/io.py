@@ -356,8 +356,9 @@ def rmatrix_from_json(data, base, where="r-matrix"):
     return RMatrix.from_coefficients(base, vec, inv)
 
 
-def load_rmatrix(path):
-    return load_with_base(path, rmatrix_from_json)[0]
+def load_rmatrix(path, bases=None):
+    """Load an R-matrix file together with its referenced base bialgebra (see ``load_with_base``)."""
+    return load_with_base(path, rmatrix_from_json, bases)[0]
 
 
 def save_rmatrix(path, r, bialgebra_path):

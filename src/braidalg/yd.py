@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import functools
 
-from .hopf import Bialgebra, on_tensor, opposites
-from .linalg import SparseMatrix, inverse as matrix_inverse
+from .hopf import Bialgebra, group_algebra, on_tensor, opposites, solve_antipode
+from .linalg import QQ, SparseMatrix, inverse as matrix_inverse
 from .report import AxiomReport
-from .tensor import LinMap, Space, apply_at, compose_chain, flip, from_terms, identity, rainbow_dual
+from .tensor import LinMap, Space, apply_at, compose_chain, flip, from_terms, identity, permutation_map, rainbow_dual
 
 
 class YDModule:
@@ -136,31 +136,34 @@ def left_regular_module(b):
     return YDModule(b, M, lam, None)
 
 
-def regular_yd_group_algebra(table_or_bialgebra, names=None, field=None):
-    """kG as a YD module over itself: adjoint action, grading coaction.
+def adjoint_yd(h):
+    """H as a YD module over itself: h.m = h_(2) m S^-1(h_(1)), delta = Delta.
 
-    Accepts either a group multiplication table (a group algebra base is
-    built) or a group-algebra bialgebra.
+    S is the stored antipode, or the solved one when none is stored; a
+    ValueError says when H has no antipode or S is singular.
     """
-    from .hopf import _validate_table, group_algebra, group_table_from_bialgebra
-    from .linalg import QQ
+    s = h.antipode if h.antipode is not None else solve_antipode(h)
+    if s is None:
+        raise ValueError(f"{h.space.label} has no antipode")
+    s_inv = matrix_inverse(s.matrix)
+    if s_inv is None:
+        raise ValueError(f"the antipode of {h.space.label} is singular")
+    f = h.field
+    H = h.space
+    M = Space(h.dim, H.label + "_yd", H.basis_names)
+    # h (x) m |-> h_(1) (x) h_(2) (x) m |-> h_(2) (x) m (x) h_(1) |-> h_(2) m S^-1(h_(1))
+    twist = permutation_map((H, H, H), (1, 2, 0), f)
+    lam = compose_chain([h.mu, h.mu.tensor(LinMap((H,), (H,), s_inv)), twist, h.delta.tensor(identity([H], f))])
+    return YDModule(h, M, LinMap((H, M), (M,), lam.matrix), LinMap((M,), (M, H), h.delta.matrix))
 
-    if isinstance(table_or_bialgebra, Bialgebra):
-        b = table_or_bialgebra
-        table = group_table_from_bialgebra(b)
-    else:
-        table = table_or_bialgebra
-        b = group_algebra(table, names=names, field=field or QQ)
-    f = b.field
-    n = b.dim
-    _, inv = _validate_table(table, need_inverses=True)
-    H, M = b.space, Space(n, b.space.label + "_yd", b.space.basis_names)
-    # lam(g (x) h) = g h g^-1
-    conjugates = (((table[table[g][h]][inv[g]],), (g, h), f.one) for g in range(n) for h in range(n))
-    lam = from_terms((H, M), (M,), conjugates, f)
-    # delta(h) = h (x) h
-    delta = from_terms((M,), (M, H), (((h, h), (h,), f.one) for h in range(n)), f)
-    return YDModule(b, M, lam, delta)
+
+def regular_yd_group_algebra(table_or_bialgebra, names=None, field=QQ):
+    """kG as a YD module over itself (conjugation action, grading coaction): the
+    adjoint_yd of a group algebra, given as a bialgebra or by its group table."""
+    b = table_or_bialgebra
+    if not isinstance(b, Bialgebra):
+        b = group_algebra(b, names=names, field=field)
+    return adjoint_yd(b)
 
 
 # -- braidings -------------------------------------------------------------
@@ -203,27 +206,19 @@ def yd_braiding(m, n, variant="standard"):
         raise ValueError(f"unknown variant {variant!r}")
     if not m.base.same_structure(n.base):
         raise ValueError("yd_braiding needs modules over the same bialgebra")
-    b = m.base
     f = m.field
-    M, N = m.space, n.space
-    id_M, id_N = identity([M], f), identity([N], f)
     if variant == "standard":
         c = standard_braiding(m.lam, n.delta, f)
     else:
         c = ring_braiding(m.delta, n.lam, f)
+    s = m.base.antipode
     c_inv = None
-    if b.antipode is not None:
-        s = b.antipode
+    if s is not None:
+        # the mirrored braiding, with the coaction twisted to x |-> x_(0) (x) s(x_(1))
         if variant == "standard":
-            # n (x) m |-> s(n_(1)).m (x) n_(0)
-            c_inv = compose_chain(
-                [flip(N, M, f), id_N.tensor(m.lam), id_N.tensor(s).tensor(id_M), n.delta.tensor(id_M)]
-            )
+            c_inv = ring_braiding(apply_at(s, 2, n.delta), m.lam, f)  # n (x) m |-> s(n_(1)).m (x) n_(0)
         else:
-            # n (x) m |-> m_(0) (x) s(m_(1)).n
-            c_inv = compose_chain(
-                [id_M.tensor(n.lam), id_M.tensor(s).tensor(id_N), m.delta.tensor(id_N), flip(N, M, f)]
-            )
+            c_inv = standard_braiding(n.lam, apply_at(s, 2, m.delta), f)  # n (x) m |-> m_(0) (x) s(m_(1)).n
         if not _check_two_sided_inverse(c, c_inv):
             raise ArithmeticError("antipode-built inverse failed the two-sided check")
     return c, c_inv

@@ -12,7 +12,6 @@ from braidalg.hopf import (
     d4_table,
     dual_bialgebra,
     group_algebra,
-    group_table_from_bialgebra,
     monoid_algebra,
     mu_tensor_square,
     opposites,
@@ -204,15 +203,6 @@ def test_shipped_examples_pass_their_levels_and_duals():
         level = "hopf" if b.antipode is not None else "bialgebra"
         assert check_bialgebra(b, level).passed, b
         assert check_bialgebra(dual_bialgebra(b), level).passed, b
-
-
-def test_group_table_recovery():
-    b = kS3()
-    assert group_table_from_bialgebra(b) == S3_TABLE
-    with pytest.raises(ValueError):
-        group_table_from_bialgebra(dual_bialgebra(b))
-    with pytest.raises(ValueError):
-        group_table_from_bialgebra(idempotent_monoid())
 
 
 def test_stock_tables():

@@ -409,6 +409,24 @@ def test_malformed_group_table_file_is_an_input_error(tmp_path, capsys, data, lo
     assert not os.path.exists(out)
 
 
+def test_cli_gen_regular_yd_on_a_dual_group_algebra(tmp_path):
+    h, hd, m = (str(tmp_path / name) for name in ("s3.json", "s3_dual.json", "m.json"))
+    assert run("gen", "group-algebra", "--group", "S3", "--field", "Fp:5", "-o", h) == 0
+    assert run("dual", "bialgebra", h, "-o", hd) == 0
+    assert run("gen", "regular-yd", "--hopf", hd, "-o", m) == 0
+    assert run("check", "yd", m) == 0
+
+
+def test_cli_gen_regular_yd_without_an_antipode_is_an_input_error(tmp_path, capsys):
+    from braidalg.hopf import monoid_algebra
+
+    h, out = str(tmp_path / "mon.json"), str(tmp_path / "m.json")
+    bio.save_bialgebra(h, monoid_algebra([[0, 1], [1, 1]]))
+    assert run("gen", "regular-yd", "--hopf", h, "-o", out) == 2
+    assert "mon.json: H has no antipode" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 @pytest.mark.parametrize("what", ["regular-yd", "trivial-yd"])
 def test_cli_gen_module_takes_no_field(tmp_path, capsys, what):
     h = str(tmp_path / "z2.json")
@@ -519,6 +537,30 @@ def test_cli_rmatrix_flow(tmp_path):
     assert run("rmatrix", "inverse", "--r", r, "-o", rinv) == 0
     loaded = bio.load_rmatrix(rinv)
     assert loaded.inverse is not None
+
+
+def test_cli_rmatrix_coaction_parses_the_base_once(tmp_path, monkeypatch, capsys):
+    from braidalg.yd import left_regular_module
+
+    monkeypatch.chdir(tmp_path)
+    for name, group in (("z2.json", "Z2"), ("z2_copy.json", "Z2"), ("z3.json", "Z3")):
+        run("gen", "group-algebra", "--group", group, "-o", name)
+    bio.save_yd_module("m.json", left_regular_module(bio.load_bialgebra("z2.json")), "z2.json")
+    for name, base, d in (("r.json", "z2.json", 2), ("r_copy.json", "z2_copy.json", 2), ("r3.json", "z3.json", 3)):
+        with open(name, "w") as fh:
+            json.dump({"bialgebra": base, "vector": ["1"] + ["0"] * (d * d - 1)}, fh)
+    loads = []
+    real_load = bio.load_bialgebra
+    monkeypatch.setattr(bio, "load_bialgebra", lambda path: loads.append(os.path.basename(path)) or real_load(path))
+    argv = ("rmatrix", "coaction", "--module", "m.json", "-o", "yd.json")
+    assert run(*argv, "--r", "r.json") == 0
+    assert loads == ["z2.json"]
+    loads.clear()
+    assert run(*argv, "--r", "r_copy.json") == 0
+    assert loads == ["z2.json", "z2_copy.json"]
+    capsys.readouterr()
+    assert run(*argv, "--r", "r3.json") == 2
+    assert "module and R-matrix reference different bialgebras" in capsys.readouterr().err
 
 
 def test_cli_rmatrix_inverse_fails_without_antipode(tmp_path, capsys):

@@ -5,14 +5,23 @@ import random
 
 import pytest
 
-from braidalg.hopf import Bialgebra, cyclic_group_table, dual_bialgebra, group_algebra, s3_table
+from braidalg.hopf import (
+    Bialgebra,
+    cyclic_group_table,
+    dual_bialgebra,
+    group_algebra,
+    monoid_algebra,
+    s3_table,
+    stock_group_table,
+)
 from braidalg.linalg import GF, QQ, SparseMatrix, inverse as matrix_inverse
 from braidalg.systems import random_precision_data
-from braidalg.tensor import LinMap, Space, compose_chain, flip, identity
+from braidalg.tensor import LinMap, Space, compose_chain, flip, from_terms, identity
 from braidalg.yd import (
     YDModule,
     YDModuleAlgebra,
     _fixed_maps,
+    adjoint_yd,
     change_of_basis,
     check_yd,
     dual_yd,
@@ -81,6 +90,87 @@ def test_regular_yd_grading_axiom_all_pairs():
             conj = elems.index(tuple(g[h[ginv[x]]] for x in range(3)))
             col = [m.lam.matrix.get(r, gi * 6 + hi) for r in range(6)]
             assert [r for r, v in enumerate(col) if v != QQ.zero] == [conj]
+
+
+def conjugation_yd(table, names, field):
+    """The reference kG YD module read off the group table: g.h = g h g^-1, delta(h) = h (x) h."""
+    b = group_algebra(table, names, field)
+    n = len(table)
+    e = table[0].index(0)  # 0 * e = 0
+    inv = [table[g].index(e) for g in range(n)]
+    H = b.space
+    M = Space(n, H.label + "_yd", H.basis_names)
+    conjugates = (((table[table[g][h]][inv[g]],), (g, h), field.one) for g in range(n) for h in range(n))
+    lam = from_terms((H, M), (M,), conjugates, field)
+    delta = from_terms((M,), (M, H), (((h, h), (h,), field.one) for h in range(n)), field)
+    return YDModule(b, M, lam, delta)
+
+
+def relabelled(table, names, rng):
+    """The same group with element a renamed perm[a], perm drawn from rng."""
+    n = len(table)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    out, out_names = [[0] * n for _ in range(n)], [None] * n
+    for a in range(n):
+        out_names[perm[a]] = names[a]
+        for b in range(n):
+            out[perm[a]][perm[b]] = perm[table[a][b]]
+    return out, out_names
+
+
+def assert_same_module(m, ref):
+    assert m.space == ref.space
+    for got, want in ((m.lam, ref.lam), (m.delta, ref.delta)):
+        assert (got.domain, got.codomain, got.matrix) == (want.domain, want.codomain, want.matrix)
+
+
+FIELDS = pytest.mark.parametrize("field", [QQ, GF(5), GF(3)], ids=["Q", "F5", "F3"])
+
+
+@FIELDS
+@pytest.mark.parametrize("group", ["S3", "D4", "Z4"])
+def test_adjoint_yd_of_a_group_algebra_is_table_conjugation(group, field):
+    ref = conjugation_yd(*stock_group_table(group), field)
+    assert_same_module(adjoint_yd(ref.base), ref)
+    assert_same_module(regular_yd_group_algebra(*stock_group_table(group), field=field), ref)
+
+
+def test_adjoint_yd_is_table_conjugation_on_relabelled_tables():
+    for seed in range(6):
+        rng = random.Random(seed)
+        table, names = relabelled(*stock_group_table(("S3", "D4", "Z4")[seed % 3]), rng)
+        ref = conjugation_yd(table, names, (QQ, GF(5), GF(3))[seed % 3])
+        assert_same_module(adjoint_yd(ref.base), ref)
+
+
+def test_adjoint_yd_solves_an_antipode_that_is_not_stored():
+    b = group_algebra(S3_TABLE, S3_NAMES)
+    bare = Bialgebra(b.space, b.mu, b.nu, b.delta, b.eps)
+    assert_same_module(adjoint_yd(bare), adjoint_yd(b))
+
+
+@FIELDS
+@pytest.mark.parametrize("group", ["S3", "D4", "Z4"])
+def test_adjoint_yd_of_a_dual_group_algebra_acts_by_the_counit(group, field):
+    # k^G is commutative, so h.m = h_(2) m S^-1(h_(1)) = eps(h) m
+    b = dual_bialgebra(group_algebra(*stock_group_table(group), field=field))
+    m = adjoint_yd(b)
+    assert check_yd(m, "yd").passed
+    assert m.lam.matrix == b.eps.tensor(identity([m.space], field)).matrix
+    assert m.delta.matrix == b.delta.matrix
+
+
+def test_adjoint_yd_needs_an_invertible_antipode():
+    mon = monoid_algebra([[0, 1], [1, 1]], names=("1", "e"))
+    with pytest.raises(ValueError, match="no antipode"):
+        adjoint_yd(mon)
+    with pytest.raises(ValueError, match="no antipode"):
+        regular_yd_group_algebra(mon)
+    b = group_algebra(Z2_TABLE, Z2_NAMES)
+    zero = LinMap((b.space,), (b.space,), SparseMatrix(QQ, 2, 2, {}))
+    with pytest.raises(ValueError, match="singular"):
+        adjoint_yd(Bialgebra(b.space, b.mu, b.nu, b.delta, b.eps, zero))
 
 
 def test_left_multiplication_with_grading_fails_yd():
@@ -259,6 +349,28 @@ def test_dual_yd_requires_coaction():
     b = group_algebra(Z2_TABLE, Z2_NAMES)
     with pytest.raises(ValueError):
         dual_yd(left_regular_module(b))
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=["Q", "F5"])
+def test_yd_braiding_inverses_equal_the_hand_written_composites(field):
+    kg = group_algebra(S3_TABLE, S3_NAMES, field)
+    dual = dual_bialgebra(kg)
+    for b, mods in ((kg, [adjoint_yd(kg), unit_yd(kg)]), (dual, [adjoint_yd(dual), dual_yd(adjoint_yd(kg))])):
+        s = b.antipode
+        for m, n in itertools.product(mods, repeat=2):
+            M, N = m.space, n.space
+            id_M, id_N = identity([M], field), identity([N], field)
+            # n (x) m |-> s(n_(1)).m (x) n_(0), and n (x) m |-> m_(0) (x) s(m_(1)).n
+            standard = compose_chain(
+                [flip(N, M, field), id_N.tensor(m.lam), id_N.tensor(s).tensor(id_M), n.delta.tensor(id_M)]
+            )
+            ring = compose_chain(
+                [id_M.tensor(n.lam), id_M.tensor(s).tensor(id_N), m.delta.tensor(id_N), flip(N, M, field)]
+            )
+            for variant, ref in (("standard", standard), ("ring", ring)):
+                c, c_inv = yd_braiding(m, n, variant)
+                assert (c_inv.domain, c_inv.codomain, c_inv.matrix) == (ref.domain, ref.codomain, ref.matrix)
+                assert (c_inv.domain, c_inv.codomain) == (c.codomain, c.domain)
 
 
 def test_yd_braiding_needs_same_base():
