@@ -59,8 +59,8 @@ mod = left_regular_module(Z2)
 ydm = yd_from_r(mod, r2)
 print("\ninduced YD module passes:", check_yd(ydm, "yd").passed)
 
-# its braiding is not the flip, and r_braiding checks the agreement with
-# the YD braiding entrywise before returning
+# its braiding is not the flip: r_braiding builds c_R as the YD braiding of
+# the induced coaction delta_R, and its inverse from R^{-1} the same way
 c, c_inv = r_braiding(mod, mod, r2)
 print("braiding differs from the flip:", c.matrix != flip(mod.space, mod.space, QQ).matrix)
 print("two-sided inverse found:", c_inv is not None)

@@ -57,7 +57,7 @@ print("monoid: sigma_{H,H*} rank", inv[(1, 2)]["rank"], "of", inv[(1, 2)]["size"
 Z2 = group_algebra(*cyclic_group_table(2), field=GF(5))
 rng = random.Random(1)
 alg = random_precision_data(Z2, 2, rng)
-_report, rows = precision_harness(alg, yd_base(Z2))
+rows = precision_harness(alg, yd_base(Z2))
 print()
 for row in rows:
     print(f"row {row['row']:28s} cYBE={row['cybe']!s:5s} axiom={row['axiom']!s:5s}")

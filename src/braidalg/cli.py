@@ -241,7 +241,7 @@ def cmd_harness(args):
     try:
         for trial in range(args.trials):
             alg = random_precision_data(b, args.dim, rng)
-            rep, rows = precision_harness(alg, base)
+            rows = precision_harness(alg, base)
             for row in rows:
                 stats = counts.setdefault(row["row"], [0, 0, 0])
                 stats[0] += int(row["axiom"])

@@ -162,7 +162,7 @@ def dual_action(b, dual):
     """The H-action on H* = dual: (h.l)(x) = l(x h), i.e. (ev (x) Id) o (Id (x) Delta*)."""
     f = b.field
     ev = evaluation(b.space, f)[1]  # H (x) H* -> k
-    return ev.tensor(identity([dual.space], f)).compose(identity([b.space], f).tensor(dual.delta))
+    return apply_at(ev, 1, identity([b.space], f).tensor(dual.delta))
 
 
 class YDBase:
@@ -410,13 +410,13 @@ PRECISION_ROWS = (
 
 
 def precision_harness(alg, base):
-    """Row-by-row equivalence "cYBE instance <=> structure axiom".
+    """Row-by-row equivalence "cYBE instance <=> structure axiom", one dict per row.
 
-    For each of the six rows the report carries three booleans: the side
-    condition, the cYBE instance, and the axiom.  Axioms and side
-    conditions are read from one ``check_yd(alg, "yd_algebra")`` report.
-    The row's equivalence holds when the side condition fails or the last
-    two agree; each row dict carries it as ``"equivalence"``.
+    Each of the six rows carries three booleans: the side condition
+    (``"side"``), the cYBE instance (``"cybe"``) and the axiom
+    (``"axiom"``).  Axioms and side conditions are read from one
+    ``check_yd(alg, "yd_algebra")`` report.  The row's ``"equivalence"``
+    holds when the side condition fails or the last two agree.
     The cYBE instances are those of ``yd_system(base, [alg], "ydalg")``,
     the system ``build_yd_system`` builds and checks from the candidate YD
     module algebra ``alg``; ``base`` is ``yd_base(alg.base)``, built once
@@ -426,7 +426,6 @@ def precision_harness(alg, base):
     tables = _column_tables(sys, sys.sigma)
     axioms = check_yd(alg, "yd_algebra")
     passed = {c.name: c.passed for c in axioms.checks}
-    rep = AxiomReport("precision harness (cYBE <=> axiom)")
     rows = []
     for name, triple, axiom, side in PRECISION_ROWS:
         lhs, rhs = _cybe_sides(sys, tables, *triple)
@@ -437,9 +436,7 @@ def precision_harness(alg, base):
         rows.append(
             {"row": name, "triple": triple, "side": side_ok, "cybe": cybe_ok, "axiom": ax_ok, "equivalence": held}
         )
-        rep.add(f"{name}_side", side_ok)
-        rep.add(f"{name}_equivalence", held)
-    return rep, rows
+    return rows
 
 
 def random_precision_data(h, dim_v, rng):

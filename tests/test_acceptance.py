@@ -134,7 +134,7 @@ def test_acceptance_3_precision_equivalences():
     rng = random.Random(20240)
     ok = True
     for _trial in range(100):
-        _rep, rows = precision_harness(random_precision_data(b, 2, rng), base)
+        rows = precision_harness(random_precision_data(b, 2, rng), base)
         for row in rows:
             ok &= row["side"] and (row["cybe"] == row["axiom"])
     elapsed = time.monotonic() - start

@@ -383,6 +383,14 @@ def test_cli_gen_rejects_non_group(tmp_path):
     assert run("gen", "group-algebra", "--group", "table", table_file, "-o", str(tmp_path / "x.json")) == 2
 
 
+@pytest.mark.parametrize("name", ["", "Z", "Z0", "A5"])
+def test_cli_gen_unknown_stock_group_is_an_input_error(tmp_path, capsys, name):
+    out = str(tmp_path / "h.json")
+    assert run("gen", "group-algebra", "--group", name, "-o", out) == 2
+    assert f"input error: unknown group name {name!r}" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 @pytest.mark.parametrize(
     "data, location",
     [

@@ -5,8 +5,17 @@ from fractions import Fraction
 
 import pytest
 
-from braidalg.hopf import Bialgebra, cyclic_group_table, dual_bialgebra, group_algebra, monoid_algebra, s3_table
-from braidalg.linalg import GF, QQ, SparseMatrix, kernel_basis
+from braidalg.hopf import (
+    Bialgebra,
+    cyclic_group_table,
+    dual_bialgebra,
+    group_algebra,
+    monoid_algebra,
+    mu_tensor_square,
+    on_tensor,
+    s3_table,
+)
+from braidalg.linalg import GF, QQ, SparseMatrix, inverse as matrix_inverse, kernel_basis
 from braidalg.rmatrix import (
     AntipodeMissingError,
     RMatrix,
@@ -20,7 +29,17 @@ from braidalg.rmatrix import (
 )
 from braidalg.systems import random_precision_data
 from braidalg.tensor import LinMap, compose_chain, flip, identity
-from braidalg.yd import YDModule, check_yd, left_regular_module, tensor_yd
+from braidalg.yd import (
+    YDModule,
+    check_yd,
+    is_two_sided_inverse,
+    left_regular_module,
+    regular_yd_group_algebra,
+    ring_braiding,
+    tensor_yd,
+    unit_yd,
+    yd_braiding,
+)
 
 S3_TABLE, S3_NAMES = s3_table()
 Z2_TABLE, Z2_NAMES = cyclic_group_table(2)
@@ -97,9 +116,88 @@ def test_r_braiding_unit_r_is_flip_and_matches_yd():
     b = kS3()
     mod = left_regular_module(b)
     r = unit_r_matrix(b)
-    c, c_inv = r_braiding(mod, mod, r)  # asserts c_R == c_YD internally
+    c, c_inv = r_braiding(mod, mod, r)
     assert c.matrix == flip(mod.space, mod.space, QQ).matrix
+    assert c.matrix == yd_braiding(yd_from_r(mod, r), yd_from_r(mod, r))[0].matrix
     assert c_inv is not None
+
+
+def _same_map(x, y):
+    return x.matrix == y.matrix and x.domain == y.domain and x.codomain == y.codomain
+
+
+def _algebra_inverse(b, vector):
+    """R^-1 in the algebra H (x) H, as a k -> H (x) H map, or None when R is not invertible."""
+    left = mu_tensor_square(b).compose(vector.tensor(identity([b.space, b.space], b.field)))
+    inv = matrix_inverse(left.matrix)
+    if inv is None:
+        return None
+    one = b.nu.tensor(b.nu)
+    return LinMap(one.domain, one.codomain, inv @ one.matrix)
+
+
+def _oracle_cases(b, rng, rand, modules, radford=None):
+    """(R, M, N): the unit R, Radford's R on kZ/2, and 20 random R that are not weak R-matrices,
+    each with its inverse in H (x) H when it has one and a random vector otherwise."""
+    d = b.dim
+    vectors = [unit_r_matrix(b).vector]
+    if radford is not None:
+        vectors.append(RMatrix.from_coefficients(b, radford).vector)
+    randoms = 0
+    while randoms < 20:
+        r = RMatrix.from_coefficients(b, [rand() for _ in range(d * d)])
+        if not check_r(r, "weak").passed:
+            vectors.append(r.vector)
+            randoms += 1
+    for vector in vectors:
+        inverse = _algebra_inverse(b, vector)
+        if inverse is None:
+            inverse = RMatrix.from_coefficients(b, [rand() for _ in range(d * d)]).vector
+        m, n = rng.choice(modules), rng.choice(modules)
+        yield RMatrix(b, vector, inverse), m, n
+
+
+@pytest.mark.parametrize("field_name", ["Z2/F5", "S3/Q"])
+def test_r_braiding_and_coaction_equal_the_old_formulas(field_name):
+    """delta_R = c o (Id (x) lam) o (R (x) Id), c_R = c o (lam_M (x) lam_N) o (Id (x) c (x) Id) o (R (x) Id)
+    and c_R^-1 = (lam_M (x) lam_N) o (Id (x) c (x) Id) o (R^-1 (x) c), written out here as the
+    formulas rmatrix used before it built them as YD braidings: the same maps, spaces included,
+    for the unit R, Radford's R and 20 random R that are not weak R-matrices."""
+    rng = random.Random(7)
+    radford = None
+    if field_name == "Z2/F5":
+        F = GF(5)
+        b = group_algebra(Z2_TABLE, Z2_NAMES, field=F)
+        modules = [left_regular_module(b)] + [random_precision_data(b, 2, rng) for _ in range(3)]
+        modules = [YDModule(b, m.space, m.lam) for m in modules]
+        radford = [3, 3, 3, 2]  # (1 (x) 1 + 1 (x) g + g (x) 1 - g (x) g) / 2
+
+        def rand():
+            return rng.randrange(5)
+
+    else:
+        F = QQ
+        b = kS3()
+        modules = [left_regular_module(b), regular_yd_group_algebra(S3_TABLE, S3_NAMES), unit_yd(b)]
+
+        def rand():
+            return Fraction(rng.randrange(-2, 3))
+
+    inverses = 0
+    for r, m, n in _oracle_cases(b, rng, rand, modules, radford):
+        H, M, N = b.space, m.space, n.space
+        old_delta = compose_chain([flip(H, M, F), identity([H], F).tensor(m.lam), r.vector.tensor(identity([M], F))])
+        assert _same_map(coaction_from_r(m, r), old_delta)
+        c, c_inv = r_braiding(m, n, r)
+        old_c = flip(M, N, F).compose(on_tensor(m.lam, n.lam, r.vector.tensor(identity([M, N], F))))
+        assert _same_map(c, old_c)
+        old_inv = on_tensor(m.lam, n.lam, r.inverse.tensor(flip(N, M, F)))
+        assert _same_map(ring_braiding(ring_braiding(r.inverse, n.lam, F), m.lam, F), old_inv)
+        assert (c_inv is not None) == is_two_sided_inverse(old_c, old_inv)
+        if c_inv is not None:
+            assert _same_map(c_inv, old_inv)
+            inverses += 1
+    assert inverses
 
 
 def test_r_braiding_does_not_depend_on_the_antipode():

@@ -52,24 +52,33 @@ def test_no_module_imports_dataclasses():
     assert not [p.name for p in sorted(SRC.glob("*.py")) if "dataclasses" in absolute_imports(p.read_text())]
 
 
+def _is_private(name):
+    return name.startswith("_") and not name.endswith("__")
+
+
 def private_module_reads(source):
-    """``alias._name`` reads of a module bound by ``import m`` or ``from pkg import m``, dunders aside."""
+    """Private names a module takes from a module it imports, dunders aside: ``alias._name`` reads
+    of a module bound by ``import m`` or ``from pkg import m``, and ``from m import _name``."""
     tree = ast.parse(source)
     modules = set()
+    found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             modules |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
-        elif isinstance(node, ast.ImportFrom) and node.module is None:  # from . import io
-            modules |= {alias.asname or alias.name for alias in node.names}
-    return sorted(
+        elif isinstance(node, ast.ImportFrom):
+            if node.module is None:  # from . import io
+                modules |= {alias.asname or alias.name for alias in node.names}
+            origin = "." * node.level + (node.module or "")
+            found += [f"from {origin} import {alias.name}" for alias in node.names if _is_private(alias.name)]
+    found += [
         f"{node.value.id}.{node.attr}"
         for node in ast.walk(tree)
         if isinstance(node, ast.Attribute)
         and isinstance(node.value, ast.Name)
         and node.value.id in modules
-        and node.attr.startswith("_")
-        and not node.attr.endswith("__")
-    )
+        and _is_private(node.attr)
+    ]
+    return sorted(found)
 
 
 def test_private_module_reads_skips_class_helpers_and_dunders():
@@ -78,6 +87,18 @@ def test_private_module_reads_skips_class_helpers_and_dunders():
         "bio._load_object(os.__name__)\nSparseMatrix._from_sums()\nos._exit\n"
     )
     assert private_module_reads(source) == ["bio._load_object", "os._exit"]
+
+
+def test_private_module_reads_sees_from_imports_of_private_names():
+    source = (
+        "from __future__ import annotations\nfrom .yd import YDModule, _check as check\n"
+        "from . import _helpers\nfrom os import __name__\ndef f():\n    from ..hopf import _validate_table\n"
+    )
+    assert private_module_reads(source) == [
+        "from . import _helpers",
+        "from ..hopf import _validate_table",
+        "from .yd import _check",
+    ]
 
 
 def test_no_module_reads_a_private_name_of_a_module_it_imported():

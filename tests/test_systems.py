@@ -420,8 +420,8 @@ def test_precision_harness_valid_inputs_all_rows_true():
     F = GF(5)
     b = group_algebra(Z2_TABLE, Z2_NAMES, field=F)
     ext = formal_unit_extend(regular_yd_group_algebra(Z2_TABLE, Z2_NAMES, field=F))
-    rep, rows = precision_harness(ext, yd_base(b))
-    assert rep.passed
+    rows = precision_harness(ext, yd_base(b))
+    assert all(r["side"] and r["equivalence"] for r in rows)
     assert all(r["side"] and r["cybe"] and r["axiom"] for r in rows)
 
 
@@ -450,9 +450,9 @@ def test_precision_harness_side_conditions_read_their_axioms(target, entry, fail
     m = getattr(ext, target)
     bump = SparseMatrix(F, m.matrix.n_rows, m.matrix.n_cols, {entry: F.one})
     alg = _with_map(ext, target, LinMap(m.domain, m.codomain, m.matrix + bump))
-    rep, rows = precision_harness(alg, yd_base(b))
+    rows = precision_harness(alg, yd_base(b))
     assert {r["row"] for r in rows if not r["side"]} == failing
-    assert all(rep[f"{name}_equivalence"].passed for name, *_ in PRECISION_ROWS)
+    assert {r["row"] for r in rows if r["equivalence"]} == {name for name, *_ in PRECISION_ROWS}
 
 
 def test_precision_harness_random_equivalence():
@@ -463,7 +463,7 @@ def test_precision_harness_random_equivalence():
     seen_false = {name: False for name, *_ in PRECISION_ROWS}
     seen_true = {name: False for name, *_ in PRECISION_ROWS}
     for _ in range(30):
-        _rep, rows = precision_harness(random_precision_data(b, 2, rng), base)
+        rows = precision_harness(random_precision_data(b, 2, rng), base)
         for r in rows:
             assert r["side"]
             assert r["cybe"] == r["axiom"]
@@ -471,7 +471,7 @@ def test_precision_harness_random_equivalence():
             seen_true[r["row"]] |= r["axiom"]
     # with dim 3 the associativity row also exercises its false branch
     for _ in range(10):
-        _rep, rows = precision_harness(random_precision_data(b, 3, rng), base)
+        rows = precision_harness(random_precision_data(b, 3, rng), base)
         for r in rows:
             assert r["cybe"] == r["axiom"]
             seen_false[r["row"]] |= not r["axiom"]
@@ -499,7 +499,7 @@ def test_precision_harness_checks_the_system_build_yd_system_builds():
                 shape = (m.matrix.n_rows, m.matrix.n_cols)
                 bump = SparseMatrix(F, *shape, {(rng.randrange(shape[0]), rng.randrange(shape[1])): 1})
                 alg = _with_map(alg, target, LinMap(m.domain, m.codomain, m.matrix + bump))
-            _rep, rows = precision_harness(alg, base)
+            rows = precision_harness(alg, base)
             built = verify_cybe(yd_system(base, [alg], "ydalg"))
             for r in rows:
                 assert r["cybe"] == built["cYBE({},{},{})".format(*r["triple"])].passed, (b.dim, dim, trial, r)
