@@ -147,14 +147,11 @@ def cmd_rmatrix(args):
         r = bio.load_rmatrix(args.r, {base_path: m.base})
         if not m.base.same_structure(r.base):
             raise InputError("module and R-matrix reference different bialgebras")
-        mod_rep = check_yd(m, "module")
-        weak_rep = check_r(r, "weak")
-        if not mod_rep.passed:
-            print(mod_rep)
-            return 1
-        if not weak_rep.passed:
-            print(weak_rep)
-            return 1
+        rep = check_yd(m, "module")
+        if rep.passed:
+            rep = check_r(r, "weak")
+        if not rep.passed:
+            return _print_report(rep)
         out = yd_from_r(m, r)
         bio.save_yd_module(args.output, out, _relref(base_path, args.output))
         print(f"wrote {args.output}")
@@ -230,10 +227,9 @@ def cmd_harness(args):
     if args.trials < 1:
         raise InputError(f"--trials must be at least 1, got {args.trials}")
     b = bio.load_bialgebra(args.hopf)
-    rep_pre = check_bialgebra(b, "bialgebra")
-    if not rep_pre.passed:
-        print(rep_pre)
-        return 1
+    rep = check_bialgebra(b, "bialgebra")
+    if not rep.passed:
+        return _print_report(rep)
     base = yd_base(b)
     rng = random.Random(args.seed)
     failures = 0

@@ -73,9 +73,7 @@ def eps_characters(s):
     char_h = (LinMap((s.space(1),), (), s.bialgebra.eps.matrix),) + zeros[1:]
     char_hs = zeros[:-1] + (LinMap((s.space(n),), (), s.dual.eps.matrix),)
     for ch in (char_h, char_hs):
-        rep = check_character(s, ch)
-        if not rep.passed:
-            raise AssertionError(f"built-in character failed: {rep.first_failure()}")
+        check_character(s, ch).require(AssertionError, "built-in character failed")
     return char_h, char_hs
 
 
@@ -196,9 +194,9 @@ def _composites_vanish(c, k, *pairs):
 
 
 def _verify_or_raise(c):
-    rep = c.bicomplex_report = verify_bicomplex(c)
-    if not rep.passed:
-        raise AssertionError(f"bidifferential identities fail: {rep.first_failure().name}")
+    # stored before the check: a caller that catches the failure reads the report
+    c.bicomplex_report = verify_bicomplex(c)
+    c.bicomplex_report.require(AssertionError, "bidifferential identities fail")
     return c
 
 
@@ -245,15 +243,11 @@ def homology_dims(c, which="d", cohomology=False):
 
 
 def _multidegrees(r, max_total):
-    for total in range(max_total + 1):
-        for cuts in itertools.combinations(range(total + r - 1), r - 1):
-            deg = []
-            prev = -1
-            for cut in cuts:
-                deg.append(cut - prev - 1)
-                prev = cut
-            deg.append(total + r - 1 - prev - 1)
-            yield tuple(deg)
+    """Every r-tuple of degrees with sum at most max_total, by total, lexicographic within a total."""
+    degs = [()]
+    for _ in range(r):
+        degs = [deg + (m,) for deg in degs for m in range(max_total + 1 - sum(deg))]
+    return sorted(degs, key=sum)
 
 
 def _component_types(deg):
@@ -272,38 +266,23 @@ def generic_differentials(s, zeta, xi, max_total_degree):
     the mirror image with the global sign (-1)^(n-1).
     """
     for ch in (zeta, xi):
-        rep = check_character(s, ch)
-        if not rep.passed:
-            raise ValueError(f"invalid braided character: {rep.first_failure()}")
-    f = s.field
-    r = s.rank
-    types_of = {deg: _component_types(deg) for deg in _multidegrees(r, max_total_degree)}
+        check_character(s, ch).require(ValueError, "invalid braided character")
+    types_of = {deg: _component_types(deg) for deg in _multidegrees(s.rank, max_total_degree)}
     dims = {deg: math.prod(s.space(t).dim for t in types) for deg, types in types_of.items()}
 
     d_blocks, dp_blocks = {}, {}
-
-    def add_block(blocks, src, dst, mat):
-        key = (src, dst)
-        if key in blocks:
-            blocks[key] = blocks[key] + mat
-        else:
-            blocks[key] = mat
-
     for deg, types in types_of.items():
         for i, ki in enumerate(types, start=1):
-            tgt = tuple(m - (1 if t == ki - 1 else 0) for t, m in enumerate(deg))
+            key = (deg, tuple(m - (1 if t == ki - 1 else 0) for t, m in enumerate(deg)))
             # (-1)^(i-1) on both sides: i-1 crossings to the front; (-1)^(n-1) times n-i to the back
             sign = -1 if (i - 1) % 2 else 1
-            # left differential: braid factor i to the front, apply zeta
-            if not zeta[ki - 1].is_zero():
-                comp = apply_at(zeta[ki - 1], 1, braid_factor(s, types, i, front=True))
-                add_block(d_blocks, deg, tgt, comp.scale(sign).matrix)
-            # right differential: braid factor i to the back, apply xi
-            if not xi[ki - 1].is_zero():
-                comp = apply_at(xi[ki - 1], len(types), braid_factor(s, types, i, front=False))
-                add_block(dp_blocks, deg, tgt, comp.scale(sign).matrix)
+            # left differential: braid factor i to the front, apply zeta; right: to the back, apply xi
+            for blocks, ch, front, slot in ((d_blocks, zeta, True, 1), (dp_blocks, xi, False, len(types))):
+                if not ch[ki - 1].is_zero():
+                    mat = apply_at(ch[ki - 1], slot, braid_factor(s, types, i, front=front)).scale(sign).matrix
+                    blocks[key] = blocks[key] + mat if key in blocks else mat
 
-    return _verify_or_raise(GradedComplex(f, dims, d_blocks, dp_blocks, max_total_degree))
+    return _verify_or_raise(GradedComplex(s.field, dims, d_blocks, dp_blocks, max_total_degree))
 
 
 # -- hand-coded Sweedler differentials ---------------------------------------
@@ -532,9 +511,7 @@ def yd_bidifferential(h, m, max_total_degree):
         d  = (-1)^(n+1) (d_cob + contraction of l_1)
         d' = (-1)^(n+1) (contraction of h_n) - d_bar.
     """
-    rep = check_yd(m, "yd")
-    if not rep.passed:
-        raise ValueError(f"module fails YD axioms: {rep.first_failure()}")
+    check_yd(m, "yd").require(ValueError, "module fails YD axioms")
     dims, line_d, line_dp = _line_blocks(h, m, unit_yd(h), 2, max_total_degree)
     d_blocks = {key: -mat for key, mat in line_dp.items()}
     dp_blocks = {key: -mat for key, mat in line_d.items()}
@@ -579,9 +556,7 @@ def coefficient_complex(h, m, n_mod, line, max_total_degree):
     if line not in COMPLEX_LINES:
         raise ValueError(f"line must be 1..4, got {line!r}")
     for mod, tag in ((m, "M"), (n_mod, "N")):
-        rep = check_yd(mod, "yd")
-        if not rep.passed:
-            raise ValueError(f"module {tag} fails YD axioms: {rep.first_failure()}")
+        check_yd(mod, "yd").require(ValueError, f"module {tag} fails YD axioms")
     blocks = _line_blocks(h, m, n_mod, line, max_total_degree)
     return _verify_or_raise(GradedComplex(h.field, *blocks, max_total_degree, line=line))
 
@@ -611,7 +586,7 @@ def pi_commutation_suite(h, m, n_mod, max_total_degree):
         for fam, blocks in pi_maps(h, m, n_mod, max_total_degree).items()
     }
     rep = AxiomReport("pairwise commutation of the contraction maps")
-    for a, b in itertools.combinations(sorted(by_src), 2):
+    for a, b in [(a, b) for a in sorted(by_src) for b in sorted(by_src) if a < b]:
         witness_deg = None
         for deg in _bidegrees(max_total_degree):
             if deg not in by_src[a] or deg not in by_src[b]:

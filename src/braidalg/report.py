@@ -78,6 +78,13 @@ class AxiomReport:
                 return c
         return None
 
+    def require(self, error, context):
+        """This report if every check passed; otherwise raise ``error(f"{context}: {first failure}")``."""
+        failed = self.first_failure()
+        if failed is not None:
+            raise error(f"{context}: {failed}")
+        return self
+
     def __getitem__(self, name):
         for c in self.checks:
             if c.name == name:

@@ -230,19 +230,12 @@ def build_yd_system(h, mods, variant="yd"):
     """
     if variant not in ("yd", "ydalg"):
         raise ValueError(f"unknown variant {variant!r}")
-    rep = check_bialgebra(h, "bialgebra")
-    if not rep.passed:
-        raise ValueError(f"base bialgebra fails axioms: {rep.first_failure()}")
+    check_bialgebra(h, "bialgebra").require(ValueError, "base bialgebra fails axioms")
     for m in mods:
-        mrep = check_yd(m, "yd_algebra" if variant == "ydalg" else "yd")
-        if not mrep.passed:
-            raise ValueError(f"module fails axioms: {mrep.first_failure()}")
-    if variant == "ydalg" and not all(isinstance(m, YDModuleAlgebra) for m in mods):
-        raise TypeError("variant 'ydalg' needs YDModuleAlgebra inputs")
+        # the "yd_algebra" level raises TypeError on a module that is not a YDModuleAlgebra
+        check_yd(m, "yd_algebra" if variant == "ydalg" else "yd").require(ValueError, "module fails axioms")
     sys = yd_system(yd_base(h), mods, variant)
-    rep = verify_cybe(sys)
-    if not rep.passed:
-        raise AssertionError(f"constructed system fails cYBE: {rep.first_failure()}")
+    verify_cybe(sys).require(AssertionError, "constructed system fails cYBE")
     return sys
 
 
@@ -358,40 +351,29 @@ def glue(s, lo, hi):
         raise ValueError(f"invalid glue range {lo}..{hi} for rank {r}")
     f = s.field
     span = list(range(lo, hi + 1))
-    block_spaces = [s.space(t) for t in span]
-    block = block_spaces[0]
-    for sp in block_spaces[1:]:
-        block = tensor_space(block, sp)
+    block = s.space(lo)
+    for t in span[1:]:
+        block = tensor_space(block, s.space(t))
 
-    old_new = {}
-    new_components = []
-    for t in range(1, lo):
-        new_components.append(s.space(t))
-        old_new[t] = t
-    new_components.append(block)
-    block_idx = lo
-    for t in range(hi + 1, r + 1):
-        new_components.append(s.space(t))
-        old_new[t] = t - (hi - lo)
-
-    sigma = {}
-    for (i, j), sig in s.sigma.items():
-        if i in old_new and j in old_new:
-            sigma[(old_new[i], old_new[j])] = sig
-    sigma[(block_idx, block_idx)] = identity([block, block], f)
+    # the block takes index lo; an index past it moves down by hi - lo
+    shift = hi - lo
+    sigma = {
+        (i - shift * (i > hi), j - shift * (j > hi)): sig
+        for (i, j), sig in s.sigma.items()
+        if i not in span and j not in span
+    }
+    sigma[(lo, lo)] = identity([block, block], f)
     for a in range(1, lo):
         # V_a threads left-to-right through the block
         comp = braid_factor(s, [a] + span, 1, front=False)
-        sigma[(old_new[a], block_idx)] = LinMap((s.space(a), block), (block, s.space(a)), comp.matrix)
+        sigma[(a, lo)] = LinMap((s.space(a), block), (block, s.space(a)), comp.matrix)
     for b in range(hi + 1, r + 1):
         # V_b threads right-to-left through the block
         comp = braid_factor(s, span + [b], len(span) + 1, front=True)
-        sigma[(block_idx, old_new[b])] = LinMap((block, s.space(b)), (s.space(b), block), comp.matrix)
+        sigma[(lo, b - shift)] = LinMap((block, s.space(b)), (s.space(b), block), comp.matrix)
 
-    out = BraidedSystem(tuple(new_components), sigma, f)
-    rep = verify_cybe(out)
-    if not rep.passed:
-        raise AssertionError(f"glued system fails cYBE: {rep.first_failure()}")
+    out = BraidedSystem((*s.components[: lo - 1], block, *s.components[hi:]), sigma, f)
+    verify_cybe(out).require(AssertionError, "glued system fails cYBE")
     return out
 
 

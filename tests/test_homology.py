@@ -38,7 +38,7 @@ from braidalg.hopf import (
 from braidalg.linalg import GF, QQ, SparseMatrix, inverse as minverse, rank as matrix_rank
 from braidalg.systems import BraidedSystem, build_yd_system, sigma_ass
 from braidalg.tensor import LinMap, Space, identity
-from braidalg.yd import YDModule, change_of_basis, dual_yd, regular_yd_group_algebra, unit_yd
+from braidalg.yd import YDModule, change_of_basis, check_yd, dual_yd, regular_yd_group_algebra, unit_yd
 
 Z2_TABLE, Z2_NAMES = cyclic_group_table(2)
 
@@ -189,10 +189,10 @@ def test_yd_bidifferential_report_swaps_the_failing_identities():
     with pytest.raises(ValueError, match="module fails YD axioms"):
         yd_bidifferential(b, bad, 3)
     blocks = homology._line_blocks(b, bad, triv, 2, 3)
-    with pytest.raises(AssertionError, match="bidifferential identities fail: d_squared@2"):
+    with pytest.raises(AssertionError, match="bidifferential identities fail: FAIL d_squared@2"):
         homology._verify_or_raise(GradedComplex(QQ, *blocks, 3))
     cx = _swapped(*blocks, 3)
-    with pytest.raises(AssertionError, match="bidifferential identities fail: d_prime_squared@2"):
+    with pytest.raises(AssertionError, match="bidifferential identities fail: FAIL d_prime_squared@2"):
         homology._verify_or_raise(cx)
     fresh = verify_bicomplex(cx)
     assert not fresh["d_prime_squared@2"].passed and fresh["d_squared@2"].passed
@@ -600,6 +600,22 @@ def test_pi_commutation_over_the_ground_field():
     triv = unit_yd(b)
     rep = pi_commutation_suite(b, triv, triv, 3)
     assert rep.passed
+
+
+@pytest.mark.parametrize("side, failing", [("M", "commute(hspi,pih)@(1, 1)"), ("N", "commute(hpi,pihs)@(1, 1)")])
+def test_pi_commutation_names_the_first_failing_degree(side, failing):
+    # kS3 acting on itself by left multiplication, with the grading coaction: a module and a
+    # comodule, not a YD module
+    t3, n3 = s3_table()
+    b = group_algebra(t3, n3)
+    reg, triv = regular_yd_group_algebra(b), unit_yd(b)
+    left = YDModule(b, reg.space, LinMap(reg.lam.domain, reg.lam.codomain, b.mu.matrix), reg.delta)
+    assert not check_yd(left, "yd").passed
+    m, n_mod = (left, triv) if side == "M" else (triv, left)
+    rep = pi_commutation_suite(b, m, n_mod, 3)
+    pairs = ("hpi,hspi", "hpi,pih", "hpi,pihs", "hspi,pih", "hspi,pihs", "pih,pihs")
+    assert [c.name.split("@")[0] for c in rep.checks] == [f"commute({p})" for p in pairs]
+    assert [c.name for c in rep.checks if not c.passed] == [failing]
 
 
 def test_contractions_on_noncommutative_and_noncocommutative_bases():

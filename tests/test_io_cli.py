@@ -735,6 +735,80 @@ def test_cli_build_rejects_mismatched_base(tmp_path, capsys):
     assert run("build", "yd-system", "--hopf", h3, "--mod", m, "--variant", "yd", "-o", str(tmp_path / "s.json")) == 2
 
 
+COUNIT_FAILS = "FAIL counit_{} @ input basis (1,) / output basis (1,): lhs=2 rhs=1\n"
+YD_FAILS = "FAIL yd_compatibility @ input basis (1, 1) / output basis (0, 0): lhs=0 rhs=1\n"
+
+# a failed required check on kZ/2 over F_5: the exact stdout (exit 1) and no output file.
+# bad_h.json has eps(g) = 2; nonyd.json is left multiplication with the grading coaction (a module
+# and a comodule, not YD); nonmod.json acts by zero; r_nonweak.json is R = 1 (x) 1 + 1 (x) g
+CHECK_FAILURE_RUNS = {
+    "build-bad-base": (
+        ("build", "yd-system", "--hopf", "bad_h.json", "--variant", "yd", "-o", "out.json"),
+        "FAIL base bialgebra fails axioms: " + COUNIT_FAILS.format("left"),
+    ),
+    "build-ydalg-plain-module": (
+        ("build", "yd-system", "--hopf", "h.json", "--mod", "reg.json", "--variant", "ydalg", "-o", "out.json"),
+        "FAIL yd_algebra level needs a YDModuleAlgebra\n",
+    ),
+    "build-non-yd-module": (
+        ("build", "yd-system", "--hopf", "h.json", "--mod", "nonyd.json", "--variant", "yd", "-o", "out.json"),
+        "FAIL module fails axioms: " + YD_FAILS,
+    ),
+    "homology-non-yd-M": (
+        ("homology", "--hopf", "h.json", "--mod", "nonyd.json", "--coeff", "triv.json", "--line", "4",
+         "--max-degree", "3", "-o", "out.json"),
+        "FAIL module M fails YD axioms: " + YD_FAILS,
+    ),
+    "homology-non-yd-N": (
+        ("homology", "--hopf", "h.json", "--mod", "reg.json", "--coeff", "nonyd.json", "--line", "1",
+         "--max-degree", "2", "-o", "out.json"),
+        "FAIL module N fails YD axioms: " + YD_FAILS,
+    ),
+    "rmatrix-coaction-non-module": (
+        ("rmatrix", "coaction", "--module", "nonmod.json", "--r", "r_nonweak.json", "-o", "out.json"),
+        "module axioms for M\nPASS action_associativity\n"
+        "FAIL action_unit @ input basis (0,) / output basis (0,): lhs=0 rhs=1\n",
+    ),
+    "rmatrix-coaction-non-weak-r": (
+        ("rmatrix", "coaction", "--module", "reg.json", "--r", "r_nonweak.json", "-o", "out.json"),
+        "weak R-matrix axioms over H\nPASS base_prerequisites\n"
+        "FAIL weak_1_delta_R @ input basis () / output basis (0, 0, 0): lhs=1 rhs=2\n"
+        "FAIL weak_2_eps_R @ input basis () / output basis (1,): lhs=1 rhs=0\nPASS weak_3_R_delta\n",
+    ),
+    "harness-precision-bad-base": (
+        ("harness", "precision", "--hopf", "bad_h.json", "--dim", "2", "--trials", "3", "--seed", "1"),
+        "bialgebra axioms for H\nPASS associativity\nPASS unit_left\nPASS unit_right\nPASS coassociativity\n"
+        + COUNIT_FAILS.format("left")
+        + COUNIT_FAILS.format("right")
+        + "PASS bialg_delta_mu\nPASS bialg_delta_nu\n"
+        "FAIL bialg_eps_mu @ input basis (1, 1) / output basis (): lhs=1 rhs=4\nPASS bialg_eps_nu\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", CHECK_FAILURE_RUNS, ids=list(CHECK_FAILURE_RUNS))
+def test_cli_prints_the_failed_required_check(tmp_path, monkeypatch, capsys, case):
+    monkeypatch.chdir(tmp_path)
+    assert run("gen", "group-algebra", "--group", "Z2", "--field", "Fp:5", "-o", "h.json") == 0
+    assert run("gen", "regular-yd", "--hopf", "h.json", "-o", "reg.json") == 0
+    assert run("gen", "trivial-yd", "--hopf", "h.json", "-o", "triv.json") == 0
+    edits = {
+        "bad_h.json": ("h.json", "counit", [1, 2]),
+        "nonyd.json": ("reg.json", "action", [[[1, 0], [0, 1]], [[0, 1], [1, 0]]]),
+        "nonmod.json": ("reg.json", "action", [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]),
+    }
+    for name, (source, key, value) in edits.items():
+        data = json.loads((tmp_path / source).read_text())
+        data[key] = value
+        (tmp_path / name).write_text(json.dumps(data))
+    (tmp_path / "r_nonweak.json").write_text(json.dumps({"bialgebra": "h.json", "vector": [1, 1, 0, 0]}))
+    argv, stdout = CHECK_FAILURE_RUNS[case]
+    capsys.readouterr()
+    assert run(*argv) == 1
+    assert capsys.readouterr() == (stdout, "")
+    assert not (tmp_path / "out.json").exists()
+
+
 def test_cli_parses_the_hopf_file_once_and_checks_every_other_base(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     run("gen", "group-algebra", "--group", "Z2", "-o", "z2.json")

@@ -104,3 +104,31 @@ def test_private_module_reads_sees_from_imports_of_private_names():
 def test_no_module_reads_a_private_name_of_a_module_it_imported():
     found = {p.name: private_module_reads(p.read_text()) for p in sorted(SRC.glob("*.py"))}
     assert not {name: reads for name, reads in found.items() if reads}
+
+
+def raises_calling_first_failure(source):
+    """Line numbers of the ``raise`` statements that call a ``first_failure`` method."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Raise)
+        and any(
+            isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute) and call.func.attr == "first_failure"
+            for call in ast.walk(node)
+        )
+    )
+
+
+def test_raises_calling_first_failure_skips_other_reads():
+    source = (
+        "if not rep.passed:\n    raise ValueError(f'bad: {rep.first_failure()}')\n"
+        "rep.add('x', ok, rep.first_failure().witness)\nraise KeyError(first_failure)\n"
+        "raise AssertionError(str(rep.first_failure().name))\n"
+    )
+    assert raises_calling_first_failure(source) == [2, 5]
+
+
+def test_every_failed_required_check_is_raised_through_require():
+    # AxiomReport.require is the one place that turns a failed report into an exception
+    found = {p.name: raises_calling_first_failure(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+    assert not {name: lines for name, lines in found.items() if lines}

@@ -340,6 +340,30 @@ def test_validate_uaa_system_equivalence_on_non_natural_xi():
     assert rep["equivalence_cond2_iff_cybe"].passed
 
 
+def test_validate_uaa_system_records_the_strict_triples_at_rank_three():
+    # three copies of kZ/2 over Q, xi the flip on every pair; then xi(1,3) scales g (x) g by 2,
+    # which keeps it natural for the units but not for mu
+    b = group_algebra(Z2_TABLE, Z2_NAMES)
+    c = flip(b.space, b.space, QQ)
+    xi = {(i, j): c for i in range(1, 4) for j in range(i + 1, 4)}
+    rep, s = validate_uaa_system([b, b, b], xi)
+    mu_checks = [f"mu_naturality({i},{j})_{side}" for i, j in ((1, 2), (1, 3), (2, 3)) for side in ("left", "right")]
+    names = mu_checks + ["strict_cYBE(1,2,3)", "full_cybe", "equivalence_cond2_iff_cybe"]
+    assert [c.name for c in rep.checks] == names and rep.passed
+    assert s.rank == 3 and s.sigma[(2, 2)].matrix == sigma_ass(b, "left").matrix
+    ent = dict(c.matrix.entries)
+    ent[(3, 3)] = 2
+    xi[(1, 3)] = LinMap(c.domain, c.codomain, SparseMatrix(QQ, 4, 4, ent))
+    rep, _ = validate_uaa_system([b, b, b], xi)
+    assert [c.name for c in rep.checks if not c.passed] == [
+        "mu_naturality(1,3)_left",
+        "mu_naturality(1,3)_right",
+        "full_cybe",
+    ]
+    assert str(rep["full_cybe"]) == "FAIL full_cybe @ input basis (1, 1, 1) / output basis (1, 0, 0): lhs=1 rhs=4"
+    assert rep["strict_cYBE(1,2,3)"].passed and rep["equivalence_cond2_iff_cybe"].passed
+
+
 def test_validate_uaa_system_rejects_non_unit_natural_xi():
     b = group_algebra(Z2_TABLE, Z2_NAMES)
     d = dual_bialgebra(b)
