@@ -14,7 +14,7 @@ import importlib
 
 _EXPORTS = {
     "linalg": "GF QQ SparseMatrix kernel_basis kronecker rank rref solve_linear",
-    "report": "AxiomReport CheckResult Witness",
+    "report": "AxiomReport CheckFailed CheckResult Witness",
     "tensor": "DimensionMismatch LinMap Space apply_at compose_chain embed_at evaluation flip identity rainbow_dual "
     "tensor_maps",
     "hopf": "Bialgebra UAA check_bialgebra cyclic_group_table d4_table dual_bialgebra group_algebra monoid_algebra "

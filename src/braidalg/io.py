@@ -167,7 +167,7 @@ def _load_json(path):
             return json.load(fh)
     except OSError as e:
         raise SchemaError(f"cannot read {path}: {e}") from None
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise SchemaError(f"{path}: invalid JSON ({e})") from None
 
 
@@ -180,8 +180,11 @@ def _load_object(path):
 
 
 def _dump_json(path, obj):
-    with open(path, "w") as fh:
-        fh.write(canonical_json(obj))
+    try:
+        with open(path, "w") as fh:
+            fh.write(canonical_json(obj))
+    except OSError as e:
+        raise SchemaError(f"cannot write {path}: {e}") from None
 
 
 def canonical_json(obj):
@@ -306,16 +309,18 @@ def load_with_base(path, from_json, bases=None):
 
     The object is ``from_json(data, base, where=path)``.  ``base`` is
     ``bases[resolved path]`` when ``bases`` (resolved path -> Bialgebra)
-    holds it, and otherwise the bialgebra loaded from the resolved path.
+    holds it; otherwise it is loaded from the resolved path and recorded in
+    ``bases``, so a later file naming the same base reuses it.
     """
     data = _load_object(path)
     if "bialgebra" not in data:
         raise SchemaError(f"{path}: missing key 'bialgebra'")
     base_path = resolve_reference(path, data["bialgebra"])
-    base = (bases or {}).get(base_path)
-    if base is None:
-        base = load_bialgebra(base_path)
-    return from_json(data, base, where=path), base_path
+    if bases is None:
+        bases = {}
+    if base_path not in bases:
+        bases[base_path] = load_bialgebra(base_path)
+    return from_json(data, bases[base_path], where=path), base_path
 
 
 def load_yd_module(path, bases=None):

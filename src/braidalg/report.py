@@ -5,6 +5,10 @@ from __future__ import annotations
 from .tensor import decode
 
 
+class CheckFailed(Exception):
+    """A required check failed; the message names the check and its first-failure witness."""
+
+
 class Witness:
     """First basis tuple where two maps differ, with both entries."""
 
@@ -78,11 +82,11 @@ class AxiomReport:
                 return c
         return None
 
-    def require(self, error, context):
-        """This report if every check passed; otherwise raise ``error(f"{context}: {first failure}")``."""
+    def require(self, context):
+        """This report if every check passed; otherwise raise ``CheckFailed(f"{context}: {first failure}")``."""
         failed = self.first_failure()
         if failed is not None:
-            raise error(f"{context}: {failed}")
+            raise CheckFailed(f"{context}: {failed}")
         return self
 
     def __getitem__(self, name):

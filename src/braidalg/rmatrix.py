@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from .hopf import check_bialgebra, mu_tensor_square, on_tensor, opposites, solve_antipode
 from .linalg import SparseMatrix
-from .report import AxiomReport
+from .report import AxiomReport, CheckFailed
 from .tensor import LinMap, apply_at, flip, identity
 from .yd import YDModule, is_two_sided_inverse, ring_braiding, standard_braiding
 
@@ -161,7 +161,7 @@ def antipode_inverse_r(r):
     """Fill in R^-1 = (s (x) Id) o R, verifying the inverse law exactly.
 
     Raises AntipodeMissingError when the base has no antipode (stored or
-    solvable), ArithmeticError when verification fails.
+    solvable), CheckFailed when verification fails.
     """
     b = r.base
     s = b.antipode if b.antipode is not None else solve_antipode(b)
@@ -170,5 +170,5 @@ def antipode_inverse_r(r):
     inv = apply_at(s, 1, r.vector)
     out = RMatrix(b, r.vector, inv)
     if not verify_r_inverse(out):
-        raise ArithmeticError("(s (x) Id) o R failed the two-sided inverse law")
+        raise CheckFailed("(s (x) Id) o R failed the two-sided inverse law")
     return out

@@ -16,7 +16,7 @@ import functools
 
 from .hopf import Bialgebra, group_algebra, on_tensor, opposites, solve_antipode
 from .linalg import QQ, SparseMatrix, inverse as matrix_inverse
-from .report import AxiomReport
+from .report import AxiomReport, CheckFailed
 from .tensor import LinMap, Space, apply_at, compose_chain, flip, from_terms, identity, permutation_map, rainbow_dual
 
 
@@ -228,7 +228,7 @@ def yd_braiding(m, n, variant="standard"):
         else:
             c_inv = standard_braiding(n.lam, apply_at(s, 2, m.delta), f)  # n (x) m |-> m_(0) (x) s(m_(1)).n
         if not is_two_sided_inverse(c, c_inv):
-            raise ArithmeticError("antipode-built inverse failed the two-sided check")
+            raise CheckFailed("antipode-built inverse failed the two-sided check")
     return c, c_inv
 
 

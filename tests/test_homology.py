@@ -36,6 +36,7 @@ from braidalg.hopf import (
     stock_group_table,
 )
 from braidalg.linalg import GF, QQ, SparseMatrix, inverse as minverse, rank as matrix_rank
+from braidalg.report import CheckFailed
 from braidalg.systems import BraidedSystem, build_yd_system, sigma_ass
 from braidalg.tensor import LinMap, Space, identity
 from braidalg.yd import YDModule, change_of_basis, check_yd, dual_yd, regular_yd_group_algebra, unit_yd
@@ -130,7 +131,7 @@ def test_generic_engine_needs_valid_characters():
     bad = (badmap, zero_character_map(s.space(2), QQ), zero_character_map(s.space(3), QQ))
     rep = check_character(s, bad)
     assert not rep["char(1,1)"].passed
-    with pytest.raises(ValueError):
+    with pytest.raises(CheckFailed, match="invalid braided character: FAIL char"):
         generic_differentials(s, bad, bad, 2)
 
 
@@ -186,13 +187,13 @@ def test_yd_bidifferential_report_swaps_the_failing_identities():
     swapped = _swapped(*homology._line_blocks(b, m, triv, 2, 3), 3)
     assert (ycx.d_blocks, ycx.dprime_blocks) == (swapped.d_blocks, swapped.dprime_blocks)
     bad = _swap_acting_module(b, m)
-    with pytest.raises(ValueError, match="module fails YD axioms"):
+    with pytest.raises(CheckFailed, match="module fails YD axioms"):
         yd_bidifferential(b, bad, 3)
     blocks = homology._line_blocks(b, bad, triv, 2, 3)
-    with pytest.raises(AssertionError, match="bidifferential identities fail: FAIL d_squared@2"):
+    with pytest.raises(CheckFailed, match="bidifferential identities fail: FAIL d_squared@2"):
         homology._verify_or_raise(GradedComplex(QQ, *blocks, 3))
     cx = _swapped(*blocks, 3)
-    with pytest.raises(AssertionError, match="bidifferential identities fail: FAIL d_prime_squared@2"):
+    with pytest.raises(CheckFailed, match="bidifferential identities fail: FAIL d_prime_squared@2"):
         homology._verify_or_raise(cx)
     fresh = verify_bicomplex(cx)
     assert not fresh["d_prime_squared@2"].passed and fresh["d_squared@2"].passed

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import shlex
 import tempfile
 from fractions import Fraction
 from functools import reduce
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from braidalg import io as bio
-from braidalg.cli import main
+from braidalg.cli import build_parser, main
 from braidalg.hopf import Bialgebra, check_bialgebra, cyclic_group_table, dual_bialgebra, group_algebra, s3_table
 from braidalg.linalg import GF, QQ
 from braidalg.rmatrix import RMatrix, unit_r_matrix
@@ -356,6 +357,35 @@ def test_structure_constant_layouts_follow_the_schema(tmp_path):
 
 def run(*argv):
     return main(list(argv))
+
+
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+
+
+def readme_commands(text):
+    """The argument lists of the ``braidalg`` lines in the first code block under "## Command line",
+    with continuation lines joined and ``#`` comments stripped."""
+    section = text.split("\n## Command line\n", 1)[1]
+    block = section.split("```", 2)[1]
+    argvs = (shlex.split(line, comments=True) for line in block.replace("\\\n", " ").splitlines())
+    return [argv[1:] for argv in argvs if argv[:1] == ["braidalg"]]
+
+
+def test_readme_commands_joins_continuations_and_strips_comments():
+    text = "## Other\n```sh\nbraidalg skipped\n```\n## Command line\n\n```sh\nbraidalg a --b c \\\n    --d e  # f\npython x\n```\n"
+    assert readme_commands(text) == [["a", "--b", "c", "--d", "e"]]
+
+
+def test_every_readme_command_parses():
+    with open(README) as fh:
+        argvs = readme_commands(fh.read())
+    assert len(argvs) >= 14
+    parser = build_parser()
+    for argv in argvs:
+        try:
+            assert callable(parser.parse_args(argv).func)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: braidalg {' '.join(argv)}")
 
 
 def test_cli_gen_check_pipeline(tmp_path, capsys):
@@ -746,10 +776,6 @@ CHECK_FAILURE_RUNS = {
         ("build", "yd-system", "--hopf", "bad_h.json", "--variant", "yd", "-o", "out.json"),
         "FAIL base bialgebra fails axioms: " + COUNIT_FAILS.format("left"),
     ),
-    "build-ydalg-plain-module": (
-        ("build", "yd-system", "--hopf", "h.json", "--mod", "reg.json", "--variant", "ydalg", "-o", "out.json"),
-        "FAIL yd_algebra level needs a YDModuleAlgebra\n",
-    ),
     "build-non-yd-module": (
         ("build", "yd-system", "--hopf", "h.json", "--mod", "nonyd.json", "--variant", "yd", "-o", "out.json"),
         "FAIL module fails axioms: " + YD_FAILS,
@@ -786,9 +812,8 @@ CHECK_FAILURE_RUNS = {
 }
 
 
-@pytest.mark.parametrize("case", CHECK_FAILURE_RUNS, ids=list(CHECK_FAILURE_RUNS))
-def test_cli_prints_the_failed_required_check(tmp_path, monkeypatch, capsys, case):
-    monkeypatch.chdir(tmp_path)
+def write_failure_inputs(tmp_path):
+    """The kZ/2 F_5 files of CHECK_FAILURE_RUNS and INPUT_ERROR_RUNS, written in the current directory."""
     assert run("gen", "group-algebra", "--group", "Z2", "--field", "Fp:5", "-o", "h.json") == 0
     assert run("gen", "regular-yd", "--hopf", "h.json", "-o", "reg.json") == 0
     assert run("gen", "trivial-yd", "--hopf", "h.json", "-o", "triv.json") == 0
@@ -802,11 +827,91 @@ def test_cli_prints_the_failed_required_check(tmp_path, monkeypatch, capsys, cas
         data[key] = value
         (tmp_path / name).write_text(json.dumps(data))
     (tmp_path / "r_nonweak.json").write_text(json.dumps({"bialgebra": "h.json", "vector": [1, 1, 0, 0]}))
+    (tmp_path / "utf16.json").write_bytes("{}".encode("utf-16"))  # starts with the bytes ff fe
+
+
+@pytest.mark.parametrize("case", CHECK_FAILURE_RUNS, ids=list(CHECK_FAILURE_RUNS))
+def test_cli_prints_the_failed_required_check(tmp_path, monkeypatch, capsys, case):
+    monkeypatch.chdir(tmp_path)
+    write_failure_inputs(tmp_path)
     argv, stdout = CHECK_FAILURE_RUNS[case]
     capsys.readouterr()
     assert run(*argv) == 1
     assert capsys.readouterr() == (stdout, "")
     assert not (tmp_path / "out.json").exists()
+
+
+NOT_AN_ALGEBRA = "input error: reg.json: no multiplication data (not a module algebra)\n"
+
+# an input error on the files of write_failure_inputs: exit 2, nothing on stdout, one line on stderr
+# that starts with the given text, and no output file; missing/ is a directory that does not exist
+INPUT_ERROR_RUNS = {
+    "build-ydalg-plain-module": (
+        ("build", "yd-system", "--hopf", "h.json", "--mod", "reg.json", "--variant", "ydalg", "-o", "out.json"),
+        NOT_AN_ALGEBRA,
+    ),
+    "check-yd-algebra-plain-module": (("check", "yd-algebra", "reg.json"), NOT_AN_ALGEBRA),
+    "gen-unwritable-output": (
+        ("gen", "group-algebra", "--group", "Z2", "-o", "missing/out.json"),
+        "input error: cannot write missing/out.json: ",
+    ),
+    "homology-unwritable-output": (
+        ("homology", "--hopf", "h.json", "--mod", "reg.json", "--coeff", "triv.json", "--line", "4",
+         "--max-degree", "2", "-o", "missing/out.json"),
+        "input error: cannot write missing/out.json: ",
+    ),
+    "check-hopf-non-utf8": (
+        ("check", "hopf", "utf16.json"),
+        "input error: utf16.json: invalid JSON ('utf-8' codec can't decode byte 0xff in position 0",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", INPUT_ERROR_RUNS, ids=list(INPUT_ERROR_RUNS))
+def test_cli_refuses_the_input_with_exit_two(tmp_path, monkeypatch, capsys, case):
+    monkeypatch.chdir(tmp_path)
+    write_failure_inputs(tmp_path)
+    argv, stderr = INPUT_ERROR_RUNS[case]
+    capsys.readouterr()
+    assert run(*argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(stderr) and err.count("\n") == 1 and err.endswith("\n")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out.json").exists() and not (tmp_path / "missing").exists()
+
+
+def test_cli_prints_a_failed_theorem_check_of_build_and_homology(tmp_path, monkeypatch, capsys):
+    """The cYBE check of ``build`` and the bidifferential check of ``homology`` can fail only on a
+    faulty library, so each is forced to fail here: FAIL with the failed check on stdout, exit 1."""
+    from braidalg import homology, systems
+    from braidalg.report import AxiomReport
+    from braidalg.tensor import flip
+
+    monkeypatch.chdir(tmp_path)
+    assert run("gen", "group-algebra", "--group", "S3", "--field", "Fp:5", "-o", "s3.json") == 0
+    assert run("gen", "regular-yd", "--hopf", "s3.json", "-o", "reg.json") == 0
+    real_verify_cybe = systems.verify_cybe
+
+    def verify_with_flip(s):
+        # the system with sigma_{H,M} replaced by the flip, as in the perturbed-S3 pin above
+        sigma = dict(s.sigma)
+        sigma[(1, 2)] = flip(s.space(1), s.space(2), s.field)
+        return real_verify_cybe(BraidedSystem(s.components, sigma, s.field))
+
+    monkeypatch.setattr(systems, "verify_cybe", verify_with_flip)
+    failing = AxiomReport().add("d_squared@1", True).add("d_squared@2", False)
+    monkeypatch.setattr(homology, "verify_bicomplex", lambda c: failing)
+    capsys.readouterr()
+    assert run("build", "yd-system", "--hopf", "s3.json", "--mod", "reg.json", "--variant", "yd", "-o", "sys.json") == 1
+    assert capsys.readouterr() == (
+        "FAIL constructed system fails cYBE: "
+        "FAIL cYBE(1,2,3) @ input basis (2, 1, 3) / output basis (0, 1, 2): lhs=0 rhs=1\n",
+        "",
+    )
+    argv = ("homology", "--hopf", "s3.json", "--mod", "reg.json", "--coeff", "reg.json", "--line", "1")
+    assert run(*argv, "--max-degree", "2", "-o", "report.json") == 1
+    assert capsys.readouterr() == ("FAIL bidifferential identities fail: FAIL d_squared@2\n", "")
+    assert not (tmp_path / "sys.json").exists() and not (tmp_path / "report.json").exists()
 
 
 def test_cli_parses_the_hopf_file_once_and_checks_every_other_base(tmp_path, monkeypatch, capsys):
@@ -830,6 +935,28 @@ def test_cli_parses_the_hopf_file_once_and_checks_every_other_base(tmp_path, mon
     capsys.readouterr()
     assert run(*argv, "--coeff", "t3.json") == 2
     assert "t3.json: module base differs from z2.json" in capsys.readouterr().err
+
+
+def test_cli_check_parses_a_base_that_several_files_name_once(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    run("gen", "group-algebra", "--group", "Z2", "-o", "z2.json")
+    run("gen", "group-algebra", "--group", "Z2", "-o", "z2_copy.json")
+    run("gen", "regular-yd", "--hopf", "z2.json", "-o", "m.json")
+    run("gen", "trivial-yd", "--hopf", "z2.json", "-o", "t.json")
+    run("gen", "trivial-yd", "--hopf", "z2_copy.json", "-o", "t_copy.json")
+    for name, base in (("r.json", "z2.json"), ("r_copy.json", "z2_copy.json")):
+        (tmp_path / name).write_text(json.dumps({"bialgebra": base, "vector": ["1", "0", "0", "0"]}))
+    loads = []
+    real_load = bio.load_bialgebra
+    monkeypatch.setattr(bio, "load_bialgebra", lambda path: loads.append(os.path.basename(path)) or real_load(path))
+    assert run("check", "yd", "m.json", "t.json") == 0
+    assert loads == ["z2.json"]
+    loads.clear()
+    assert run("check", "yd", "m.json", "t_copy.json", "t.json") == 0
+    assert loads == ["z2.json", "z2_copy.json"]
+    loads.clear()
+    assert run("check", "rmatrix", "--level", "strong", "r.json", "r_copy.json", "r.json") == 0
+    assert loads == ["z2.json", "z2_copy.json"]
 
 
 def test_gen_outputs_reverify(tmp_path):

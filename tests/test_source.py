@@ -132,3 +132,59 @@ def test_every_failed_required_check_is_raised_through_require():
     # AxiomReport.require is the one place that turns a failed report into an exception
     found = {p.name: raises_calling_first_failure(p.read_text()) for p in sorted(SRC.glob("*.py"))}
     assert not {name: lines for name, lines in found.items() if lines}
+
+
+def caught_exceptions(source):
+    """(enclosing function, exception name) for each exception an ``except`` clause names, at any
+    depth; a bare ``except:`` names ``BaseException``, and a module-level clause has function None."""
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.ExceptHandler):
+                kinds = child.type.elts if isinstance(child.type, ast.Tuple) else [child.type]
+                for kind in kinds:
+                    name = "BaseException" if kind is None else ast.unparse(kind).rsplit(".", 1)[-1]
+                    found.append((function, name))
+            visit(child, function)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_caught_exceptions_names_the_enclosing_function():
+    source = (
+        "try:\n    pass\nexcept OSError:\n    pass\n"
+        "def main():\n    try:\n        run()\n    except (report.CheckFailed, KeyError) as e:\n"
+        "        def inner():\n            try:\n                pass\n            except:\n                pass\n"
+    )
+    assert caught_exceptions(source) == [
+        (None, "OSError"),
+        ("main", "CheckFailed"),
+        ("main", "KeyError"),
+        ("inner", "BaseException"),
+    ]
+
+
+def test_only_main_turns_a_failed_required_check_into_an_exit_code():
+    # a failed required check raises CheckFailed, and cli.main alone prints it and returns 1; a
+    # command that caught it, or a broader class, or the library's own errors, would decide again
+    caught = caught_exceptions((SRC / "cli.py").read_text())
+    assert ("main", "CheckFailed") in caught
+    swallowing = {"CheckFailed", "Exception", "BaseException"}
+    assert not [(f, name) for f, name in caught if name in swallowing and f != "main"]
+    assert not [(f, name) for f, name in caught if name in {"AssertionError", "ArithmeticError", "TypeError"}]
+
+
+def test_every_require_call_passes_only_its_context():
+    calls = [
+        (p.name, node.lineno, len(node.args) + len(node.keywords))
+        for p in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(p.read_text()))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "require"
+    ]
+    assert len(calls) >= 10
+    assert not [call for call in calls if call[2] != 1]

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -26,7 +27,7 @@ from braidalg.systems import (
     yd_base,
     yd_system,
 )
-from braidalg.report import AxiomReport
+from braidalg.report import AxiomReport, CheckFailed
 from braidalg.tensor import (
     DimensionMismatch,
     LinMap,
@@ -336,6 +337,13 @@ def test_validate_uaa_system_equivalence_on_non_natural_xi():
     xi = LinMap((b.space, d.space), (d.space, b.space), SparseMatrix(QQ, 4, 4, ent))
     rep, _ = validate_uaa_system([b, d], {(1, 2): xi})
     assert not rep["mu_naturality(1,2)_left"].passed or not rep["mu_naturality(1,2)_right"].passed
+    # g (x) g (x) e*: xi o (mu (x) id) gives e* (x) e once; the other side 5 e* (x) e - 4 g* (x) e
+    assert str(rep["mu_naturality(1,2)_left"]) == (
+        "FAIL mu_naturality(1,2)_left @ input basis (1, 1, 0) / output basis (0, 0): lhs=1 rhs=5"
+    )
+    assert str(rep["mu_naturality(1,2)_right"]) == (
+        "FAIL mu_naturality(1,2)_right @ input basis (1, 0, 0) / output basis (0, 1): lhs=2 rhs=4"
+    )
     assert not rep["full_cybe"].passed
     assert rep["equivalence_cond2_iff_cybe"].passed
 
@@ -368,7 +376,11 @@ def test_validate_uaa_system_rejects_non_unit_natural_xi():
     b = group_algebra(Z2_TABLE, Z2_NAMES)
     d = dual_bialgebra(b)
     bad = LinMap((b.space, d.space), (d.space, b.space), SparseMatrix(QQ, 4, 4))
-    with pytest.raises(ValueError, match="units"):
+    message = (
+        "xi(1,2) is not natural with respect to the units: "
+        "FAIL unit_naturality_left @ input basis (0,) / output basis (0, 0): lhs=0 rhs=1"
+    )
+    with pytest.raises(CheckFailed, match=re.escape(message)):
         validate_uaa_system([b, d], {(1, 2): bad})
 
 
@@ -416,7 +428,7 @@ def test_build_yd_system_validates_inputs():
     from braidalg.yd import YDModule
 
     bad = YDModule(b, m.space, LinMap(m.lam.domain, m.lam.codomain, b.mu.matrix), m.delta)
-    with pytest.raises(ValueError, match="module fails"):
+    with pytest.raises(CheckFailed, match="module fails"):
         build_yd_system(b, [bad], "yd")
     with pytest.raises(TypeError):
         build_yd_system(b, [m], "ydalg")
