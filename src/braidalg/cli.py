@@ -189,8 +189,7 @@ def cmd_rmatrix(args):
     try:
         filled = antipode_inverse_r(r)
     except AntipodeMissingError as e:
-        print(f"FAIL no antipode: {e}")
-        return 1
+        raise InputError(f"{args.r}: {e}") from None
     bio.save_rmatrix(args.output, filled, _relref(base_path, args.output))
     print(f"wrote {args.output}")
     return 0

@@ -17,7 +17,7 @@ from __future__ import annotations
 import functools
 import itertools
 
-from .linalg import QQ, SparseMatrix
+from .linalg import QQ, SparseMatrix, solve_linear
 from .report import AxiomReport
 from .tensor import (
     LinMap,
@@ -121,8 +121,6 @@ def solve_antipode(b):
     against the right half (a one-sided convolution inverse need not be
     two-sided).
     """
-    from .linalg import solve_linear
-
     f = b.field
     H = b.space
     # unknown (c, a) is s[c, a], the coefficient of e_c in s(e_a); equation (i, j) is the

@@ -59,8 +59,8 @@ def _scalar_reader(f):
     """read(raw, locate): the scalar over f that raw stores, each distinct int or string parsed once.
 
     ``locate()`` spells out raw's location; it is called only for a value
-    that warns (an F_p int outside 0..p-1) or fails, and every occurrence of
-    such a value warns or fails again.
+    that warns (an F_p int or string outside 0..p-1) or fails, and every
+    occurrence of such a value warns or fails again.
     """
     parsed = {}
 
@@ -69,13 +69,13 @@ def _scalar_reader(f):
             return parsed[raw]
         try:
             v = f.parse(raw)
-            if f.p is None or type(raw) is not int or 0 <= raw < f.p:
+            if f.p is None or 0 <= int(raw) < f.p:
                 parsed[raw] = v
                 return v
         except FieldError:
-            pass
+            v = None
         where = locate()
-        if f.p is not None and isinstance(raw, int) and not (0 <= raw < f.p):
+        if v is not None:
             warnings.warn(f"{where}: coefficient {raw} normalised modulo {f.p}")
         try:
             return f.parse(raw, where)
@@ -167,7 +167,7 @@ def _load_json(path):
             return json.load(fh)
     except OSError as e:
         raise SchemaError(f"cannot read {path}: {e}") from None
-    except (json.JSONDecodeError, UnicodeDecodeError) as e:
+    except (ValueError, RecursionError) as e:  # also an int past the digit limit, or lists nested too deep
         raise SchemaError(f"{path}: invalid JSON ({e})") from None
 
 

@@ -79,7 +79,8 @@ class Field:
             try:
                 return self.reduce(int(text))
             except ValueError:
-                if self.p is not None:
+                # an exponent past Python's default 4300-digit int limit would build a huge int
+                if self.p is not None or abs(int(text.lower().partition("e")[2] or 0)) > 4300:
                     raise
                 return self.reduce(Fraction(text))
         except (ValueError, ZeroDivisionError):
@@ -259,26 +260,13 @@ class SparseMatrix:
 
     # -- elimination --------------------------------------------------
 
-    def _dict_rows(self):
-        rows = [dict() for _ in range(self.n_rows)]
-        for (r, c), v in self.entries.items():
-            rows[r][c] = v
-        return rows
-
     def rref_data(self):
-        """Row reduce; returns (rows, pivot_cols) with rows as sparse dicts.
-
-        rows[i] is the reduced row of pivot_cols[i]; the trailing
-        n_rows - rank rows are empty.
-        """
+        """Row reduce: {pivot column: its reduced row}, ascending, each row a sparse dict leading with 1."""
         pivots = _eliminate(self, reduced=True)
-        cols = sorted(pivots)
         f = self.field
         if f.p is not None:
-            rows = [pivots[c] for c in cols]
-        else:
-            rows = [{k: f.reduce(Fraction(v, pivots[c][c])) for k, v in pivots[c].items()} for c in cols]
-        return rows + [{} for _ in range(self.n_rows - len(cols))], cols
+            return {c: pivots[c] for c in sorted(pivots)}
+        return {c: {k: f.reduce(Fraction(v, pivots[c][c])) for k, v in pivots[c].items()} for c in sorted(pivots)}
 
 
 def _clear(r, c, prow, p):
@@ -323,8 +311,11 @@ def _eliminate(m, reduced=False):
     rref_data normalises them.
     """
     p = m.field.p
+    rows = [{} for _ in range(m.n_rows)]
+    for (i, c), v in m.entries.items():
+        rows[i][c] = v
     pivots = {}
-    for r in m._dict_rows():
+    for r in rows:
         if p is None:
             den = lcm(*(v.denominator for v in r.values()))
             r = {k: v.numerator * (den // v.denominator) for k, v in r.items()}
@@ -354,11 +345,8 @@ def _eliminate(m, reduced=False):
 
 def rref(m):
     """Reduced row-echelon form of m; returns (rref_matrix, rank)."""
-    rows, pivots = m.rref_data()
-    ent = {}
-    for r, row in enumerate(rows):
-        for c, v in row.items():
-            ent[(r, c)] = v
+    pivots = m.rref_data()
+    ent = {(r, c): v for r, row in enumerate(pivots.values()) for c, v in row.items()}
     return SparseMatrix(m.field, m.n_rows, m.n_cols, ent), len(pivots)
 
 
@@ -368,26 +356,34 @@ def rank(m):
 
 
 def kernel_basis(m):
-    """Basis of the right kernel {v : m v = 0}, as dense scalar lists.
-
-    One basis vector per free column; length of the list is
-    n_cols - rank(m).
-    """
+    """Basis of the right kernel {v : m v = 0}: one dense scalar list per free column."""
     f = m.field
-    rows, pivots = m.rref_data()
-    pivot_of_col = {c: r for r, c in enumerate(pivots)}
+    pivots = m.rref_data()
     basis = []
     for free in range(m.n_cols):
-        if free in pivot_of_col:
+        if free in pivots:
             continue
         vec = [f.zero] * m.n_cols
         vec[free] = f.one
-        for c, r in pivot_of_col.items():
-            coeff = rows[r].get(free)
-            if coeff is not None:
-                vec[c] = f.reduce(-coeff)
+        for c, row in pivots.items():
+            if free in row:
+                vec[c] = f.reduce(-row[free])
         basis.append(vec)
     return basis
+
+
+def _solve(a, rhs, k):
+    """{(pivot column, j): x} solving a x = rhs, where rhs is {(row, j): scalar} with j < k.
+
+    [a | rhs] is eliminated once and free variables are 0; None when a pivot
+    falls among rhs's columns (some column of rhs is not in a's column space).
+    """
+    n = a.n_cols
+    aug = SparseMatrix(a.field, a.n_rows, n + k, {**a.entries, **{(r, n + j): v for (r, j), v in rhs.items()}})
+    pivots = aug.rref_data()
+    if any(c >= n for c in pivots):
+        return None
+    return {(c, j - n): v for c, row in pivots.items() for j, v in row.items() if j >= n}
 
 
 def solve_linear(a, b):
@@ -397,18 +393,8 @@ def solve_linear(a, b):
     """
     if len(b) != a.n_rows:
         raise ValueError(f"rhs length {len(b)} != {a.n_rows} rows")
-    f = a.field
-    aug_ent = dict(a.entries)
-    for r, v in enumerate(b):
-        aug_ent[(r, a.n_cols)] = v
-    aug = SparseMatrix(f, a.n_rows, a.n_cols + 1, aug_ent)
-    rows, pivots = aug.rref_data()
-    if a.n_cols in pivots:
-        return None
-    x = [f.zero] * a.n_cols
-    for r, c in enumerate(pivots):
-        x[c] = rows[r].get(a.n_cols, f.zero)
-    return x
+    x = _solve(a, {(r, 0): v for r, v in enumerate(b)}, 1)
+    return None if x is None else [x.get((c, 0), a.field.zero) for c in range(a.n_cols)]
 
 
 def kronecker(a, b):
@@ -416,21 +402,9 @@ def kronecker(a, b):
 
 
 def inverse(m):
-    """Exact inverse of a square matrix, or None if singular."""
+    """Exact inverse of a square matrix, or None if singular (a pivot then falls in the identity block)."""
     if m.n_rows != m.n_cols:
         return None
-    f = m.field
     n = m.n_rows
-    aug_ent = dict(m.entries)
-    for i in range(n):
-        aug_ent[(i, n + i)] = f.one
-    aug = SparseMatrix(f, n, 2 * n, aug_ent)
-    rows, pivots = aug.rref_data()
-    if pivots != list(range(n)):
-        return None
-    ent = {}
-    for r, row in enumerate(rows):
-        for c, v in row.items():
-            if c >= n:
-                ent[(r, c - n)] = v
-    return SparseMatrix(f, n, n, ent)
+    x = _solve(m, {(i, i): m.field.one for i in range(n)}, n)
+    return None if x is None else SparseMatrix(m.field, n, n, x)

@@ -165,37 +165,27 @@ def dual_action(b, dual):
     return apply_at(ev, 1, identity([b.space], f).tensor(dual.delta))
 
 
-class YDBase:
-    """What the sigma table of (H, M_1..M_r, H*) takes from H alone.
-
-    ``dual`` is ``dual_bialgebra(h)``, ``lam_dual`` its H-action
-    ``dual_action(h, dual)``, and ``sigmas`` holds sigma_{H,H},
-    sigma_{H*,H*} and sigma_{H,H*}.  Built by ``yd_base``; a caller building
-    many systems over one h builds it once.
-    """
-
-    def __init__(self, h, dual, lam_dual, sigmas):
-        self.h = h
-        self.dual = dual
-        self.lam_dual = lam_dual
-        self.sigmas = sigmas
-
-
-def yd_base(h):
-    """The YDBase of h: H*, its H-action and the three braidings among H and H*."""
-    dual = dual_bialgebra(h)
-    lam_dual = dual_action(h, dual)
-    sigmas = (sigma_ass(h, "right"), sigma_ass(dual, "left"), ring_braiding(h.delta, lam_dual, h.field))
-    return YDBase(h, dual, lam_dual, sigmas)
-
-
 class YDSystem(BraidedSystem):
-    """Braided system (H, M_1..M_r, H*), keeping H and H*."""
+    """Braided system (H, M_1..M_r, H*), keeping H, H* and the H-action on H*."""
 
-    def __init__(self, components, sigma, field, bialgebra, dual):
+    def __init__(self, components, sigma, field, bialgebra, dual, lam_dual):
         super().__init__(components, sigma, field)
         self.bialgebra = bialgebra
         self.dual = dual
+        self.lam_dual = lam_dual
+
+
+def yd_base(h):
+    """The unchecked rank-2 system (H, H*) of h, whose sigma_{H,H*} is invertible exactly when h has an antipode.
+
+    ``yd_system`` inserts modules between its two components; a caller
+    building many systems over one h builds it once.
+    """
+    dual = dual_bialgebra(h)
+    lam_dual = dual_action(h, dual)
+    sigma = {(1, 1): sigma_ass(h, "right"), (2, 2): sigma_ass(dual, "left")}
+    sigma[1, 2] = ring_braiding(h.delta, lam_dual, h.field)
+    return YDSystem((h.space, dual.space), sigma, h.field, h, dual, lam_dual)
 
 
 def yd_system(base, mods, variant):
@@ -204,20 +194,20 @@ def yd_system(base, mods, variant):
     ``mods`` are YD modules (variant "yd") or YD module algebras (variant
     "ydalg"); no axioms are assumed and nothing is checked.
     """
-    h = base.h
+    h = base.bialgebra
     f = h.field
     n = len(mods) + 2
     coaction = [h.delta] + [m.delta for m in mods]  # of components 1..n-1 (H coacts on itself via Delta)
     action = [m.lam for m in mods] + [base.lam_dual]  # of components 2..n
-    sigma = dict(zip([(1, 1), (n, n), (1, n)], base.sigmas))
+    sigma = {(1, 1): base.sigma[1, 1], (n, n): base.sigma[2, 2], (1, n): base.sigma[1, 2]}
     for t, m in enumerate(mods, start=2):
         sigma[(t, t)] = identity([m.space, m.space], f) if variant == "yd" else sigma_ass(m, "left")
     for i in range(1, n):
         for j in range(i + 1, n + 1):
             if (i, j) != (1, n):
                 sigma[(i, j)] = ring_braiding(coaction[i - 1], action[j - 2], f)
-    components = (h.space,) + tuple(m.space for m in mods) + (base.dual.space,)
-    return YDSystem(components, sigma, f, h, base.dual)
+    components = (base.space(1), *(m.space for m in mods), base.space(2))
+    return YDSystem(components, sigma, f, h, base.dual, base.lam_dual)
 
 
 def build_yd_system(h, mods, variant="yd"):

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import functools
 
-from .hopf import Bialgebra, group_algebra, on_tensor, opposites, solve_antipode
+from .hopf import Bialgebra, dual_bialgebra, group_algebra, on_tensor, opposites, solve_antipode
 from .linalg import QQ, SparseMatrix, inverse as matrix_inverse
 from .report import AxiomReport, CheckFailed
 from .tensor import LinMap, Space, apply_at, compose_chain, flip, from_terms, identity, permutation_map, rainbow_dual
@@ -301,8 +301,6 @@ def dual_yd(n):
     Action and coaction are the order-reversing duals of the original
     coaction and action.
     """
-    from .hopf import dual_bialgebra
-
     if n.delta is None:
         raise ValueError("dual_yd needs a full YD module (coaction present)")
     dual_base = dual_bialgebra(n.base)

@@ -72,6 +72,24 @@ def test_fp_coefficient_normalized_with_warning(tmp_path):
     assert loaded.eps.matrix.get(0, 1) == 1
 
 
+def test_fp_string_coefficient_normalized_with_warning(tmp_path):
+    # a string outside [0, p) warns as the int does, once per occurrence
+    b = group_algebra(Z2_TABLE, Z2_NAMES, field=GF(5))
+    data = bio.bialgebra_to_json(b)
+    data["counit"] = ["6", "6"]  # == 1 mod 5
+    data["mul"][0][0][0] = "-4"
+    path = tmp_path / "fp.json"
+    path.write_text(json.dumps(data))
+    with pytest.warns(UserWarning) as caught:
+        loaded = bio.load_bialgebra(path)
+    assert [str(w.message) for w in caught] == [
+        f"{path}.mul[0][0][0]: coefficient -4 normalised modulo 5",
+        f"{path}.counit[0]: coefficient 6 normalised modulo 5",
+        f"{path}.counit[1]: coefficient 6 normalised modulo 5",
+    ]
+    assert loaded.same_structure(b)
+
+
 def test_missing_keys_and_bad_field(tmp_path):
     path = tmp_path / "x.json"
     path.write_text(json.dumps({"field": {"kind": "Q"}, "dim": 1}))
@@ -602,6 +620,7 @@ def test_cli_rmatrix_coaction_parses_the_base_once(tmp_path, monkeypatch, capsys
 
 
 def test_cli_rmatrix_inverse_fails_without_antipode(tmp_path, capsys):
+    # like gen regular-yd on the same base: an input error, since there is no check to witness
     from braidalg.hopf import monoid_algebra
 
     h = str(tmp_path / "mon.json")
@@ -609,8 +628,9 @@ def test_cli_rmatrix_inverse_fails_without_antipode(tmp_path, capsys):
     r = str(tmp_path / "r.json")
     with open(r, "w") as fh:
         json.dump({"bialgebra": "mon.json", "vector": ["1", "0", "0", "0"]}, fh)
-    assert run("rmatrix", "inverse", "--r", r, "-o", str(tmp_path / "out.json")) == 1
-    assert "no antipode" in capsys.readouterr().out
+    assert run("rmatrix", "inverse", "--r", r, "-o", str(tmp_path / "out.json")) == 2
+    assert capsys.readouterr() == ("", f"input error: {r}: no antipode on H\n")
+    assert not (tmp_path / "out.json").exists()
 
 
 def test_cli_rmatrix_inverse_reports_a_failed_inverse_law(tmp_path, capsys):
@@ -828,6 +848,12 @@ def write_failure_inputs(tmp_path):
         (tmp_path / name).write_text(json.dumps(data))
     (tmp_path / "r_nonweak.json").write_text(json.dumps({"bialgebra": "h.json", "vector": [1, 1, 0, 0]}))
     (tmp_path / "utf16.json").write_bytes("{}".encode("utf-16"))  # starts with the bytes ff fe
+    data = json.loads((tmp_path / "h.json").read_text())
+    data["counit"][0] = "digits"
+    (tmp_path / "big_int.json").write_text(json.dumps(data).replace('"digits"', "9" * 5000))
+    (tmp_path / "deep.json").write_text("[" * 100_000 + "]" * 100_000)
+    data["field"], data["counit"] = {"kind": "Q"}, ["1e10000000", "1"]
+    (tmp_path / "huge_exponent.json").write_text(json.dumps(data))
 
 
 @pytest.mark.parametrize("case", CHECK_FAILURE_RUNS, ids=list(CHECK_FAILURE_RUNS))
@@ -863,6 +889,18 @@ INPUT_ERROR_RUNS = {
     "check-hopf-non-utf8": (
         ("check", "hopf", "utf16.json"),
         "input error: utf16.json: invalid JSON ('utf-8' codec can't decode byte 0xff in position 0",
+    ),
+    "check-hopf-5000-digit-int": (
+        ("check", "hopf", "big_int.json"),
+        "input error: big_int.json: invalid JSON (Exceeds the limit (4300 digits) for integer string conversion",
+    ),
+    "check-hopf-deep-nesting": (
+        ("check", "hopf", "deep.json"),
+        "input error: deep.json: invalid JSON (maximum recursion depth exceeded",
+    ),
+    "check-hopf-huge-exponent": (
+        ("check", "hopf", "huge_exponent.json"),
+        "input error: malformed rational '1e10000000' at huge_exponent.json.counit[0]\n",
     ),
 }
 

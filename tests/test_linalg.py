@@ -359,7 +359,7 @@ def test_every_stored_scalar_is_canonical_after_each_operation(case):
     sol = solve_linear(a, [ax.get(r, 0) for r in range(a.n_rows)])
     assert sol is not None
     assert_canonical(f, [v for vec in kernel_basis(a) + [sol] for v in vec])
-    assert_canonical(f, [v for row in a.rref_data()[0] for v in row.values()])
+    assert_canonical(f, [v for row in a.rref_data().values() for v in row.values()])
 
 
 def assert_as_constructed(m):
@@ -420,6 +420,16 @@ def test_rational_parse_accepts_exactly_what_fraction_accepts(text):
         got = QQ.parse(text)
         assert got == expected
         assert_canonical(QQ, [got])
+
+
+def test_rational_parse_refuses_an_exponent_past_the_int_digit_limit():
+    # 10**4300 still fits Python's default 4300-digit limit on int strings; a larger exponent would
+    # build a huge int (1e10000000 is a 33-Mbit numerator), so it is a malformed rational
+    assert QQ.parse("1e2") == 100 and QQ.parse("1.5") == Fraction(3, 2) and QQ.parse("-6/4") == Fraction(-3, 2)
+    assert QQ.parse("1e4300") == 10**4300 and QQ.parse("1E-4300") == Fraction(1, 10**4300)
+    for text in ("1e4301", "2.5E-4301", "1e10000000", "1e" + "9" * 5000):
+        with pytest.raises(FieldError, match="malformed rational"):
+            QQ.parse(text)
 
 
 # -- the product laws every sigma composite relies on ---------------------------

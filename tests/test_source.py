@@ -188,3 +188,48 @@ def test_every_require_call_passes_only_its_context():
     ]
     assert len(calls) >= 10
     assert not [call for call in calls if call[2] != 1]
+
+
+def _imported_module(node):
+    """The module an import statement imports from, dots included: ``.hopf``, ``os.path``, or ``.io``
+    for ``from . import io`` (one entry per name)."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    dots = "." * node.level
+    return [dots + node.module] if node.module else [dots + alias.name for alias in node.names]
+
+
+def stale_function_imports(source):
+    """(function, module) for each import inside a function from a module that the file already
+    imports at module level, where it could be read directly."""
+    tree = ast.parse(source)
+    top = {m for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom)) for m in _imported_module(node)}
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+            elif function is not None and isinstance(child, (ast.Import, ast.ImportFrom)):
+                found.extend((function, m) for m in _imported_module(child) if m in top)
+            else:
+                visit(child, function)
+
+    visit(tree, None)
+    return found
+
+
+def test_stale_function_imports_skips_lazy_imports_of_other_modules():
+    source = (
+        "import os\nfrom . import io as bio\nfrom .hopf import Bialgebra\n"
+        "def f():\n    from .hopf import dual_bialgebra\n    from .homology import coefficient_complex\n"
+        "    import os.path\n    def g():\n        from .io import load\n        import os\n"
+        "class C:\n    def m(self):\n        if True:\n            from .hopf import group_algebra\n"
+    )
+    assert stale_function_imports(source) == [("f", ".hopf"), ("g", ".io"), ("g", "os"), ("m", ".hopf")]
+
+
+def test_no_function_imports_from_a_module_its_file_imports_at_module_level():
+    # a module the file imports anyway costs nothing more to import at the top, where readers look
+    found = {p.name: stale_function_imports(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+    assert not {name: imports for name, imports in found.items() if imports}

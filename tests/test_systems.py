@@ -77,6 +77,17 @@ def test_rank_0_system_encodes_the_bialgebra():
     assert verify_cybe(build_yd_system(mon, [], "yd")).passed
 
 
+@pytest.mark.parametrize("variant", ["yd", "ydalg"])
+def test_yd_base_is_the_system_of_h_and_its_dual(variant):
+    """yd_base(h) is the unchecked rank-2 system (H, H*); yd_system inserts no module into it."""
+    for h in (group_algebra(S3_TABLE, S3_NAMES), monoid_algebra([[0, 1], [1, 1]])):
+        base = yd_base(h)
+        assert base.components == (h.space, base.dual.space) and base.bialgebra is h
+        assert sorted(base.sigma) == [(1, 1), (1, 2), (2, 2)]
+        s = yd_system(base, [], variant)
+        assert s.sigma == yd_base(h).sigma and s.components == base.components
+
+
 def test_sigma_component_formulas():
     b = group_algebra(S3_TABLE, S3_NAMES)
     m = regular_yd_group_algebra(S3_TABLE, S3_NAMES)
