@@ -122,33 +122,33 @@ class GradedComplex:
         return mat
 
     def _blocks_at(self, which, k):
-        """[(src, dst, block)] of d or d_prime out of the components of total degree k."""
-        return [(src, dst, mat) for src in self.degrees_at(k) for dst, mat in self.by_source[which].get(src, ())]
+        """[(src, dst, block)] of d, d_prime or both (total) out of the components of total degree k."""
+        fams = ("d", "d_prime") if which == "total" else (which,)
+        return [(s, t, mat) for fam in fams for s in self.degrees_at(k) for t, mat in self.by_source[fam].get(s, ())]
 
     def assemble(self, which, k):
-        """The total-degree matrix C_k -> C_{k-1} for which in d|d_prime|total."""
-        if which == "total":
-            return self.assemble("d", k) + self.assemble("d_prime", k)
+        """The total-degree matrix C_k -> C_{k-1} for which in d|d_prime|total: the sum of its blocks."""
         col_off, row_off = (_offsets(self.dims, self.degrees_at(j)) for j in (k, k - 1))
         ent = {}
         for src, dst, mat in self._blocks_at(which, k):
             ro, co = row_off[dst], col_off[src]
             for (r, c), v in mat.entries.items():
-                ent[(ro + r, co + c)] = v
+                key = (ro + r, co + c)
+                ent[key] = ent.get(key, 0) + v
         return SparseMatrix(self.field, self.chain_dim(k - 1), self.chain_dim(k), ent)
 
     def rank(self, which, k):
         """rank of assemble(which, k), computed at most once; 0 outside 1..max_total.
 
-        Blocks of d or d' that pair sources and targets one to one assemble
-        to their direct sum, so they are ranked one by one instead.
+        Blocks that pair sources and targets one to one assemble to their
+        direct sum, so they are ranked one by one instead.
         """
         if not 1 <= k <= self.max_total:
             return 0
         key = (which, k)
         if key not in self._ranks:
-            blocks = self._blocks_at(which, k) if which != "total" else None
-            if blocks is not None and len({s for s, _, _ in blocks}) == len({t for _, t, _ in blocks}) == len(blocks):
+            blocks = self._blocks_at(which, k)
+            if len({s for s, _, _ in blocks}) == len({t for _, t, _ in blocks}) == len(blocks):
                 self._ranks[key] = sum(matrix_rank(mat) for _, _, mat in blocks)
             else:
                 self._ranks[key] = matrix_rank(self.assemble(which, k))
@@ -480,10 +480,6 @@ def _assemble(f, src_dims, dst_dims, pieces):
         for p, q in zip(passed, kept):
             steps = [(v * dst_stride[q], v * src_stride[p]) for v in range(src_dims[p])]
             offsets = [(ro + dr, co + dc) for ro, co in offsets for dr, dc in steps]
-        if not ent:
-            # within one piece the tiles are disjoint
-            ent = {(ro + r, co + c): v for ro, co in offsets for (r, c), v in core_ent.items()}
-            continue
         for ro, co in offsets:
             for (r, c), v in core_ent.items():
                 key = (ro + r, co + c)

@@ -68,6 +68,10 @@ class Bialgebra(UAA):
             and self.eps.matrix == other.eps.matrix
         )
 
+    def find_antipode(self):
+        """The stored antipode, else the one ``solve_antipode`` finds; None when there is none."""
+        return self.antipode if self.antipode is not None else solve_antipode(self)
+
     def __repr__(self):
         return f"Bialgebra({self.space.label}, dim={self.dim}, antipode={'yes' if self.antipode else 'no'})"
 

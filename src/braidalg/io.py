@@ -55,34 +55,29 @@ def field_spec_json(f):
     return {"kind": "Fp", "p": f.p}
 
 
-def _scalar_reader(f):
-    """read(raw, locate): the scalar over f that raw stores, each distinct int or string parsed once.
+def _basis_names(names, d, where):
+    """The optional basis names of a d-dimensional space: None or d distinct strings."""
+    if names is None:
+        return None
+    strings = isinstance(names, list) and all(isinstance(x, str) for x in names)
+    if not (strings and len(set(names)) == len(names) == d):
+        raise SchemaError(f"{where}: expected {d} distinct names")
+    return tuple(names)
 
-    ``locate()`` spells out raw's location; it is called only for a value
-    that warns (an F_p int or string outside 0..p-1) or fails, and every
-    occurrence of such a value warns or fails again.
+
+def _read_scalar(f, raw, locate):
+    """The scalar over f that raw stores.
+
+    ``locate()`` spells out raw's location, for a value that fails or warns (over F_p, one outside 0..p-1).
     """
-    parsed = {}
-
-    def read(raw, locate):
-        if (type(raw) is int or type(raw) is str) and raw in parsed:
-            return parsed[raw]
-        try:
-            v = f.parse(raw)
-            if f.p is None or 0 <= int(raw) < f.p:
-                parsed[raw] = v
-                return v
-        except FieldError:
-            v = None
+    try:
+        v = f.parse(raw)
+    except FieldError as e:
+        raise SchemaError(f"{e} at {locate()}") from None
+    if f.p is not None and not 0 <= int(raw) < f.p:
         where = locate()
-        if v is not None:
-            warnings.warn(f"{where}: coefficient {raw} normalised modulo {f.p}")
-        try:
-            return f.parse(raw, where)
-        except FieldError as e:
-            raise SchemaError(str(e)) from None
-
-    return read
+        warnings.warn(f"{where}: coefficient {raw} normalised modulo {f.p}")
+    return v
 
 
 def _flatten(data, shape, out):
@@ -103,9 +98,8 @@ def _flatten(data, shape, out):
 def _parse_cube(f, data, shape, where):
     """The scalars of a nested list of the given shape, flattened row-major.
 
-    The scalars go through one ``_scalar_reader``; the errors and warnings
-    are those of a depth-first walk parsing each scalar in turn, in the
-    same order.
+    The errors and warnings are those of a depth-first walk parsing each
+    scalar in turn, in the same order.
     """
     leaves = []
     bad = _flatten(data, shape, leaves)
@@ -117,8 +111,7 @@ def _parse_cube(f, data, shape, where):
             index.append(f"[{i}]")
         return where + "".join(reversed(index))
 
-    read = _scalar_reader(f)
-    out = [read(raw, lambda: locate(k)) for k, raw in enumerate(leaves)]
+    out = [_read_scalar(f, raw, lambda: locate(k)) for k, raw in enumerate(leaves)]
     if bad is not None:
         raise SchemaError(f"{where}{''.join(f'[{i}]' for i in bad)}: expected a list of length {shape[len(bad)]}")
     return out
@@ -151,16 +144,6 @@ def _map_json(m):
     return cube(())
 
 
-def _basis_names(names, d, where):
-    """The optional basis names of a d-dimensional space: None or d distinct strings."""
-    if names is None:
-        return None
-    strings = isinstance(names, list) and all(isinstance(x, str) for x in names)
-    if not (strings and len(set(names)) == len(names) == d):
-        raise SchemaError(f"{where}: expected {d} distinct names")
-    return tuple(names)
-
-
 def _load_json(path):
     try:
         with open(path) as fh:
@@ -179,11 +162,12 @@ def _load_object(path):
     return data
 
 
-def _dump_json(path, obj):
+def _dump_json(path, to_json, *args):
     try:
+        text = canonical_json(to_json(*args))  # FieldError: a value too long to write
         with open(path, "w") as fh:
-            fh.write(canonical_json(obj))
-    except OSError as e:
+            fh.write(text)
+    except (FieldError, OSError) as e:
         raise SchemaError(f"cannot write {path}: {e}") from None
 
 
@@ -230,7 +214,7 @@ def bialgebra_from_json(data, where="bialgebra"):
 
 
 def save_bialgebra(path, b):
-    _dump_json(path, bialgebra_to_json(b))
+    _dump_json(path, bialgebra_to_json, b)
 
 
 def load_bialgebra(path):
@@ -329,7 +313,7 @@ def load_yd_module(path, bases=None):
 
 
 def save_yd_module(path, m, bialgebra_path):
-    _dump_json(path, yd_module_to_json(m, bialgebra_path))
+    _dump_json(path, yd_module_to_json, m, bialgebra_path)
 
 
 # -- R-matrices ---------------------------------------------------------------
@@ -367,7 +351,7 @@ def load_rmatrix(path, bases=None):
 
 
 def save_rmatrix(path, r, bialgebra_path):
-    _dump_json(path, rmatrix_to_json(r, bialgebra_path))
+    _dump_json(path, rmatrix_to_json, r, bialgebra_path)
 
 
 # -- braided systems -----------------------------------------------------------
@@ -390,13 +374,13 @@ def _parse_entries(f, raw, n, where):
     """The {(row, col): scalar} of a sparse n x n sigma, every entry schema-checked."""
     if not isinstance(raw, dict) or not isinstance(raw.get("entries"), list):
         raise SchemaError(f"{where}: expected dense rows or an object with a list 'entries'")
-    ent, read = {}, _scalar_reader(f)
+    ent = {}
     for t, e in enumerate(raw["entries"]):
         if not (isinstance(e, list) and len(e) == 3 and all(type(x) is int and 0 <= x < n for x in e[:2])):
             raise SchemaError(f"{where}.entries[{t}]: expected [row, col, scalar] with int row and col in [0, {n})")
         if (e[0], e[1]) in ent:
             raise SchemaError(f"{where}.entries[{t}]: duplicate entry ({e[0]}, {e[1]})")
-        ent[e[0], e[1]] = read(e[2], lambda: f"{where}.entries[{t}]")
+        ent[e[0], e[1]] = _read_scalar(f, e[2], lambda: f"{where}.entries[{t}]")
     return ent
 
 
@@ -447,7 +431,7 @@ def load_system(path):
 
 
 def save_system(path, s):
-    _dump_json(path, system_to_json(s))
+    _dump_json(path, system_to_json, s)
 
 
 # -- linear map bundles (braided morphisms) ------------------------------------
@@ -514,4 +498,4 @@ def homology_report(cx, which="d", cohomology=False):
 
 
 def save_report(path, report):
-    _dump_json(path, report)
+    _dump_json(path, lambda: report)

@@ -71,7 +71,7 @@ class Field:
             return x % self.p
         return x.numerator if x.denominator == 1 else x
 
-    def parse(self, text, where=""):
+    def parse(self, text):
         """A scalar stored as an int or a string (over Q also a fraction or a decimal string)."""
         try:
             if isinstance(text, bool) or not isinstance(text, (int, str)):
@@ -79,16 +79,21 @@ class Field:
             try:
                 return self.reduce(int(text))
             except ValueError:
-                # an exponent past Python's default 4300-digit int limit would build a huge int
-                if self.p is not None or abs(int(text.lower().partition("e")[2] or 0)) > 4300:
+                # a larger exponent gives more digits than to_json writes (unless the mantissa is 0): refused unbuilt
+                if self.p is not None or abs(int(text.lower().partition("e")[2] or 0)) > 4300 + len(text):
                     raise
-                return self.reduce(Fraction(text))
+                q = self.reduce(Fraction(text))
+                self.to_json(q)  # a FieldError past 4300 digits: a rational the program could not write back
+                return q
         except (ValueError, ZeroDivisionError):
             what = "rational" if self.p is None else f"F_{self.p} scalar"
-            raise FieldError(f"malformed {what} {text!r}{' at ' + where if where else ''}") from None
+            raise FieldError(f"malformed {what} {text!r}") from None
 
     def to_json(self, a):
-        return str(a) if self.p is None else a % self.p
+        try:
+            return str(a) if self.p is None else a % self.p
+        except ValueError:  # str() refuses an int of more than 4300 digits
+            raise FieldError("a rational with more than 4300 digits in its numerator or denominator") from None
 
     def __eq__(self, other):
         return isinstance(other, Field) and other.p == self.p

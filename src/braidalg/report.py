@@ -2,7 +2,17 @@
 
 from __future__ import annotations
 
+from decimal import Decimal
+
 from .tensor import decode
+
+
+def _bounded(v):
+    """str(v), or v rounded as ~d.dddddde+N when str() refuses its more than 4300 digits."""
+    try:
+        return str(v)
+    except ValueError:
+        return f"~{Decimal(v.numerator) / v.denominator:.6e}"
 
 
 class CheckFailed(Exception):
@@ -10,7 +20,7 @@ class CheckFailed(Exception):
 
 
 class Witness:
-    """First basis tuple where two maps differ, with both entries."""
+    """First basis tuple where two maps differ, with both entries (exact scalars)."""
 
     def __init__(self, domain_index, codomain_index, lhs, rhs):
         self.domain_index = domain_index
@@ -24,7 +34,7 @@ class Witness:
     def __str__(self):
         return (
             f"input basis {self.domain_index} / output basis {self.codomain_index}: "
-            f"lhs={self.lhs} rhs={self.rhs}"
+            f"lhs={_bounded(self.lhs)} rhs={_bounded(self.rhs)}"
         )
 
 
@@ -66,8 +76,8 @@ class AxiomReport:
         w = Witness(
             domain_index=decode(col, lhs.domain),
             codomain_index=decode(row, lhs.codomain),
-            lhs=str(lhs.matrix.get(row, col)),
-            rhs=str(rhs.matrix.get(row, col)),
+            lhs=lhs.matrix.get(row, col),
+            rhs=rhs.matrix.get(row, col),
         )
         self.checks.append(CheckResult(name, False, w))
         return False

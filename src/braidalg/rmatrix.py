@@ -18,7 +18,7 @@ level intentionally does not require the bialgebra compatibility itself.
 
 from __future__ import annotations
 
-from .hopf import check_bialgebra, mu_tensor_square, on_tensor, opposites, solve_antipode
+from .hopf import check_bialgebra, mu_tensor_square, on_tensor, opposites
 from .linalg import SparseMatrix
 from .report import AxiomReport, CheckFailed
 from .tensor import LinMap, apply_at, flip, identity
@@ -164,7 +164,7 @@ def antipode_inverse_r(r):
     solvable), CheckFailed when verification fails.
     """
     b = r.base
-    s = b.antipode if b.antipode is not None else solve_antipode(b)
+    s = b.find_antipode()
     if s is None:
         raise AntipodeMissingError(f"no antipode on {b.space.label}")
     inv = apply_at(s, 1, r.vector)

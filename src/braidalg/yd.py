@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import functools
 
-from .hopf import Bialgebra, dual_bialgebra, group_algebra, on_tensor, opposites, solve_antipode
+from .hopf import Bialgebra, dual_bialgebra, group_algebra, on_tensor, opposites
 from .linalg import QQ, SparseMatrix, inverse as matrix_inverse
 from .report import AxiomReport, CheckFailed
 from .tensor import LinMap, Space, apply_at, compose_chain, flip, from_terms, identity, permutation_map, rainbow_dual
@@ -144,7 +144,7 @@ def adjoint_yd(h):
     S is the stored antipode, or the solved one when none is stored; a
     ValueError says when H has no antipode or S is singular.
     """
-    s = h.antipode if h.antipode is not None else solve_antipode(h)
+    s = h.find_antipode()
     if s is None:
         raise ValueError(f"{h.space.label} has no antipode")
     s_inv = matrix_inverse(s.matrix)
@@ -207,8 +207,8 @@ def yd_braiding(m, n, variant="standard"):
     variant "standard":  m (x) n |-> n_(0) (x) n_(1).m
     variant "ring":      m (x) n |-> m_(1).n (x) m_(0)   (the pi-rotated form)
 
-    When the base carries an antipode the inverse is built from it and
-    verified two-sided by multiplication; otherwise None is returned for it.
+    With an antipode of the base (``Bialgebra.find_antipode``) the inverse is
+    built from it and verified two-sided by multiplication; otherwise it is None.
     """
     if variant not in ("standard", "ring"):
         raise ValueError(f"unknown variant {variant!r}")
@@ -219,7 +219,7 @@ def yd_braiding(m, n, variant="standard"):
         c = standard_braiding(m.lam, n.delta, f)
     else:
         c = ring_braiding(m.delta, n.lam, f)
-    s = m.base.antipode
+    s = m.base.find_antipode()
     c_inv = None
     if s is not None:
         # the mirrored braiding, with the coaction twisted to x |-> x_(0) (x) s(x_(1))

@@ -442,6 +442,16 @@ def test_d_and_d_prime_are_ranked_by_blocks_without_assembling(monkeypatch):
         assert row["rank_d"] == matrix_rank(real_assemble(g, "d", row["degree"]))
 
 
+def test_total_sums_the_d_and_d_prime_blocks_that_share_a_source_and_target():
+    # the generic engine keys a d block and a d' block alike when both characters act on one component
+    g = _two_target_complex(3)
+    assert g.d_blocks.keys() & g.dprime_blocks.keys()
+    for k in range(1, 4):
+        total = g.assemble("total", k)
+        assert total == g.assemble("d", k) + g.assemble("d_prime", k)
+        assert g.rank("total", k) == dense_rank_oracle(total)
+
+
 def test_zero_differentials_pass_and_give_chain_dims():
     dims = {(n, m): 2 for n in range(3) for m in range(3 - n)}
     cx = GradedComplex(QQ, dims, {}, {}, 2)

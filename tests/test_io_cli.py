@@ -854,6 +854,12 @@ def write_failure_inputs(tmp_path):
     (tmp_path / "deep.json").write_text("[" * 100_000 + "]" * 100_000)
     data["field"], data["counit"] = {"kind": "Q"}, ["1e10000000", "1"]
     (tmp_path / "huge_exponent.json").write_text(json.dumps(data))
+    # kS3 over Q with eps(e) = 10**4299 (4300 digits, the most str() writes), 10**4300 and 10**-4300
+    assert run("gen", "group-algebra", "--group", "S3", "-o", "s3.json") == 0
+    for value in ("1e4299", "1e4300", "1e-4300"):
+        data = json.loads((tmp_path / "s3.json").read_text())
+        data["counit"][0] = value
+        (tmp_path / f"s3_{value}.json").write_text(json.dumps(data))
 
 
 @pytest.mark.parametrize("case", CHECK_FAILURE_RUNS, ids=list(CHECK_FAILURE_RUNS))
@@ -902,6 +908,15 @@ INPUT_ERROR_RUNS = {
         ("check", "hopf", "huge_exponent.json"),
         "input error: malformed rational '1e10000000' at huge_exponent.json.counit[0]\n",
     ),
+    # a rational of more than 4300 digits, which the program could not write back
+    **{
+        f"{argv[0]}-{argv[1]}-{value}": (
+            tuple(a.format(f"s3_{value}.json") for a in argv),
+            f"input error: malformed rational '{value}' at s3_{value}.json.counit[0]\n",
+        )
+        for argv in (("check", "hopf", "{}"), ("dual", "bialgebra", "{}", "-o", "out.json"))
+        for value in ("1e4300", "1e-4300")
+    },
 }
 
 
@@ -916,6 +931,106 @@ def test_cli_refuses_the_input_with_exit_two(tmp_path, monkeypatch, capsys, case
     assert out == "" and err.startswith(stderr) and err.count("\n") == 1 and err.endswith("\n")
     assert "Traceback" not in err
     assert not (tmp_path / "out.json").exists() and not (tmp_path / "missing").exists()
+
+
+def test_cli_prints_a_witness_entry_past_the_digits_str_writes_in_a_bounded_form(tmp_path, monkeypatch, capsys):
+    # eps(e) = 10**4299 on kS3/Q: bialg_eps_mu compares eps(e e) = 10**4299 with eps(e) eps(e) = 10**8598
+    monkeypatch.chdir(tmp_path)
+    write_failure_inputs(tmp_path)
+    capsys.readouterr()
+    assert run("check", "hopf", "s3_1e4299.json") == 1
+    out, err = capsys.readouterr()
+    big = "1" + "0" * 4299
+    assert f"FAIL counit_left @ input basis (0,) / output basis (0,): lhs={big} rhs=1\n" in out
+    assert f"FAIL bialg_eps_mu @ input basis (0, 0) / output basis (): lhs={big} rhs=~1.000000e+8598\n" in out
+    assert err == ""
+
+
+def test_cli_dual_of_a_4300_digit_counit_reloads_equal(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    write_failure_inputs(tmp_path)
+    assert run("dual", "bialgebra", "s3_1e4299.json", "-o", "dual.json") == 0
+    assert bio.load_bialgebra("dual.json").same_structure(dual_bialgebra(bio.load_bialgebra("s3_1e4299.json")))
+
+
+def test_saving_a_value_past_the_digits_str_writes_is_a_schema_error(tmp_path):
+    b = group_algebra(Z2_TABLE, Z2_NAMES)
+    big = Bialgebra(b.space, b.mu, b.nu, b.delta, b.eps.scale(10**4400), b.antipode)
+    path = tmp_path / "big.json"
+    with pytest.raises(bio.SchemaError, match="cannot write .*big.json: a rational with more than 4300 digits"):
+        bio.save_bialgebra(str(path), big)
+    assert not path.exists()
+
+
+# every command that reads a file, with the file under test in place of {kind}; its other files are valid
+FILE_READERS = {
+    "gen-regular-yd": ("gen", "regular-yd", "--hopf", "{bialgebra}", "-o", "out.json"),
+    "gen-trivial-yd": ("gen", "trivial-yd", "--hopf", "{bialgebra}", "-o", "out.json"),
+    "check-bialgebra": ("check", "bialgebra", "{bialgebra}"),
+    "check-hopf": ("check", "hopf", "{bialgebra}"),
+    "check-yd": ("check", "yd", "{module}"),
+    "check-yd-algebra": ("check", "yd-algebra", "{module}"),
+    "check-rmatrix": ("check", "rmatrix", "--level", "weak", "{rmatrix}"),
+    "dual-bialgebra": ("dual", "bialgebra", "{bialgebra}", "-o", "out.json"),
+    "dual-yd": ("dual", "yd", "{module}", "-o", "out.json"),
+    "rmatrix-coaction-module": ("rmatrix", "coaction", "--module", "{module}", "--r", "r_nonweak.json", "-o", "out.json"),
+    "rmatrix-coaction-r": ("rmatrix", "coaction", "--module", "reg.json", "--r", "{rmatrix}", "-o", "out.json"),
+    "rmatrix-inverse": ("rmatrix", "inverse", "--r", "{rmatrix}", "-o", "out.json"),
+    "build-hopf": ("build", "yd-system", "--hopf", "{bialgebra}", "--variant", "yd", "-o", "out.json"),
+    "build-mod": ("build", "yd-system", "--hopf", "h.json", "--mod", "{module}", "--variant", "yd", "-o", "out.json"),
+    "verify-cybe": ("verify", "cybe", "{system}"),
+    "verify-morphism-from": ("verify", "morphism", "--from", "{system}", "--to", "sys.json", "--maps", "maps.json"),
+    "verify-morphism-maps": ("verify", "morphism", "--from", "sys.json", "--to", "sys.json", "--maps", "{maps}"),
+    "glue": ("glue", "--system", "{system}", "--lo", "1", "--hi", "2", "-o", "out.json"),
+    "harness-precision": ("harness", "precision", "--hopf", "{bialgebra}", "--dim", "2", "--trials", "2", "--seed", "1"),
+    "homology-hopf": ("homology", "--hopf", "{bialgebra}", "--mod", "reg.json", "--coeff", "triv.json", "--line", "1",
+                      "--max-degree", "2", "-o", "out.json"),
+    "homology-mod": ("homology", "--hopf", "h.json", "--mod", "{module}", "--coeff", "triv.json", "--line", "1",
+                     "--max-degree", "2", "-o", "out.json"),
+}
+# a valid file of each kind, and its first required key
+FIRST_KEYS = {"bialgebra": ("h.json", "field"), "module": ("reg.json", "bialgebra"), "rmatrix": ("r_nonweak.json", "bialgebra"),
+              "system": ("sys.json", "field"), "maps": ("maps.json", "maps")}
+BAD_FILES = {"missing": "missing.json", "non-utf8": "utf16.json", "list": "list.json", "no-first-key": "no_key_{kind}.json"}
+BAD_BIALGEBRAS = {value: f"s3_{value}.json" for value in ("1e4299", "1e4300", "1e-4300")}
+READER_CASES = {
+    f"{cmd}-{tag}": (cmd, path)
+    for cmd, argv in FILE_READERS.items()
+    for tag, path in {**BAD_FILES, **(BAD_BIALGEBRAS if "{bialgebra}" in argv else {})}.items()
+}
+
+
+@pytest.fixture(scope="module")
+def reader_inputs(tmp_path_factory):
+    tmp_path = tmp_path_factory.mktemp("readers")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.chdir(tmp_path)
+        write_failure_inputs(tmp_path)
+        assert run("build", "yd-system", "--hopf", "h.json", "--variant", "yd", "-o", "sys.json") == 0
+    (tmp_path / "maps.json").write_text(json.dumps({"maps": [[[1, 0], [0, 1]]] * 2}))
+    (tmp_path / "list.json").write_text("[1, 2]")
+    for kind, (source, key) in FIRST_KEYS.items():
+        data = json.loads((tmp_path / source).read_text())
+        del data[key]
+        (tmp_path / f"no_key_{kind}.json").write_text(json.dumps(data))
+    return tmp_path
+
+
+@pytest.mark.parametrize("case", READER_CASES, ids=list(READER_CASES))
+def test_cli_main_returns_on_every_bad_file(reader_inputs, monkeypatch, capsys, case):
+    """main returns an exit code on each bad file every reading command gets; exit 2 prints one input error line."""
+    cmd, path = READER_CASES[case]
+    monkeypatch.chdir(reader_inputs)
+    argv = FILE_READERS[cmd]
+    kind = next(a[1:-1] for a in argv if a.startswith("{"))
+    code = run(*(path.format(kind=kind) if a.startswith("{") else a for a in argv))
+    err = capsys.readouterr().err
+    if path in BAD_FILES.values() or path in (BAD_BIALGEBRAS["1e4300"], BAD_BIALGEBRAS["1e-4300"]):
+        assert code == 2
+    if code == 2:
+        assert err.startswith("input error: ") and err.count("\n") == 1 and err.endswith("\n")
+    else:
+        assert code in (0, 1) and err == ""
 
 
 def test_cli_prints_a_failed_theorem_check_of_build_and_homology(tmp_path, monkeypatch, capsys):

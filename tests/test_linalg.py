@@ -423,11 +423,13 @@ def test_rational_parse_accepts_exactly_what_fraction_accepts(text):
 
 
 def test_rational_parse_refuses_an_exponent_past_the_int_digit_limit():
-    # 10**4300 still fits Python's default 4300-digit limit on int strings; a larger exponent would
-    # build a huge int (1e10000000 is a 33-Mbit numerator), so it is a malformed rational
+    # a numerator or denominator of more than 4300 digits (Python's default limit on int strings) could
+    # not be written back, so it is a malformed rational; 1e10000000 (a 33-Mbit numerator) is refused
+    # before it is built
     assert QQ.parse("1e2") == 100 and QQ.parse("1.5") == Fraction(3, 2) and QQ.parse("-6/4") == Fraction(-3, 2)
-    assert QQ.parse("1e4300") == 10**4300 and QQ.parse("1E-4300") == Fraction(1, 10**4300)
-    for text in ("1e4301", "2.5E-4301", "1e10000000", "1e" + "9" * 5000):
+    assert QQ.parse("1e4299") == 10**4299 and QQ.parse("1E-4299") == Fraction(1, 10**4299)
+    assert QQ.parse("0.001e4302") == 10**4299 and QQ.parse("-" + "9" * 4300) == 1 - 10**4300
+    for text in ("1e4300", "1E-4300", "2.5E-4301", "1e10000000", "1e" + "9" * 5000, "1/" + "1" + "0" * 4300):
         with pytest.raises(FieldError, match="malformed rational"):
             QQ.parse(text)
 

@@ -373,6 +373,18 @@ def test_yd_braiding_inverses_equal_the_hand_written_composites(field):
                 assert (c_inv.domain, c_inv.codomain) == (c.codomain, c.domain)
 
 
+@pytest.mark.parametrize("variant", ["standard", "ring"])
+def test_yd_braiding_builds_its_inverse_from_a_solved_antipode(variant):
+    # kZ3 with its stored antipode dropped: the inverse comes from solve_antipode, as in adjoint_yd
+    b = group_algebra(Z3_TABLE, Z3_NAMES)
+    bare = Bialgebra(b.space, b.mu, b.nu, b.delta, b.eps, None)
+    m, stored = adjoint_yd(bare), adjoint_yd(b)
+    c, c_inv = yd_braiding(m, m, variant)
+    want, want_inv = yd_braiding(stored, stored, variant)
+    assert c_inv is not None and want_inv is not None
+    assert (c.matrix, c_inv.matrix) == (want.matrix, want_inv.matrix)
+
+
 def test_yd_braiding_needs_same_base():
     m2 = regular_yd_group_algebra(Z2_TABLE, Z2_NAMES)
     m3 = regular_yd_group_algebra(Z3_TABLE, Z3_NAMES)
