@@ -68,7 +68,7 @@ for row in rows:
 # system of the twisted tensor-product module: H acts by
 # (lam1 (x) lam2) o (Id (x) c (x) Id) o (Delta_op (x) Id) and coacts by
 # (Id (x) mu) o (Id (x) c (x) Id) o (delta1 (x) delta2), both formed by
-# hopf.on_tensor.  A YD module algebra is one whose mu is a YD map out of
+# tensor.on_tensor.  A YD module algebra is one whose mu is a YD map out of
 # tensor_yd(alg, alg, "twisted"); check_yd's yd_alg_lam_mu and
 # yd_alg_delta_mu state exactly that, through the same on_tensor
 Z2q = group_algebra(*cyclic_group_table(2))

@@ -59,11 +59,15 @@ def _need_coaction(m, path):
 
 
 def _load_over_hopf(hopf, paths, need=None):
-    """The bialgebra of ``hopf``, parsed once, and the modules of ``paths``, each over an equal
-    base and accepted by ``need(m, path)`` when given."""
+    """The bialgebra of ``hopf`` and the modules of ``paths``, each file parsed once, each module
+    over an equal base and accepted by ``need(m, path)`` when given."""
     b = bio.load_bialgebra(hopf)
     bases = {os.path.abspath(hopf): b}  # a module naming this file reuses it
-    mods = [bio.load_yd_module(path, bases) for path in paths]
+    loaded = {}  # resolved path -> module: a file named twice is parsed once
+    for path in paths:
+        if (key := os.path.abspath(path)) not in loaded:
+            loaded[key] = bio.load_yd_module(path, bases)
+    mods = [loaded[os.path.abspath(path)] for path in paths]
     for m, path in zip(mods, paths):
         if not m.base.same_structure(b):
             raise InputError(f"{path}: module base differs from {hopf}")

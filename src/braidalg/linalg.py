@@ -17,6 +17,7 @@ where rb, cb are b's row and column counts.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -79,8 +80,12 @@ class Field:
             try:
                 return self.reduce(int(text))
             except ValueError:
-                # a larger exponent gives more digits than to_json writes (unless the mantissa is 0): refused unbuilt
-                if self.p is not None or abs(int(text.lower().partition("e")[2] or 0)) > 4300 + len(text):
+                mantissa, e, exp = text.lower().partition("e")
+                # 0 under an exponent of any length is 0, returned without Fraction(text) computing 10**exp
+                if self.p is None and e and re.fullmatch(r"[-+]?\d+(_\d+)*\s*", exp) and not Fraction(mantissa + "e0"):
+                    return 0
+                # a larger exponent gives more digits than to_json writes: refused unbuilt
+                if self.p is not None or abs(int(exp or 0)) > 4300 + len(text):
                     raise
                 q = self.reduce(Fraction(text))
                 self.to_json(q)  # a FieldError past 4300 digits: a rational the program could not write back

@@ -18,10 +18,10 @@ level intentionally does not require the bialgebra compatibility itself.
 
 from __future__ import annotations
 
-from .hopf import check_bialgebra, mu_tensor_square, on_tensor, opposites
+from .hopf import check_bialgebra, mu_tensor_square, opposites
 from .linalg import SparseMatrix
 from .report import AxiomReport, CheckFailed
-from .tensor import LinMap, apply_at, flip, identity
+from .tensor import LinMap, apply_at, flip, identity, on_tensor
 from .yd import YDModule, is_two_sided_inverse, ring_braiding, standard_braiding
 
 

@@ -221,7 +221,7 @@ def build_yd_system(h, mods, variant="yd"):
     if variant not in ("yd", "ydalg"):
         raise ValueError(f"unknown variant {variant!r}")
     check_bialgebra(h, "bialgebra").require("base bialgebra fails axioms")
-    for m in mods:
+    for m in {id(m): m for m in mods}.values():  # a module repeated in mods is checked once
         # the "yd_algebra" level raises TypeError on a module that is not a YDModuleAlgebra
         check_yd(m, "yd_algebra" if variant == "ydalg" else "yd").require("module fails axioms")
     sys = yd_system(yd_base(h), mods, variant)

@@ -1,4 +1,4 @@
-"""Spaces, linear maps with tensor-factor bookkeeping, flips and duality.
+"""Spaces, linear maps with tensor-factor bookkeeping, flips, on_tensor and duality.
 
 A LinMap records ordered lists of tensor factors for its domain and
 codomain next to its sparse matrix.  Basis indices of a tensor product are
@@ -294,6 +294,33 @@ def apply_at(phi, i, m):
 def embed_at(phi, i, context, field):
     """Id^(i-1) (x) phi (x) Id^(rest) on the given context (i is 1-based): apply_at on the identity."""
     return apply_at(phi, i, identity(context, field))
+
+
+def on_tensor(f, g, x=None):
+    """(f (x) g) o (Id (x) c (x) Id) o x, or without x the map (f (x) g) o (Id (x) c (x) Id).
+
+    f acts on A1 (x) A2 and g on B1 (x) B2, each domain split in half, so
+    the result reads its input as (A1 (x) B1) (x) (A2 (x) B2).  Products f,
+    g give the product of the tensor product algebra, actions give the
+    action of H (x) H on M (x) N, and f = Id, g = mu on x = delta (x) delta
+    give the coaction of M (x) N.  The swap acts on x first, as in
+    ``compose_chain``.
+    """
+    for h in (f, g):
+        if len(h.domain) % 2:
+            raise ValueError(f"on_tensor needs a domain of even length, got {len(h.domain)} factors")
+    (a1, a2), (b1, b2) = ((h.domain[: len(h.domain) // 2], h.domain[len(h.domain) // 2 :]) for h in (f, g))
+    f.matrix._check_same_field(g.matrix)
+    n_a2, n_b1, n_b2 = prod_dim(a2), prod_dim(b1), prod_dim(b2)
+    # the Kronecker product with its columns shuffled: f's entry (i, (a1, a2)) times g's (k, (b1, b2)) sits at
+    # row i * rows(g) + k, column (a1, b1, a2, b2) = (a1 |B1 A2 B2| + a2 |B2|) + (b1 |A2 B2| + b2)
+    rg = g.matrix.n_rows
+    fe = [(i * rg, (c // n_a2 * n_b1 * n_a2 + c % n_a2) * n_b2, a) for (i, c), a in f.matrix.entries.items()]
+    ge = [(k, c // n_b2 * n_a2 * n_b2 + c % n_b2, b) for (k, c), b in g.matrix.entries.items()]
+    ent = {(r + k, c + d): a * b for r, c, a in fe for k, d, b in ge}
+    matrix = SparseMatrix._from_sums(f.field, f.matrix.n_rows * rg, f.matrix.n_cols * g.matrix.n_cols, ent)
+    out = LinMap._of(a1 + b1 + a2 + b2, f.codomain + g.codomain, matrix)
+    return out if x is None else out.compose(x)
 
 
 def rainbow_dual(f):

@@ -12,7 +12,7 @@ from operator import getitem
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from braidalg import io as bio
+from braidalg import io as bio, systems
 from braidalg.cli import build_parser, main
 from braidalg.hopf import Bialgebra, check_bialgebra, cyclic_group_table, dual_bialgebra, group_algebra, s3_table
 from braidalg.linalg import GF, QQ
@@ -691,6 +691,30 @@ def test_cli_verify_cybe_and_glue_are_pinned_on_rank_four_s3(tmp_path, monkeypat
         "glued.json": "4571174df719fd7f61339b1c76b2f5fe989e287b239d8cb6f66c84201f354203",
     }
     assert hashlib.sha256(verify_out).hexdigest() == "6a995956d9f112b249dc0e866351bfda406e2882d73adc75ed4a1691c9980a7b"
+
+
+def test_cli_build_parses_and_checks_a_repeated_module_once(tmp_path, monkeypatch):
+    """`build yd-system --mod X --mod X` over kD4/Q parses X once, also when the second name spells the
+    same file differently, checks it once, and writes the file it wrote when it did both twice."""
+    monkeypatch.chdir(tmp_path)
+    assert run("gen", "group-algebra", "--group", "D4", "-o", "d4.json") == 0
+    assert run("gen", "regular-yd", "--hopf", "d4.json", "-o", "reg.json") == 0
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(bio, "load_yd_module", counted("load", bio.load_yd_module))
+    monkeypatch.setattr(systems, "check_yd", counted("check", systems.check_yd))
+    build = ("build", "yd-system", "--hopf", "d4.json", "--mod", "reg.json", "--mod", "./reg.json")
+    assert run(*build, "--variant", "yd", "-o", "sys.json") == 0
+    assert sorted(calls) == ["check", "load"]
+    digest = hashlib.sha256((tmp_path / "sys.json").read_bytes()).hexdigest()
+    assert digest == "809bd335896b2d6bb2c0251bf949a435f3a68968545f98886f7a8b0fa5d11cf3"
 
 
 def test_cli_verify_cybe_failure_is_pinned_on_perturbed_s3(tmp_path, monkeypatch, capsys):

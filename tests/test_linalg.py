@@ -434,6 +434,20 @@ def test_rational_parse_refuses_an_exponent_past_the_int_digit_limit():
             QQ.parse(text)
 
 
+def test_rational_parse_reads_a_zero_mantissa_under_any_exponent():
+    # 0 times a power of ten is 0 however long the exponent; 10**exp is never built, so a nine-digit
+    # exponent returns at once and a 5000-digit one (past the int digit limit) still parses
+    zeros = ("0e4301", "0e5000", "-0e5000", "0e-5000", "0.0e99999", "0e999999999", "0e" + "9" * 5000, "0E+1_0")
+    for text in zeros:
+        got = QQ.parse(text)
+        assert got == 0 and type(got) is int
+    for text in ("0e", "0eabc", "0e 5", "0e--5", "0/1e5", "e5", "1e5000", "1e-5000"):
+        with pytest.raises(FieldError, match="malformed rational"):
+            QQ.parse(text)
+    with pytest.raises(FieldError, match="malformed F_5 scalar"):
+        GF(5).parse("0e5")
+
+
 # -- the product laws every sigma composite relies on ---------------------------
 
 

@@ -1,4 +1,4 @@
-"""Tensor-factor bookkeeping: basis-tuple terms, flips, embeddings, rainbow duality, evaluation."""
+"""Tensor-factor bookkeeping: basis-tuple terms, flips, embeddings, on_tensor, rainbow duality, evaluation."""
 
 import itertools
 import random
@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import braidalg.tensor as tensor_module
 from braidalg.linalg import GF, QQ, SparseMatrix
 from braidalg.tensor import (
     DimensionMismatch,
@@ -21,6 +22,7 @@ from braidalg.tensor import (
     flip,
     from_terms,
     identity,
+    on_tensor,
     permutation_map,
     prod_dim,
     rainbow_dual,
@@ -208,6 +210,79 @@ def test_apply_at_errors():
     assert apply_at(nu, 3, identity((V, V), QQ)).codomain == (V, V, V)
     with pytest.raises(ValueError, match="field mismatch"):
         apply_at(phi, 1, identity((V,), F5))
+
+
+def middle_swap_oracle(f, g, x=None):
+    """(f (x) g) o permutation_map(A1+B1+A2+B2, order) o x: on_tensor as a product with the swap's matrix."""
+    (a1, a2), (b1, b2) = ((h.domain[: len(h.domain) // 2], h.domain[len(h.domain) // 2 :]) for h in (f, g))
+    i, j, k = len(a1), len(a1) + len(b1), len(a1) + len(b1) + len(a2)
+    order = (*range(i), *range(j, k), *range(i, j), *range(k, k + len(b2)))
+    swap = permutation_map(a1 + b1 + a2 + b2, order, f.field)
+    return f.tensor(g).compose(swap if x is None else swap.compose(x))
+
+
+def random_map(rng, dom, cod, field):
+    """A map with about half its entries nonzero, over Q with fractions among them."""
+    values = (0, 0, 1, 2, -1, Fraction(1, 3), Fraction(-5, 2)) if field.p is None else (0, 0, 1, 2, 3, 4)
+    return from_terms(dom, cod, ((o, i, rng.choice(values)) for o in basis(cod) for i in basis(dom)), field)
+
+
+H2, M3, N2, K1 = Space(2, "H"), Space(3, "M"), Space(2, "N"), Space(1, "k")
+# (f's domain, f's codomain, g's domain, g's codomain), each domain split in half by on_tensor
+ON_TENSOR_SHAPES = [
+    ((H2, H2), (H2,), (H2, H2), (H2,)),  # mu (x) mu: the product of H (x) H
+    ((H2, H2, H2, H2), (H2, H2), (H2, H2), (H2,)),  # mu_{H (x) H} (x) mu: check_r's mu^(x)3
+    ((H2, M3), (M3,), (H2, N2), (N2,)),  # lam (x) lam: the action on M (x) N
+    ((M3, N2), (M3, N2), (H2, H2), (H2,)),  # Id (x) mu: the coaction of M (x) N
+    ((), (H2,), (M3, N2), (K1, M3)),  # an empty first map's domain
+    ((H2, M3, N2, K1), (), (N2, H2), (M3, M3)),  # unequal halves, codomain k
+]
+
+
+@pytest.mark.parametrize("field", [QQ, F5], ids=["Q", "F5"])
+@pytest.mark.parametrize("shape", range(len(ON_TENSOR_SHAPES)))
+def test_on_tensor_equals_the_middle_swap_product(field, shape):
+    fd, fc, gd, gc = ON_TENSOR_SHAPES[shape]
+    rng = random.Random(f"on_tensor {shape} {field!r}")
+    for _ in range(3):
+        f, g = random_map(rng, fd, fc, field), random_map(rng, gd, gc, field)
+        got, want = on_tensor(f, g), middle_swap_oracle(f, g)
+        assert (got.domain, got.codomain, got.matrix) == (want.domain, want.codomain, want.matrix)
+        x = random_map(rng, (N2, K1), got.domain, field)
+        got, want = on_tensor(f, g, x), middle_swap_oracle(f, g, x)
+        assert (got.domain, got.codomain, got.matrix) == (want.domain, want.codomain, want.matrix)
+
+
+def test_on_tensor_builds_neither_a_permutation_nor_a_kronecker_product(monkeypatch):
+    rng = random.Random(28)
+    f, g = random_map(rng, (H2, H2, H2, H2), (H2, H2), F5), random_map(rng, (H2, H2), (H2,), F5)
+    x = random_map(rng, (M3,), (H2,) * 6, F5)
+    want_x, want = middle_swap_oracle(f, g, x), middle_swap_oracle(f, g)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("on_tensor built a permutation or a Kronecker product")
+
+    monkeypatch.setattr(tensor_module, "permutation_map", refuse)
+    monkeypatch.setattr(SparseMatrix, "kronecker", refuse)
+    assert on_tensor(f, g, x).matrix == want_x.matrix and on_tensor(f, g).matrix == want.matrix
+
+
+def test_on_tensor_errors_in_order():
+    mu = random_map(random.Random(1), (H2, H2), (H2,), QQ)
+    mu5 = random_map(random.Random(1), (H2, H2), (H2,), F5)
+    lam = random_map(random.Random(2), (H2, M3, N2), (M3,), QQ)
+    # an odd-length domain first (f's before g's), then a field mismatch, then the composition with x
+    with pytest.raises(ValueError, match="even length, got 3 factors"):
+        on_tensor(lam, mu5)
+    with pytest.raises(ValueError, match="even length, got 3 factors"):
+        on_tensor(mu, lam)
+    with pytest.raises(ValueError, match="field mismatch"):
+        on_tensor(mu, mu5, identity((M3,), QQ))
+    with pytest.raises(DimensionMismatch, match="cannot compose"):
+        on_tensor(mu, mu, identity((M3,), QQ))
+    with pytest.raises(ValueError, match="field mismatch") as err:
+        on_tensor(mu, mu, identity((H2,) * 4, F5))
+    assert not isinstance(err.value, DimensionMismatch)
 
 
 def test_rainbow_dual_identity_and_involution():
