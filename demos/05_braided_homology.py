@@ -33,7 +33,7 @@ char_h, char_dual = eps_characters(system)
 generic = generic_differentials(system, char_dual, char_h, 4)
 explicit = yd_bidifferential(H, M, 3)
 agree = all(
-    generic.block("d", (n, 1, m), (n, 1, m - 1)) == explicit.block("d", (n, m), (n, m - 1))
+    generic.d_blocks[(n, 1, m), (n, 1, m - 1)] == explicit.d_blocks[(n, m), (n, m - 1)]
     for n in range(4)
     for m in range(1, 4 - n)
 )

@@ -246,20 +246,19 @@ def cmd_harness(args):
     rng = random.Random(args.seed)
     failures = 0
     counts = {}
-    try:
-        for trial in range(args.trials):
+    for trial in range(args.trials):
+        try:
             alg = random_precision_data(b, args.dim, rng)
-            rows = precision_harness(alg, base)
-            for row in rows:
-                stats = counts.setdefault(row["row"], [0, 0, 0])
-                stats[0] += int(row["axiom"])
-                stats[1] += int(row["equivalence"])
-                stats[2] += 1
-                if not row["equivalence"]:
-                    failures += 1
-                    print(f"FAIL trial {trial} row {row['row']}: cYBE={row['cybe']} axiom={row['axiom']}")
-    except ValueError as e:
-        raise InputError(str(e)) from None
+        except ValueError as e:
+            raise InputError(str(e)) from None
+        for row in precision_harness(alg, base):
+            stats = counts.setdefault(row["row"], [0, 0, 0])
+            stats[0] += int(row["axiom"])
+            stats[1] += int(row["equivalence"])
+            stats[2] += 1
+            if not row["equivalence"]:
+                failures += 1
+                print(f"FAIL trial {trial} row {row['row']}: cYBE={row['cybe']} axiom={row['axiom']}")
     for name, (true_count, held, total) in sorted(counts.items()):
         print(f"row {name}: equivalence held in {held}/{total} trials (axiom true in {true_count})")
     print(f"{args.trials} trials, {failures} equivalence violations")

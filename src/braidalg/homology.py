@@ -32,8 +32,8 @@ import operator
 
 from .linalg import SparseMatrix, rank as matrix_rank
 from .report import AxiomReport
-from .systems import YDSystem, braid_factor
-from .tensor import LinMap, apply_at
+from .systems import BraidedSystem, YDSystem, braid_factor, check_braided_morphism
+from .tensor import LinMap, Space, apply_at, identity
 from .yd import check_yd, unit_yd
 
 
@@ -42,21 +42,18 @@ def zero_character_map(space, f):
 
 
 def check_character(s, zeta):
-    """A braided character of s is a tuple zeta of maps V_i -> k, one per
-    component; checks (zeta_j (x) zeta_i) o sigma_{i,j} = zeta_i (x) zeta_j
-    for all i <= j.  A tuple of the wrong length or shape raises ValueError.
+    """A braided character of s is a tuple zeta of maps V_i -> k, one per component: a
+    braided morphism into the trivial system (k, ..., k) with identity braidings.  A
+    tuple of the wrong length or shape raises ValueError.
     """
     if len(zeta) != s.rank:
         raise ValueError(f"a character of a rank-{s.rank} system needs {s.rank} maps, got {len(zeta)}")
     for i, z in enumerate(zeta, start=1):
         if (z.matrix.n_rows, z.matrix.n_cols) != (1, s.space(i).dim):
             raise ValueError(f"character component {i} is not a map V_{i} -> k")
-    rep = AxiomReport("braided character")
-    for i in range(1, s.rank + 1):
-        for j in range(i, s.rank + 1):
-            zi, zj = zeta[i - 1], zeta[j - 1]
-            rep.compare(f"char({i},{j})", zj.tensor(zi).compose(s.sigma[(i, j)]), zi.tensor(zj))
-    return rep
+    k = Space(1, "k")
+    trivial = BraidedSystem((k,) * s.rank, dict.fromkeys(s.sigma, identity([k, k], s.field)), s.field)
+    return check_braided_morphism(zeta, s, trivial)
 
 
 def eps_characters(s):
@@ -113,13 +110,6 @@ class GradedComplex:
 
     def chain_dim(self, k):
         return sum(self.dims[deg] for deg in self.degrees_at(k))
-
-    def block(self, which, src, dst):
-        blocks = self.d_blocks if which == "d" else self.dprime_blocks
-        mat = blocks.get((src, dst))
-        if mat is None:
-            return SparseMatrix.zeros(self.field, self.dims.get(dst, 0), self.dims[src])
-        return mat
 
     def _blocks_at(self, which, k):
         """[(src, dst, block)] of d, d_prime or both (total) out of the components of total degree k."""
@@ -200,13 +190,13 @@ def _verify_or_raise(c):
     return c
 
 
-def homology_dims(c, which="d", cohomology=False):
+def homology_dims(c, which="d"):
     """Exact homology dimensions for total degrees 0..max_total-1.
 
-    dim H_k = dim ker(d_k) - rank(d_{k+1}); with cohomology=True the
-    coboundaries are the transposes, of the same ranks (degrees are
-    reported against the same k).  The Euler identity for a truncation
-    window reads
+    dim H_k = dim ker(d_k) - rank(d_{k+1}), and ``rank_d`` is rank(d_k), the
+    rank of ``which`` into degree k.  Over a field the cohomology of the
+    transposed complex has the same dimensions (a transpose has the same
+    rank).  The Euler identity for a truncation window reads
 
         sum (-1)^k dim H_k = sum (-1)^k dim C_k - (-1)^(K) rank(d_{K+1})
 
@@ -219,10 +209,8 @@ def homology_dims(c, which="d", cohomology=False):
     rows = []
     for k in range(0, top + 1):
         dim_ck = c.chain_dim(k)
-        rank_in, rank_out = c.rank(which, k), c.rank(which, k + 1)
-        h = dim_ck - rank_in - rank_out
-        # the coboundary out of degree k is the transpose of d_{k+1}
-        rank_d = rank_out if cohomology else rank_in
+        rank_d = c.rank(which, k)
+        h = dim_ck - rank_d - c.rank(which, k + 1)
         rows.append({"degree": k, "chain_dim": dim_ck, "rank_d": rank_d, "homology_dim": h})
     boundary_rank = c.rank(which, top + 1)
     euler_h = sum((-1) ** r["degree"] * r["homology_dim"] for r in rows)
@@ -230,7 +218,6 @@ def homology_dims(c, which="d", cohomology=False):
     euler_ok = euler_h == euler_c - ((-1) ** top) * boundary_rank
     return {
         "which": which,
-        "cohomology": bool(cohomology),
         "rows": rows,
         "euler_homology": euler_h,
         "euler_chain": euler_c,

@@ -163,9 +163,8 @@ class SparseMatrix:
 
         ``sums`` holds exact values at keys that cannot leave the shape: sums
         of products of entries of in-bounds matrices (``@``, ``kronecker``,
-        ``tensor.apply_at``) or the ones of an identity or a permutation.
-        Every producer of outside or hand-made entries goes through
-        ``__init__``.
+        ``tensor.apply_at``) or the ones of an identity.  Every producer of
+        outside or hand-made entries goes through ``__init__``.
         """
         m = cls.__new__(cls)
         m.field = field
@@ -175,10 +174,6 @@ class SparseMatrix:
         return m
 
     # -- constructors -------------------------------------------------
-
-    @staticmethod
-    def zeros(field, n_rows, n_cols):
-        return SparseMatrix(field, n_rows, n_cols)
 
     @staticmethod
     def identity(field, n):

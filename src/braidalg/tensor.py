@@ -232,16 +232,7 @@ def permutation_map(spaces, order, field):
     if sorted(order) != list(range(len(spaces))):
         raise ValueError(f"not a permutation: {order}")
     cod = tuple(spaces[t] for t in order)
-    # input factor order[t] carries output factor t's stride; rows[col] is the image of column col
-    weights = [0] * len(spaces)
-    for t, w in zip(order, _strides(cod)):
-        weights[t] = w
-    rows = [0]
-    for s, w in zip(spaces, weights):
-        steps = range(0, w * s.dim, w)
-        rows = [r + x for r in rows for x in steps]
-    ent = {(r, col): field.one for col, r in enumerate(rows)}
-    return LinMap._of(spaces, cod, SparseMatrix._from_sums(field, len(rows), len(rows), ent))
+    return from_terms(spaces, cod, ((tuple(x[t] for t in order), x, field.one) for x in basis(spaces)), field)
 
 
 @functools.cache

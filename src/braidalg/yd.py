@@ -14,10 +14,12 @@ from __future__ import annotations
 
 import functools
 
-from .hopf import Bialgebra, dual_bialgebra, group_algebra, on_tensor, opposites
+from .hopf import Bialgebra, dual_bialgebra, group_algebra, opposites
 from .linalg import QQ, SparseMatrix, inverse as matrix_inverse
 from .report import AxiomReport, CheckFailed
-from .tensor import LinMap, Space, apply_at, compose_chain, flip, from_terms, identity, permutation_map, rainbow_dual
+from .tensor import (
+    LinMap, Space, apply_at, compose_chain, flip, from_terms, identity, on_tensor, permutation_map, rainbow_dual
+)
 
 
 class YDModule:

@@ -205,11 +205,9 @@ def test_acceptance_7_dual_path_oracle():
     for n in range(4):
         for mm in range(4 - n):
             if mm >= 1:
-                ok &= gcx.block("d", (n, 1, mm), (n, 1, mm - 1)) == ycx.block("d", (n, mm), (n, mm - 1))
+                ok &= gcx.d_blocks[(n, 1, mm), (n, 1, mm - 1)] == ycx.d_blocks[(n, mm), (n, mm - 1)]
             if n >= 1:
-                ok &= gcx.block("d_prime", (n, 1, mm), (n - 1, 1, mm)) == ycx.block(
-                    "d_prime", (n, mm), (n - 1, mm)
-                )
+                ok &= gcx.dprime_blocks[(n, 1, mm), (n - 1, 1, mm)] == ycx.dprime_blocks[(n, mm), (n - 1, mm)]
     assert report(7, ok, "generic engine == hand-coded Sweedler differentials, entrywise (n+m<=3)")
 
 

@@ -85,8 +85,8 @@ def test_generic_degree_one_components_are_the_characters():
     ch_h, ch_hs = eps_characters(s)
     cx = generic_differentials(s, ch_hs, ch_h, 2)
     # degree-1 component of type H: zeta d = eps_{H*} on H = 0; d xi = eps_H
-    assert cx.block("d_prime", (1, 0, 0), (0, 0, 0)) == b.eps.matrix
-    assert cx.block("d", (0, 0, 1), (0, 0, 0)) == s.dual.eps.matrix
+    assert cx.dprime_blocks[(1, 0, 0), (0, 0, 0)] == b.eps.matrix
+    assert cx.d_blocks[(0, 0, 1), (0, 0, 0)] == s.dual.eps.matrix
 
 
 def test_rank_one_associativity_system_gives_bar_differential():
@@ -99,7 +99,7 @@ def test_rank_one_associativity_system_gives_bar_differential():
     cx = generic_differentials(s, eps_char, eps_char, 3)
     # independent hand expansion at degree 3:
     # d(h1 h2 h3) = eps(h1) h2 h3 - (h1 h2) h3 + h1 (h2 h3)
-    d3 = cx.block("d", (3,), (2,))
+    d3 = cx.d_blocks[(3,), (2,)]
     oracle = {}
     dims = [2, 2, 2]
     for h1, h2, h3 in itertools.product(range(2), repeat=3):
@@ -130,8 +130,12 @@ def test_generic_engine_needs_valid_characters():
     badmap = LinMap((s.space(1),), (), SparseMatrix(QQ, 1, 2, {(0, 0): QQ.one}))
     bad = (badmap, zero_character_map(s.space(2), QQ), zero_character_map(s.space(3), QQ))
     rep = check_character(s, bad)
-    assert not rep["char(1,1)"].passed
-    with pytest.raises(CheckFailed, match="invalid braided character: FAIL char"):
+    assert str(rep).splitlines()[:3] == [
+        "braided morphism",
+        "FAIL respects_sigma(1,1) @ input basis (1, 1) / output basis (): lhs=1 rhs=0",
+        "PASS respects_sigma(1,2)",
+    ]
+    with pytest.raises(CheckFailed, match=r"invalid braided character: FAIL respects_sigma\(1,1\) @ "):
         generic_differentials(s, bad, bad, 2)
 
 
@@ -212,7 +216,7 @@ def test_first_summand_hand_oracle_at_1_1():
     <l, h_(2) . a_(1)> h_(1) (x) a_(0), with positive sign (n = 1)."""
     b, m, _ = z2_setup()
     cx = yd_bidifferential(b, m, 2)
-    blk = cx.block("d", (1, 1), (1, 0))
+    blk = cx.d_blocks[(1, 1), (1, 0)]
     # oracle by brute-force Sweedler expansion via structure constants:
     # h grouplike, a = m_k graded by k: <l, h k> h (x) m_k
     oracle = {}
@@ -235,11 +239,9 @@ def test_dual_path_generic_equals_sweedler():
     for n in range(4):
         for mm in range(4 - n):
             if mm >= 1:
-                assert gcx.block("d", (n, 1, mm), (n, 1, mm - 1)) == ycx.block("d", (n, mm), (n, mm - 1))
+                assert gcx.d_blocks[(n, 1, mm), (n, 1, mm - 1)] == ycx.d_blocks[(n, mm), (n, mm - 1)]
             if n >= 1:
-                assert gcx.block("d_prime", (n, 1, mm), (n - 1, 1, mm)) == ycx.block(
-                    "d_prime", (n, mm), (n - 1, mm)
-                )
+                assert gcx.dprime_blocks[(n, 1, mm), (n - 1, 1, mm)] == ycx.dprime_blocks[(n, mm), (n - 1, mm)]
 
 
 def test_z_linear_combinations_are_differentials():
@@ -290,9 +292,9 @@ def test_line_two_restriction_recovers_explicit_bidifferential():
     for n in range(5):
         for mm in range(5 - n):
             if n >= 1:
-                assert c2.block("d", (n, mm), (n - 1, mm)) == -cy.block("d_prime", (n, mm), (n - 1, mm))
+                assert c2.d_blocks[(n, mm), (n - 1, mm)] == -cy.dprime_blocks[(n, mm), (n - 1, mm)]
             if mm >= 1:
-                assert c2.block("d_prime", (n, mm), (n, mm - 1)) == -cy.block("d", (n, mm), (n, mm - 1))
+                assert c2.dprime_blocks[(n, mm), (n, mm - 1)] == -cy.d_blocks[(n, mm), (n, mm - 1)]
 
 
 def test_sign_flip_breaks_anticommutation():
@@ -538,16 +540,6 @@ def test_homology_regression_dense_cross_check():
             assert h == res["rows"][k]["homology_dim"]
 
 
-def test_cohomology_matches_homology_dims_over_a_field():
-    b, m, triv = z2_setup()
-    cx = coefficient_complex(b, m, triv, 2, 3)
-    for which in ("d", "d_prime"):
-        hom = homology_dims(cx, which)
-        coh = homology_dims(cx, which, cohomology=True)
-        assert [r["homology_dim"] for r in hom["rows"]] == [r["homology_dim"] for r in coh["rows"]]
-        assert coh["euler_identity_holds"]
-
-
 def test_basis_change_invariance_of_dimension_tables():
     F = GF(5)
     b, m, triv = z2_setup(F)
@@ -662,9 +654,9 @@ def test_generic_engine_identical_across_diagonal_variants():
     c2 = generic_differentials(s_yd, ch_hs, ch_h, 3)
     assert c1.dims == c2.dims
     for key, mat in c1.d_blocks.items():
-        assert c2.block("d", *key) == mat
+        assert c2.d_blocks[key] == mat
     for key, mat in c1.dprime_blocks.items():
-        assert c2.block("d_prime", *key) == mat
+        assert c2.dprime_blocks[key] == mat
 
 
 def test_line_four_identities_at_deeper_truncation():
@@ -688,13 +680,9 @@ def test_generic_engine_rank_four_system():
     for n in range(4):
         for mm in range(4 - n):
             if mm >= 1:
-                assert g4.block("d", (n, 1, 0, mm), (n, 1, 0, mm - 1)) == ycx.block(
-                    "d", (n, mm), (n, mm - 1)
-                )
+                assert g4.d_blocks[(n, 1, 0, mm), (n, 1, 0, mm - 1)] == ycx.d_blocks[(n, mm), (n, mm - 1)]
             if n >= 1:
-                assert g4.block("d_prime", (n, 1, 0, mm), (n - 1, 1, 0, mm)) == ycx.block(
-                    "d_prime", (n, mm), (n - 1, mm)
-                )
+                assert g4.dprime_blocks[(n, 1, 0, mm), (n - 1, 1, 0, mm)] == ycx.dprime_blocks[(n, mm), (n - 1, mm)]
 
 
 # -- the tiling primitive ------------------------------------------------------------

@@ -12,13 +12,13 @@ from operator import getitem
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from braidalg import io as bio, systems
+from braidalg import cli, io as bio, systems
 from braidalg.cli import build_parser, main
 from braidalg.hopf import Bialgebra, check_bialgebra, cyclic_group_table, dual_bialgebra, group_algebra, s3_table
 from braidalg.linalg import GF, QQ
 from braidalg.rmatrix import RMatrix, unit_r_matrix
 from braidalg.systems import BraidedSystem, build_yd_system
-from braidalg.tensor import Space, from_terms
+from braidalg.tensor import DimensionMismatch, Space, from_terms
 from braidalg.yd import YDModule, YDModuleAlgebra, dual_yd, formal_unit_extend, regular_yd_group_algebra
 
 S3_TABLE, S3_NAMES = s3_table()
@@ -762,12 +762,53 @@ def test_cli_homology_report_deterministic(tmp_path):
     assert report["identities"] == {"d_squared": True, "d_prime_squared": True, "anticommute": True}
     assert [row["homology_dim"] for row in report["degrees"]] == [2, 4, 8, 16]
     assert report["euler"]["identity_holds"]
-    # cohomology flag
-    rep3 = str(tmp_path / "rep3.json")
-    assert (
-        run("homology", "--hopf", h, "--mod", m, "--coeff", t, "--line", "4", "--max-degree", "3", "--cohomology", "-o", rep3)
-        == 0
-    )
+
+
+@pytest.mark.parametrize("group, field, max_degree", [("Z2", "Fp:5", "5"), ("S3", "Q", "3")])
+def test_cli_cohomology_changes_only_the_report_label(tmp_path, monkeypatch, capsys, group, field, max_degree):
+    """Over a field dim H^k = dim H_k: --cohomology sets "cohomology": true and leaves stdout and every
+    other field of the line-4 report as they are, for each --which."""
+    monkeypatch.chdir(tmp_path)
+    assert run("gen", "group-algebra", "--group", group, "--field", field, "-o", "h.json") == 0
+    assert run("gen", "regular-yd", "--hopf", "h.json", "-o", "m.json") == 0
+    assert run("gen", "trivial-yd", "--hopf", "h.json", "-o", "t.json") == 0
+    homology = ("homology", "--hopf", "h.json", "--mod", "m.json", "--coeff", "t.json", "--line", "4")
+    for which in ("d", "d_prime", "total"):
+        outputs = []
+        for flag in ((), ("--cohomology",)):
+            capsys.readouterr()
+            assert run(*homology, "--max-degree", max_degree, "--which", which, *flag, "-o", "rep.json") == 0
+            outputs.append((capsys.readouterr().out, json.loads((tmp_path / "rep.json").read_text())))
+        (out, plain), (co_out, co) = outputs
+        assert not plain["cohomology"] and co["cohomology"]
+        assert co_out == out and co == dict(plain, cohomology=True)
+
+
+def test_cli_harness_refuses_only_bad_inputs_and_raises_a_fault(tmp_path, monkeypatch, capsys):
+    """--dim 0, a base over Q and a unit that is not a basis vector exit 2 with an input error; a
+    fault raised inside the harness propagates instead of being reported as one."""
+    monkeypatch.chdir(tmp_path)
+    assert run("gen", "group-algebra", "--group", "Z2", "--field", "Fp:5", "-o", "z2.json") == 0
+    assert run("gen", "group-algebra", "--group", "Z2", "-o", "z2q.json") == 0
+    # the functions on Z/2: its unit delta_e + delta_g is not a basis vector
+    assert run("dual", "bialgebra", "z2.json", "-o", "dual.json") == 0
+    refusals = {
+        ("z2.json", "0"): "space 'V' needs dim >= 1",
+        ("z2q.json", "2"): "precision sampling is defined over F_p",
+        ("dual.json", "2"): "precision sampling needs nu = a basis vector with eps(nu) = 1",
+    }
+    for (h, dim), message in refusals.items():
+        capsys.readouterr()
+        assert run("harness", "precision", "--hopf", h, "--dim", dim, "--trials", "3", "--seed", "1") == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"input error: {message}\n"
+
+    def fault(alg, base):
+        raise DimensionMismatch("fault inside the harness")
+
+    monkeypatch.setattr(cli, "precision_harness", fault)
+    with pytest.raises(DimensionMismatch, match="fault inside the harness"):
+        run("harness", "precision", "--hopf", "z2.json", "--dim", "2", "--trials", "3", "--seed", "1")
 
 
 def test_cli_homology_s3_line4_degree4_matches_the_golden_report(tmp_path):

@@ -71,7 +71,7 @@ def test_rref_identity_and_zero():
     ident = SparseMatrix.identity(QQ, 2)
     r, rk = rref(ident)
     assert r == ident and rk == 2
-    zero = SparseMatrix.zeros(QQ, 3, 4)
+    zero = SparseMatrix(QQ, 3, 4)
     r, rk = rref(zero)
     assert r == zero and rk == 0
 
@@ -95,7 +95,7 @@ def test_rref_idempotent():
 
 def test_kernel_basis():
     assert kernel_basis(SparseMatrix.identity(QQ, 3)) == []
-    basis = kernel_basis(SparseMatrix.zeros(QQ, 2, 3))
+    basis = kernel_basis(SparseMatrix(QQ, 2, 3))
     assert len(basis) == 3
     m = mat(QQ, [[1, 2], [2, 4]])
     basis = kernel_basis(m)
@@ -112,7 +112,7 @@ def test_solve_linear():
     ident = SparseMatrix.identity(QQ, 3)
     b = [Fraction(1), Fraction(2), Fraction(3)]
     assert solve_linear(ident, b) == b
-    zero = SparseMatrix.zeros(QQ, 2, 2)
+    zero = SparseMatrix(QQ, 2, 2)
     assert solve_linear(zero, [Fraction(1), Fraction(0)]) is None
     m = mat(QQ, [[1, 2], [2, 4]])
     x = solve_linear(m, [Fraction(1), Fraction(2)])

@@ -233,3 +233,46 @@ def test_no_function_imports_from_a_module_its_file_imports_at_module_level():
     # a module the file imports anyway costs nothing more to import at the top, where readers look
     found = {p.name: stale_function_imports(p.read_text()) for p in sorted(SRC.glob("*.py"))}
     assert not {name: imports for name, imports in found.items() if imports}
+
+
+def top_level_names(source):
+    """The names a module defines at its top level: its defs, classes and assignment targets, not its imports."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return names
+
+
+def imports_not_from_home(source, homes):
+    """Each ``from .m import name``, at any depth, where ``name`` is not among ``homes[m]``, the top-level
+    names of the sibling module m; ``from . import m`` names a module and is skipped."""
+    return sorted(
+        f"from .{node.module} import {alias.name}"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module
+        for alias in node.names
+        if alias.name not in homes.get(node.module, ())
+    )
+
+
+def test_imports_not_from_home_sees_nested_imports_and_skips_modules():
+    names = top_level_names("import os\nfrom .tensor import flip\nA, (B, C) = 1, (2, 3)\nD: int = 4\n")
+    assert names == {"A", "B", "C", "D"}
+    source = (
+        "from . import io\nfrom .tensor import flip, identity as ident\n"
+        "def f():\n    from .hopf import Bialgebra, on_tensor\n"
+    )
+    homes = {"tensor": {"flip", "identity", "on_tensor"}, "hopf": {"Bialgebra", "flip"}}
+    assert imports_not_from_home(source, homes) == ["from .hopf import on_tensor"]
+
+
+def test_every_module_imports_each_name_from_the_module_that_defines_it():
+    # a name taken through a module that only imports it ties the reader to that module's imports
+    homes = {p.stem: top_level_names(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+    found = {p.name: imports_not_from_home(p.read_text(), homes) for p in sorted(SRC.glob("*.py"))}
+    assert len(found) >= 11
+    assert not {name: imports for name, imports in found.items() if imports}

@@ -93,6 +93,38 @@ def test_permutation_map_on_three_factors():
         assert back.compose(p) == identity(spaces, F5)
 
 
+def weight_permutation_oracle(spaces, order, field):
+    """permutation_map's former construction: input factor order[t] carries output factor t's stride,
+    and the row of each column is the sum of its factors' indices times their weights."""
+    spaces = tuple(spaces)
+    cod = tuple(spaces[t] for t in order)
+    strides, w = [], 1
+    for s in reversed(cod):
+        strides.insert(0, w)
+        w *= s.dim
+    weights = [0] * len(spaces)
+    for t, w in zip(order, strides):
+        weights[t] = w
+    rows = [0]
+    for s, w in zip(spaces, weights):
+        rows = [r + x for r in rows for x in range(0, w * s.dim, w)]
+    ent = {(r, col): field.one for col, r in enumerate(rows)}
+    return LinMap(spaces, cod, SparseMatrix(field, len(rows), len(rows), ent))
+
+
+@pytest.mark.parametrize("field", [QQ, F5], ids=["Q", "F5"])
+def test_permutation_map_equals_the_weight_construction(field):
+    factors = (Space(2, "A"), Space(3, "B"), Space(1, "C"), Space(4, "D"))
+    for n in range(1, 5):
+        spaces = factors[:n]
+        for order in itertools.permutations(range(n)):
+            got, want = permutation_map(spaces, order, field), weight_permutation_oracle(spaces, order, field)
+            assert (got.domain, got.codomain, got.matrix.entries) == (want.domain, want.codomain, want.matrix.entries)
+    for v, w in itertools.permutations(factors, 2):
+        got, want = flip(v, w, field), weight_permutation_oracle((v, w), (1, 0), field)
+        assert (got.domain, got.codomain, got.matrix.entries) == (want.domain, want.codomain, want.matrix.entries)
+
+
 def test_compose_chain_and_tensor():
     V = Space(3, "V")
     idv = identity([V], QQ)
