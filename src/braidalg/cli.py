@@ -217,6 +217,8 @@ def cmd_verify(args):
     dst = bio.load_system(args.to)
     if src.rank != dst.rank:
         raise InputError(f"rank mismatch: {src.rank} vs {dst.rank}")
+    if src.field != dst.field:
+        raise InputError(f"field mismatch: {src.field!r} vs {dst.field!r}")
     fs = bio.load_maps(args.maps, src, dst)
     return _print_report(check_braided_morphism(fs, src, dst))
 

@@ -193,10 +193,11 @@ def _verify_or_raise(c):
 def homology_dims(c, which="d"):
     """Exact homology dimensions for total degrees 0..max_total-1.
 
-    dim H_k = dim ker(d_k) - rank(d_{k+1}), and ``rank_d`` is rank(d_k), the
-    rank of ``which`` into degree k.  Over a field the cohomology of the
-    transposed complex has the same dimensions (a transpose has the same
-    rank).  The Euler identity for a truncation window reads
+    Each row holds degree k, chain_dim = dim C_k and homology_dim = dim H_k =
+    dim ker(d_k) - rank(d_{k+1}) for d = ``which``; read its ranks from
+    ``c.rank(which, k)``.  Over a field the cohomology of the transposed complex
+    has the same dimensions (a transpose has the same rank).  The Euler
+    identity for a truncation window reads
 
         sum (-1)^k dim H_k = sum (-1)^k dim C_k - (-1)^(K) rank(d_{K+1})
 
@@ -209,9 +210,8 @@ def homology_dims(c, which="d"):
     rows = []
     for k in range(0, top + 1):
         dim_ck = c.chain_dim(k)
-        rank_d = c.rank(which, k)
-        h = dim_ck - rank_d - c.rank(which, k + 1)
-        rows.append({"degree": k, "chain_dim": dim_ck, "rank_d": rank_d, "homology_dim": h})
+        h = dim_ck - c.rank(which, k) - c.rank(which, k + 1)
+        rows.append({"degree": k, "chain_dim": dim_ck, "homology_dim": h})
     boundary_rank = c.rank(which, top + 1)
     euler_h = sum((-1) ** r["degree"] * r["homology_dim"] for r in rows)
     euler_c = sum((-1) ** r["degree"] * r["chain_dim"] for r in rows)
@@ -275,20 +275,26 @@ def generic_differentials(s, zeta, xi, max_total_degree):
 # -- hand-coded Sweedler differentials ---------------------------------------
 
 
-def _by_input_pair(mat, d):
-    """{(x, y): [(out, coeff), ...]} for a map A (x) B -> C with dim B = d."""
+def _columns(f):
+    """{input tuple: [(*output tuple, coeff), ...]}: the nonzero terms of the map f, by input."""
     table = {}
-    for (k, col), v in mat.entries.items():
-        table.setdefault(divmod(col, d), []).append((k, v))
+    for out, inp, v in f.terms():
+        table.setdefault(inp, []).append((*out, v))
     return table
 
 
-def _by_input(mat, n_in, d):
-    """[[(x, y, coeff), ...] per input basis vector] for a map A -> B (x) C with dim C = d."""
-    table = [[] for _ in range(n_in)]
-    for (row, i), v in mat.entries.items():
-        table[i].append((*divmod(row, d), v))
-    return table
+def _dual(table):
+    """The ``_columns`` table of the order-reversing dual f*: inputs and outputs swap, each tuple reversed.
+
+    The coefficient of e*_rev(a) in f*(e*_rev(b)) is that of e_b in f(e_a), the rule of
+    ``tensor.rainbow_dual``, restated so that no H* table is shared with the generic
+    engine (which reads H* from ``dual_bialgebra``): the two stay independent oracles.
+    """
+    out = {}
+    for inp, terms in table.items():
+        for *o, v in terms:
+            out.setdefault(tuple(o[::-1]), []).append((*inp[::-1], v))
+    return out
 
 
 class _SweedlerOps:
@@ -304,43 +310,18 @@ class _SweedlerOps:
     ``_assemble``, which evaluates a core once per value of the factors it
     reads and tiles the result over the pass-through factors.  The four
     contractions read their comultiplication legs through ``fold``.  Everything
-    is index arithmetic over structure constants; no braiding machinery is
-    involved, which keeps this path independent of the generic engine.
+    is index arithmetic over the ``_columns`` tables of the structure maps and
+    their ``_dual``s; no braiding machinery is involved, which keeps this path
+    independent of the generic engine.
     """
 
     def __init__(self, h, m, n_mod):
-        self.f = h.field
-        d = self.dH = h.dim
-        self.dM = m.dim
-        dN = self.dN = n_mod.dim
-        self.comul = _by_input(h.delta.matrix, d, d)  # Delta(e_i) legs
-        self.mul = _by_input_pair(h.mu.matrix, d)
-        # dual products: mu_{H*}(e*_{j1} e*_{j2}) = sum_i comul[i][j2][j1] e*_i
-        self.dmul = {}
-        for i in range(d):
-            for (a, b, v) in self.comul[i]:
-                self.dmul.setdefault((b, a), []).append((i, v))
-        # dual comultiplication: Delta_{H*}(e*_j) = sum <e*_j, e_v e_u> e*_u (x) e*_v
-        self.ddelta = [[] for _ in range(d)]
-        for (vv, uu), terms in self.mul.items():
-            for (j, c) in terms:
-                self.ddelta[j].append((uu, vv, c))
-        self.unit_vec = {k: v for (k, _z), v in h.nu.matrix.entries.items()}
-        self.dual_unit_vec = {i: c for (_z, i), c in h.eps.matrix.entries.items()}
-        self.actM = _by_input_pair(m.lam.matrix, self.dM)
-        self.coactM = _by_input(m.delta.matrix, self.dM, d)
-        actN = _by_input_pair(n_mod.lam.matrix, dN)
-        coactN = _by_input(n_mod.delta.matrix, dN, d)
-        # delta_{N*}(e*_beta) = sum actN[i][alpha][beta] e*_alpha (x) e*_i
-        self.delta_Nstar = [[] for _ in range(dN)]
-        for (i, alpha), terms in actN.items():
-            for (beta, v) in terms:
-                self.delta_Nstar[beta].append((alpha, i, v))
-        # lam_{N*}(e*_j (x) e*_beta) = sum coactN[alpha][beta][j] e*_alpha
-        self.lam_Nstar = {}
-        for alpha in range(dN):
-            for (beta, j, v) in coactN[alpha]:
-                self.lam_Nstar.setdefault((j, beta), []).append((alpha, v))
+        self.f, self.dH, self.dM, self.dN = h.field, h.dim, m.dim, n_mod.dim
+        self.comul, self.mul = _columns(h.delta), _columns(h.mu)
+        self.dmul, self.ddelta = _dual(self.comul), _dual(self.mul)
+        self.unit, self.dual_unit = _columns(h.nu).get((), ()), _dual(_columns(h.eps)).get((), ())  # 1_{H*} = eps_H
+        self.actM, self.coactM = _columns(m.lam), _columns(m.delta)
+        self.delta_Nstar, self.lam_Nstar = _dual(_columns(n_mod.lam)), _dual(_columns(n_mod.delta))
         self._memo = {}
 
     def _once(self, key, build, *args):
@@ -362,11 +343,11 @@ class _SweedlerOps:
     def _fold(self, idxs, dual, keep):
         f = self.f
         if not idxs:
-            return {x: {(): c} for x, c in (self.dual_unit_vec if dual else self.unit_vec).items()}
+            return {x: {(): c} for x, c in (self.dual_unit if dual else self.unit)}
         mul = self.dmul if dual else self.mul
         acc = {}
         for x, kept in self.fold(idxs[:-1], dual, keep).items():
-            for legs in (self.ddelta if dual else self.comul)[idxs[-1]]:
+            for legs in (self.ddelta if dual else self.comul).get(idxs[-1:], ()):
                 for y, c_y in mul.get((x, legs[1 - keep]), ()):
                     c_step, row = legs[2] * c_y, acc.setdefault(y, {})
                     for ks, c in kept.items():
@@ -382,7 +363,7 @@ class _SweedlerOps:
         def build(idxs, o):
             table = {}
             for y, kept in self.fold(idxs, dual, 0).items():
-                for (o_out, w, c) in coact[o]:
+                for (o_out, w, c) in coact.get((o,), ()):
                     for x, c_w in mul.get((y, w), ()):
                         c_w *= sign * c
                         table.setdefault(x, []).extend((ps + (o_out,), c_h * c_w) for ps, c_h in kept.items())
@@ -392,6 +373,7 @@ class _SweedlerOps:
 
     def _acting_core(self, coprod, act, dual, sign):
         """Core (i_1..i_k, j, b) -> [(second legs + (b',), sign coeff)]: <first legs, j(1)>, j(2) acting on b."""
+        coprod = {j: terms for (j,), terms in coprod.items()}  # int keys: this lookup runs once per value
 
         def core(vals):
             paired = self.fold(vals[:-2], dual, 1)

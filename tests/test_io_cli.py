@@ -1199,6 +1199,23 @@ def test_cli_morphism_rank_mismatch_is_input_error(tmp_path):
     assert run("verify", "morphism", "--from", s2, "--to", s3, "--maps", maps) == 2
 
 
+def test_cli_morphism_field_mismatch_is_input_error(tmp_path, capsys):
+    systems = {}
+    for field in ("Q", "Fp:5"):
+        h, s = str(tmp_path / f"z2-{field}.json"), str(tmp_path / f"sys-{field}.json")
+        run("gen", "group-algebra", "--group", "Z2", "--field", field, "-o", h)
+        run("build", "yd-system", "--hopf", h, "--variant", "yd", "-o", s)
+        systems[field] = s
+    maps = str(tmp_path / "maps.json")
+    with open(maps, "w") as fh:
+        json.dump({"maps": [[[1, 0], [0, 1]], [[1, 0], [0, 1]]]}, fh)
+    capsys.readouterr()
+    for a, b, fields in (("Q", "Fp:5", "QQ vs GF(5)"), ("Fp:5", "Q", "GF(5) vs QQ")):
+        assert run("verify", "morphism", "--from", systems[a], "--to", systems[b], "--maps", maps) == 2
+        out = capsys.readouterr()
+        assert (out.out, out.err) == ("", f"input error: field mismatch: {fields}\n")
+
+
 def test_cli_homology_needs_full_modules(tmp_path):
     h = str(tmp_path / "z2.json")
     m = str(tmp_path / "mod.json")

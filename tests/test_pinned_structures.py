@@ -6,7 +6,7 @@ passing inputs and on inputs with mu, Delta or eps scaled by 2, and
 report, failure witnesses included, goes into one sha256 digest per case
 family, next to the matrices ``tensor_yd`` (both variants) and
 ``r_braiding`` build.  The digests were recorded before the middle swaps
-``Id (x) c (x) Id`` of these checks were routed through ``hopf.on_tensor``.
+``Id (x) c (x) Id`` of these checks were routed through ``tensor.on_tensor``.
 """
 
 import hashlib
