@@ -13,7 +13,7 @@ loads :mod:`braidalg.yd` and what it needs, not :mod:`braidalg.homology`.
 import importlib
 
 _EXPORTS = {
-    "linalg": "GF QQ SparseMatrix kernel_basis kronecker rank rref solve_linear",
+    "linalg": "GF QQ SparseMatrix kernel_basis kronecker pivot_columns rank rref solve_linear",
     "report": "AxiomReport CheckFailed CheckResult Witness",
     "tensor": "DimensionMismatch LinMap Space apply_at compose_chain embed_at evaluation flip identity rainbow_dual "
     "tensor_maps",

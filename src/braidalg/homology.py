@@ -30,7 +30,7 @@ import itertools
 import math
 import operator
 
-from .linalg import SparseMatrix, rank as matrix_rank
+from .linalg import SparseMatrix, pivot_columns, rank as matrix_rank
 from .report import AxiomReport
 from .systems import BraidedSystem, YDSystem, braid_factor, check_braided_morphism
 from .tensor import LinMap, Space, apply_at, identity
@@ -98,7 +98,7 @@ class GradedComplex:
         self.max_total = max_total
         self.line = line
         self.bicomplex_report = None
-        self._ranks = {}
+        self._ranks, self._pivot_sets = {}, {}
         self.by_source = {"d": {}, "d_prime": {}}
         for which, blocks in (("d", self.d_blocks), ("d_prime", self.dprime_blocks)):
             for (src, dst), mat in blocks.items():
@@ -112,16 +112,16 @@ class GradedComplex:
         return sum(self.dims[deg] for deg in self.degrees_at(k))
 
     def _blocks_at(self, which, k):
-        """[(src, dst, block)] of d, d_prime or both (total) out of the components of total degree k."""
+        """[(src, dst, block, its column and row offsets in C_k -> C_{k-1})] of d, d_prime or both (total)."""
         fams = ("d", "d_prime") if which == "total" else (which,)
-        return [(s, t, mat) for fam in fams for s in self.degrees_at(k) for t, mat in self.by_source[fam].get(s, ())]
+        col_off, row_off = (_offsets(self.dims, self.degrees_at(j)) for j in (k, k - 1))
+        pairs = [(s, t, mat) for fam in fams for s in col_off for t, mat in self.by_source[fam].get(s, ())]
+        return [(s, t, mat, col_off[s], row_off[t]) for s, t, mat in pairs]
 
     def assemble(self, which, k):
         """The total-degree matrix C_k -> C_{k-1} for which in d|d_prime|total: the sum of its blocks."""
-        col_off, row_off = (_offsets(self.dims, self.degrees_at(j)) for j in (k, k - 1))
         ent = {}
-        for src, dst, mat in self._blocks_at(which, k):
-            ro, co = row_off[dst], col_off[src]
+        for _, _, mat, co, ro in self._blocks_at(which, k):
             for (r, c), v in mat.entries.items():
                 key = (ro + r, co + c)
                 ent[key] = ent.get(key, 0) + v
@@ -131,18 +131,36 @@ class GradedComplex:
         """rank of assemble(which, k), computed at most once; 0 outside 1..max_total.
 
         Blocks that pair sources and targets one to one assemble to their
-        direct sum, so they are ranked one by one instead.
+        direct sum, so they are ranked one by one instead.  Once
+        ``bicomplex_report`` has passed (d_{k-1} o d_k = 0), d_k is ranked
+        on the rows outside Q_{k-1}, the pivot columns of d_{k-1}: these
+        columns are independent, so deleting their coordinates is injective
+        on ker d_{k-1}, which holds im d_k.  With no report, or a failing
+        one, d_k is ranked in full.
         """
         if not 1 <= k <= self.max_total:
             return 0
-        key = (which, k)
-        if key not in self._ranks:
-            blocks = self._blocks_at(which, k)
-            if len({s for s, _, _ in blocks}) == len({t for _, t, _ in blocks}) == len(blocks):
-                self._ranks[key] = sum(matrix_rank(mat) for _, _, mat in blocks)
-            else:
-                self._ranks[key] = matrix_rank(self.assemble(which, k))
-        return self._ranks[key]
+        if self.bicomplex_report is not None and self.bicomplex_report.passed:
+            return len(self._pivots(which, k))
+        if (which, k) not in self._ranks:
+            self._ranks[which, k] = sum(matrix_rank(mat) for mat, _, _ in self._matrices(which, k))
+        return self._ranks[which, k]
+
+    def _pivots(self, which, k):
+        """Q_k as offsets in C_k: each matrix of d_k ranked on its rows outside Q_{k-1} shifted by its row offset."""
+        if (which, k) not in self._pivot_sets:
+            below = self._pivots(which, k - 1) if k > 1 else ()
+            self._pivot_sets[which, k] = {
+                co + c for m, co, ro in self._matrices(which, k) for c in pivot_columns(m, {q - ro for q in below})
+            }
+        return self._pivot_sets[which, k]
+
+    def _matrices(self, which, k):
+        """d_k as [(matrix, column offset, row offset)]: its blocks if one to one (a direct sum), else assembled."""
+        blocks = self._blocks_at(which, k)
+        if len({s for s, *_ in blocks}) == len({t for _, t, *_ in blocks}) == len(blocks):
+            return [(mat, co, ro) for _, _, mat, co, ro in blocks]
+        return [(self.assemble(which, k), 0, 0)]
 
 
 def _offsets(dims, degs):

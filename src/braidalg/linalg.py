@@ -302,25 +302,26 @@ def _primitive(r):
     return r if g == 1 else {k: v // g for k, v in r.items()}
 
 
-def _eliminate(m, reduced=False):
+def _eliminate(m, reduced=False, skip=()):
     """The one elimination pass: {pivot column: pivot row}, one entry per unit of rank.
 
-    Rows are inserted one at a time.  Each is reduced on its lowest column
-    against the pivot row already there, until it vanishes or its lowest
-    column opens a new pivot.  Over Q a row's denominators are cleared once
-    on loading and it stays a primitive int row with a positive leading
-    entry (fraction-free elimination); over F_p the entries are already in
-    [0, p) (the constructor reduces them) and pivot rows are scaled to a
-    leading 1.  With ``reduced`` the pivot rows are then back-substituted,
-    highest pivot first, so that each is zero at every other pivot column;
-    rref_data normalises them.
+    Rows are inserted one at a time, except those in ``skip``, which are never
+    built.  Each is reduced on its lowest column against the pivot row already
+    there, until it vanishes or its lowest column opens a new pivot.  Over Q a
+    row's denominators are cleared once on loading and it stays a primitive
+    int row with a positive leading entry (fraction-free elimination); over
+    F_p the entries are already in [0, p) (the constructor reduces them) and
+    pivot rows are scaled to a leading 1.  With ``reduced`` the pivot rows are
+    then back-substituted, highest pivot first, so that each is zero at every
+    other pivot column; rref_data normalises them.
     """
     p = m.field.p
-    rows = [{} for _ in range(m.n_rows)]
+    rows = {i: {} for i in range(m.n_rows) if i not in skip}
     for (i, c), v in m.entries.items():
-        rows[i][c] = v
+        if i in rows:
+            rows[i][c] = v
     pivots = {}
-    for r in rows:
+    for r in rows.values():
         if p is None:
             den = lcm(*(v.denominator for v in r.values()))
             r = {k: v.numerator * (den // v.denominator) for k, v in r.items()}
@@ -358,6 +359,11 @@ def rref(m):
 def rank(m):
     """Exact rank: the pivot count of the forward pass, no reduced form built."""
     return len(_eliminate(m))
+
+
+def pivot_columns(m, skip=()):
+    """The pivot columns of the forward pass over the rows of m outside ``skip`` (any ints): a set of column indices."""
+    return set(_eliminate(m, skip=skip))
 
 
 def kernel_basis(m):

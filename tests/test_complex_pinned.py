@@ -89,6 +89,6 @@ def test_complex_digest(name, family):
 @pytest.mark.parametrize("name, family", sorted(PINS))
 def test_block_ranks_equal_the_assembled_ranks(name, family):
     for cx in _complexes(name, family):
-        for which in ("d", "d_prime"):
+        for which in ("d", "d_prime", "total"):
             for k in range(1, cx.max_total + 1):
                 assert cx.rank(which, k) == rank(cx.assemble(which, k))

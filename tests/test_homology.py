@@ -314,11 +314,12 @@ def test_homology_report_ranks_each_matrix_once_and_reuses_the_bicomplex_check(m
     cx = coefficient_complex(b, m, triv, 4, 3)
     assert cx.bicomplex_report is not None and cx.bicomplex_report.passed
     ranked = []
-    real_rank = homology.matrix_rank
-    monkeypatch.setattr(homology, "matrix_rank", lambda a: ranked.append(a) or real_rank(a))
+    real_pivots = homology.pivot_columns
+    monkeypatch.setattr(homology, "pivot_columns", lambda a, skip=(): ranked.append(a) or real_pivots(a, skip))
+    monkeypatch.setattr(homology, "matrix_rank", lambda a: pytest.fail("a verified complex ranked in full"))
     monkeypatch.setattr(homology, "verify_bicomplex", lambda c: pytest.fail("complex verified again"))
     reports = [bio.homology_report(cx, w, coh) for w in ("d", "d_prime", "total") for coh in (False, True)]
-    # every d and d' block ranked once, then the total matrix at each degree 1..3
+    # every d and d' block eliminated once, then the total matrix at each degree 1..3
     blocks = list(cx.d_blocks.values()) + list(cx.dprime_blocks.values())
     assert len(blocks) == 12
     assert sorted(map(id, ranked[:12])) == sorted(map(id, blocks))
@@ -327,8 +328,21 @@ def test_homology_report_ranks_each_matrix_once_and_reuses_the_bicomplex_check(m
         assert all(rep["identities"].values())
         for row in rep["degrees"][1:]:
             k = row["degree"]
-            assert row["rank_d"] == real_rank(cx.assemble("d", k))
-            assert row["rank_d_prime"] == real_rank(cx.assemble("d_prime", k))
+            assert row["rank_d"] == matrix_rank(cx.assemble("d", k))
+            assert row["rank_d_prime"] == matrix_rank(cx.assemble("d_prime", k))
+
+
+def test_a_complex_without_a_passing_report_is_ranked_on_every_row():
+    # d_1 o d_2 = [1] != 0: cutting the row of d_1's pivot out of d_2 would give rank 0
+    one = SparseMatrix(GF(5), 1, 1, {(0, 0): 1})
+    dims = {(0,): 1, (1,): 1, (2,): 1}
+    blocks = {((1,), (0,)): one, ((2,), (1,)): one}
+    unverified = GradedComplex(GF(5), dims, blocks, {}, 2)
+    failing = GradedComplex(GF(5), dims, blocks, {}, 2)
+    failing.bicomplex_report = verify_bicomplex(failing)
+    assert unverified.bicomplex_report is None and not failing.bicomplex_report.passed
+    for cx in (unverified, failing):
+        assert [cx.rank(which, 2) for which in ("d", "total")] == [1, 1]
 
 
 def test_homology_report_checks_a_complex_that_was_never_verified():
@@ -887,7 +901,7 @@ def test_fold_equals_the_full_expansion(base, field):
 @pytest.mark.parametrize(
     "group, field, top, dims",
     [
-        ("S3", GF(3), 4, [1, 0, 0, 1]),
+        ("S3", GF(3), 5, [1, 0, 0, 1, 1]),
         ("S3", GF(2), 4, [1, 1, 1, 1]),
         ("S3", QQ, 4, [1, 0, 0, 0]),
         ("Z3", GF(3), 5, [1, 1, 1, 1, 1]),
@@ -902,7 +916,8 @@ def test_line_four_on_the_unit_module_is_group_homology(group, field, top, dims)
     field H_n and H^n have the same dimension; H^n(Z3; F_3) = F_3 in every
     degree (the periodic resolution of a cyclic group, II.3); by transfer
     and stable elements (III.10) H*(S3; F_3) is the part of H*(Z3; F_3)
-    fixed by Z2, which acts by -1 in degrees 1 and 2 and by +1 in degree 3,
+    fixed by Z2, which acts by -1 in degrees 1 and 2 and by +1 in degree 3
+    and on y^2 in degree 4 (y the degree-2 generator, on which it acts by -1),
     H*(S3; F_2) = H*(Z2; F_2), and H^n(S3; Q) = 0 for n > 0.  For the
     dihedral group of order 8, H*(D_8; F_2) = F_2[x, y, w]/(xy) with x, y
     in degree 1 and w in degree 2 (A. Adem and R. J. Milgram, Cohomology of

@@ -15,6 +15,7 @@ from braidalg.linalg import (
     is_prime,
     kernel_basis,
     kronecker,
+    pivot_columns,
     rank,
     rref,
     solve_linear,
@@ -269,6 +270,12 @@ def test_rank_and_rref_match_dense_reference(case):
     assert rk == ref_rank
     ref_ent = {(i, j): v for i, row in enumerate(ref_rows) for j, v in enumerate(row)}
     assert r == SparseMatrix(m.field, m.n_rows, m.n_cols, ref_ent)
+    # pivot columns are the leading columns of the reduced rows; skipped rows are left out, ints off the rows ignored
+    leads = lambda rows: {next(j for j, v in enumerate(row) if v) for row in rows if any(row)}
+    assert pivot_columns(m) == leads(ref_rows)
+    skip = {i for i in range(-1, m.n_rows + 2) if i % 2}
+    kept = [row for i, row in enumerate(dense) if i not in skip]
+    assert pivot_columns(m, skip) == leads(reference_rref(m.field, m.n_cols, kept)[0])
 
 
 @PROPERTY_SETTINGS
