@@ -84,10 +84,10 @@ class GradedComplex:
     (src, dst) degree pairs to matrices.  Total degree is the tuple sum.
     ``by_source[which]`` lists each source's (dst, block) pairs, keeping the
     blocks between components of ``dims`` that lower the total degree by one.
-    The blocks are fixed at construction: ``rank`` remembers each rank, and
-    ``bicomplex_report`` holds the ``verify_bicomplex`` report of a complex
-    built by one of the constructors below (None otherwise).  ``line`` is
-    the bidifferential line of a ``coefficient_complex``.
+    The blocks are fixed at construction, which verifies them:
+    ``bicomplex_report`` holds the ``verify_bicomplex`` report of every
+    complex, built by hand or by a constructor below, and ``rank`` remembers
+    each rank.  ``line`` is the bidifferential line of a ``coefficient_complex``.
     """
 
     def __init__(self, field, dims, d_blocks, dprime_blocks, max_total, line=None):
@@ -97,13 +97,13 @@ class GradedComplex:
         self.dprime_blocks = dict(dprime_blocks)
         self.max_total = max_total
         self.line = line
-        self.bicomplex_report = None
         self._ranks, self._pivot_sets = {}, {}
         self.by_source = {"d": {}, "d_prime": {}}
         for which, blocks in (("d", self.d_blocks), ("d_prime", self.dprime_blocks)):
             for (src, dst), mat in blocks.items():
                 if src in self.dims and dst in self.dims and sum(dst) == sum(src) - 1:
                     self.by_source[which].setdefault(src, []).append((dst, mat))
+        self.bicomplex_report = verify_bicomplex(self)
 
     def degrees_at(self, k):
         return sorted(deg for deg in self.dims if sum(deg) == k)
@@ -131,16 +131,16 @@ class GradedComplex:
         """rank of assemble(which, k), computed at most once; 0 outside 1..max_total.
 
         Blocks that pair sources and targets one to one assemble to their
-        direct sum, so they are ranked one by one instead.  Once
+        direct sum, so they are ranked one by one instead.  When
         ``bicomplex_report`` has passed (d_{k-1} o d_k = 0), d_k is ranked
         on the rows outside Q_{k-1}, the pivot columns of d_{k-1}: these
         columns are independent, so deleting their coordinates is injective
-        on ker d_{k-1}, which holds im d_k.  With no report, or a failing
-        one, d_k is ranked in full.
+        on ker d_{k-1}, which holds im d_k.  When it fails, d_k is ranked in
+        full.
         """
         if not 1 <= k <= self.max_total:
             return 0
-        if self.bicomplex_report is not None and self.bicomplex_report.passed:
+        if self.bicomplex_report.passed:
             return len(self._pivots(which, k))
         if (which, k) not in self._ranks:
             self._ranks[which, k] = sum(matrix_rank(mat) for mat, _, _ in self._matrices(which, k))
@@ -202,8 +202,6 @@ def _composites_vanish(c, k, *pairs):
 
 
 def _verify_or_raise(c):
-    # stored before the check: a caller that catches the failure reads the report
-    c.bicomplex_report = verify_bicomplex(c)
     c.bicomplex_report.require("bidifferential identities fail")
     return c
 
@@ -293,20 +291,12 @@ def generic_differentials(s, zeta, xi, max_total_degree):
 # -- hand-coded Sweedler differentials ---------------------------------------
 
 
-def _columns(f):
-    """{input tuple: [(*output tuple, coeff), ...]}: the nonzero terms of the map f, by input."""
-    table = {}
-    for out, inp, v in f.terms():
-        table.setdefault(inp, []).append((*out, v))
-    return table
-
-
 def _dual(table):
-    """The ``_columns`` table of the order-reversing dual f*: inputs and outputs swap, each tuple reversed.
+    """The ``LinMap.columns`` table of the order-reversing dual f*: inputs and outputs swap, each tuple reversed.
 
     The coefficient of e*_rev(a) in f*(e*_rev(b)) is that of e_b in f(e_a), the rule of
-    ``tensor.rainbow_dual``, restated so that no H* table is shared with the generic
-    engine (which reads H* from ``dual_bialgebra``): the two stay independent oracles.
+    ``tensor.rainbow_dual``, restated so that no H* table is shared with the generic engine (which reads H*
+    from ``dual_bialgebra``); ``columns`` only decodes indices and states no pairing, so the two stay independent.
     """
     out = {}
     for inp, terms in table.items():
@@ -328,18 +318,18 @@ class _SweedlerOps:
     ``_assemble``, which evaluates a core once per value of the factors it
     reads and tiles the result over the pass-through factors.  The four
     contractions read their comultiplication legs through ``fold``.  Everything
-    is index arithmetic over the ``_columns`` tables of the structure maps and
-    their ``_dual``s; no braiding machinery is involved, which keeps this path
-    independent of the generic engine.
+    is index arithmetic over the ``LinMap.columns`` tables of the structure maps
+    and their ``_dual``s; no braiding machinery is involved, which keeps this
+    path independent of the generic engine.
     """
 
     def __init__(self, h, m, n_mod):
         self.f, self.dH, self.dM, self.dN = h.field, h.dim, m.dim, n_mod.dim
-        self.comul, self.mul = _columns(h.delta), _columns(h.mu)
+        self.comul, self.mul = h.delta.columns(), h.mu.columns()
         self.dmul, self.ddelta = _dual(self.comul), _dual(self.mul)
-        self.unit, self.dual_unit = _columns(h.nu).get((), ()), _dual(_columns(h.eps)).get((), ())  # 1_{H*} = eps_H
-        self.actM, self.coactM = _columns(m.lam), _columns(m.delta)
-        self.delta_Nstar, self.lam_Nstar = _dual(_columns(n_mod.lam)), _dual(_columns(n_mod.delta))
+        self.unit, self.dual_unit = h.nu.columns().get((), ()), _dual(h.eps.columns()).get((), ())  # 1_{H*} = eps_H
+        self.actM, self.coactM = m.lam.columns(), m.delta.columns()
+        self.delta_Nstar, self.lam_Nstar = _dual(n_mod.lam.columns()), _dual(n_mod.delta.columns())
         self._memo = {}
 
     def _once(self, key, build, *args):

@@ -460,11 +460,9 @@ def load_maps(path, src, dst):
 
 def homology_report(cx, which="d", cohomology=False):
     """The report of ``homology_dims(cx, which)``; ``cohomology`` is a label (over a field dim H^k = dim H_k)."""
-    from .homology import homology_dims, verify_bicomplex
+    from .homology import homology_dims
 
     idrep = cx.bicomplex_report
-    if idrep is None:
-        idrep = verify_bicomplex(cx)
     res = homology_dims(cx, which)
     degrees = []
     for row in res["rows"]:

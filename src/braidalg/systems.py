@@ -62,7 +62,7 @@ class BraidedSystem:
 
 
 def _column_tables(s, pairs):
-    """{(i, j): sigma_{i,j} of s as a column table {(a, b): [(b', a', v), ...]} on basis indices}.
+    """{(i, j): sigma_{i,j} of s as its ``LinMap.columns`` table {(a, b): [(b', a', v), ...]}}.
 
     Checks what a product with each sigma_{i,j} would: its factor dims are
     those of V_i (x) V_j -> V_j (x) V_i, and its field is the system's.
@@ -74,9 +74,7 @@ def _column_tables(s, pairs):
             raise DimensionMismatch(f"sigma({i},{j}) does not map {vi.label}(x){vj.label} to {vj.label}(x){vi.label}")
         if sig.field != s.field:
             raise ValueError(f"field mismatch: {s.field!r} and {sig.field!r}")
-        table = tables[i, j] = {}
-        for (r, c), v in sig.matrix.entries.items():
-            table.setdefault(divmod(c, vj.dim), []).append((*divmod(r, vi.dim), v))
+        tables[i, j] = sig.columns()
     return tables
 
 

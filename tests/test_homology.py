@@ -337,23 +337,38 @@ def test_a_complex_without_a_passing_report_is_ranked_on_every_row():
     one = SparseMatrix(GF(5), 1, 1, {(0, 0): 1})
     dims = {(0,): 1, (1,): 1, (2,): 1}
     blocks = {((1,), (0,)): one, ((2,), (1,)): one}
-    unverified = GradedComplex(GF(5), dims, blocks, {}, 2)
     failing = GradedComplex(GF(5), dims, blocks, {}, 2)
-    failing.bicomplex_report = verify_bicomplex(failing)
-    assert unverified.bicomplex_report is None and not failing.bicomplex_report.passed
-    for cx in (unverified, failing):
-        assert [cx.rank(which, 2) for which in ("d", "total")] == [1, 1]
+    assert not failing.bicomplex_report.passed
+    assert [failing.rank(which, 2) for which in ("d", "total")] == [1, 1]
 
 
-def test_homology_report_checks_a_complex_that_was_never_verified():
+def test_homology_report_checks_a_complex_that_was_never_verified(monkeypatch):
+    # a complex built by hand is verified by its construction, and the report reads that verdict
     b, m, triv = z2_setup()
     cx = coefficient_complex(b, m, triv, 3, 3)
     flipped = dict(cx.dprime_blocks)
     key = ((1, 1), (1, 0))
     flipped[key] = -flipped[key]
     bad = GradedComplex(cx.field, cx.dims, cx.d_blocks, flipped, cx.max_total)
-    assert bad.bicomplex_report is None
+    assert any(c.name.startswith("anticommute") and not c.passed for c in bad.bicomplex_report.checks)
+    monkeypatch.setattr(homology, "verify_bicomplex", lambda c: pytest.fail("complex verified again"))
     assert bio.homology_report(bad)["identities"]["anticommute"] is False
+
+
+def test_a_passing_complex_rebuilt_by_hand_is_cut_and_reports_as_the_original(monkeypatch):
+    b, m, triv = z2_setup(GF(5))
+    cx = coefficient_complex(b, m, triv, 4, 3)
+    expected = {w: bio.homology_report(cx, w) for w in ("d", "d_prime", "total")}
+    calls = []
+    real_verify = homology.verify_bicomplex
+    monkeypatch.setattr(homology, "verify_bicomplex", lambda c: calls.append(c) or real_verify(c))
+    rebuilt = GradedComplex(cx.field, cx.dims, cx.d_blocks, cx.dprime_blocks, cx.max_total, line=cx.line)
+    assert calls == [rebuilt] and rebuilt.bicomplex_report.passed
+    assert rebuilt.bicomplex_report.checks == cx.bicomplex_report.checks
+    monkeypatch.setattr(homology, "matrix_rank", lambda a: pytest.fail("a verified complex ranked in full"))
+    for w, report in expected.items():
+        assert bio.homology_report(rebuilt, w) == report
+    assert calls == [rebuilt]
 
 
 def _assembled(c, blocks, k):

@@ -276,3 +276,50 @@ def test_every_module_imports_each_name_from_the_module_that_defines_it():
     found = {p.name: imports_not_from_home(p.read_text(), homes) for p in sorted(SRC.glob("*.py"))}
     assert len(found) >= 11
     assert not {name: imports for name, imports in found.items() if imports}
+
+
+def attribute_assignments(source, attr):
+    """(enclosing ``Class.function`` or function, line) for each statement that assigns an attribute
+    named ``attr``, at any depth and inside unpacking; a module-level statement has scope None."""
+    found = []
+
+    def visit(node, scope, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, scope, f"{prefix}{child.name}.")
+                continue
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, prefix + child.name, f"{prefix}{child.name}.")
+                continue
+            targets = child.targets if isinstance(child, ast.Assign) else []
+            if isinstance(child, (ast.AugAssign, ast.AnnAssign)):
+                targets = [child.target]
+            for target in targets:
+                if any(isinstance(t, ast.Attribute) and t.attr == attr for t in ast.walk(target)):
+                    found.append((scope, child.lineno))
+            visit(child, scope, prefix)
+
+    visit(ast.parse(source), None, "")
+    return found
+
+
+def test_attribute_assignments_names_the_enclosing_method():
+    source = (
+        "c.report = 1\nclass C:\n    def __init__(self):\n        self.report = None\n        self.other = 2\n"
+        "    def m(self):\n        def inner():\n            x.report += 1\n        a, (b, o.report) = 1, (2, 3)\n"
+        "def f(c):\n    c.report: int = 3\n    report = c.report\n"
+    )
+    assert attribute_assignments(source, "report") == [
+        (None, 1),
+        ("C.__init__", 4),
+        ("C.m.inner", 8),
+        ("C.m", 9),
+        ("f", 11),
+    ]
+
+
+def test_only_the_complex_constructor_sets_its_bicomplex_report():
+    # GradedComplex.__init__ verifies every complex it builds, so no caller keeps a separate verdict
+    found = {p.name: attribute_assignments(p.read_text(), "bicomplex_report") for p in sorted(SRC.glob("*.py"))}
+    assigned = [(name, scope) for name, where in found.items() for scope, _ in where]
+    assert assigned == [("homology.py", "GradedComplex.__init__")]

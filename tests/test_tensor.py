@@ -82,6 +82,27 @@ def test_decode_inverts_the_linear_index():
     assert decode(0, ()) == ()
 
 
+@pytest.mark.parametrize("field", [QQ, F5], ids=["Q", "F5"])
+def test_terms_and_columns_read_each_entry_as_decode_does(field):
+    rng = random.Random(32)
+    A, B, C = Space(2, "A"), Space(3, "B"), Space(1, "C")
+
+    def factors(n):
+        return tuple(rng.choice((A, B, C)) for _ in range(n))
+
+    shapes = [((), (A,)), ((A,), ())]  # the shapes of a unit nu and a counit eps
+    shapes += [(factors(p), factors(q)) for p in range(4) for q in range(4) for _ in range(2)]
+    for dom, cod in shapes:
+        f = random_map(rng, dom, cod, field)
+        oracle = [(decode(r, cod), decode(c, dom), v) for (r, c), v in f.matrix.entries.items()]
+        assert f.terms() == oracle
+        grouped = {}
+        for out, inp, v in oracle:
+            grouped.setdefault(inp, []).append((*out, v))
+        assert f.columns() == grouped and list(f.columns()) == list(grouped)
+        assert basis(dom) is basis(dom) and basis(cod) is basis(tuple(cod))
+
+
 def test_permutation_map_on_three_factors():
     spaces = (Space(2, "A"), Space(3, "B"), Space(4, "C"))
     for order in itertools.permutations(range(3)):
